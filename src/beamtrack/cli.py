@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import harness, predictor
+from . import harness, predictor, trackers
 from .predictor import DatasetConfig, NoiseTable, TrainConfig
 
 
@@ -92,13 +92,15 @@ def _sim_config(args: argparse.Namespace, variant: str = "ekf") -> harness.SimCo
 
 
 def _load_models(args, variants) -> dict:
-    models = {}
+    """One parsed --checkpoint, shared by the proposed variants (inference
+    does not modify the model)."""
     needed = [v for v in variants if v.startswith("proposed")]
-    if needed and not args.checkpoint:
+    if not needed:
+        return {}
+    if not args.checkpoint:
         raise SystemExit("proposed variants need --checkpoint")
-    for v in needed:
-        models[v] = predictor.load_checkpoint(args.checkpoint)
-    return models
+    model = predictor.load_checkpoint(args.checkpoint)
+    return {v: model for v in needed}
 
 
 def _cmd_calibrate_noise(args) -> int:
@@ -163,10 +165,14 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     variants = args.variants.split(",")
     models = _load_models(args, variants)
+    base = _sim_config(args)
+    process_noise = trackers.calibrate_process_noise(
+        base.mobility_params(), base.t_csi, num_paths=base.num_paths
+    )
     print("variant mean_nmse_db mean_ber")
     for variant in variants:
         cfg = _sim_config(args, variant=variant)
-        result = harness.run_episode(cfg, model=models.get(variant))
+        result = harness.run_episode(cfg, model=models.get(variant), process_noise=process_noise)
         print(f"{variant} {result.mean_nmse_db:.4f} {result.mean_ber:.6g}")
     return 0
 

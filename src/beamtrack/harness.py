@@ -364,8 +364,10 @@ def run_sweep(
     """Grid of episodes over one config axis, with per-trial and mean rows.
 
     Returns the CSV rows as dicts and, when out_path is given, writes them.
-    A failed episode is recorded with status "error" and empty metrics; the
-    sweep keeps going. Mean rows average the successful trials.
+    A failed episode is recorded with status "error:<Type>: <message>" and
+    empty metrics; the sweep keeps going. Mean rows average the successful
+    trials. Process noise is calibrated once per distinct mobility model,
+    cycle length and path count among the sweep points.
     """
     if axis_name not in _FIELD_TYPES:
         raise ValueError(f"unknown config field {axis_name!r}")
@@ -375,12 +377,15 @@ def run_sweep(
         "mean_nmse_db", "mean_ber", "cycles", "status",
     ]
     rows: list[dict] = []
+    process_noises: dict[tuple, float] = {}
     for value in axis_values:
         value = _coerce_axis_value(axis_name, value)
         cfg_point = replace(base_config, **{axis_name: value})
-        process_noise = calibrate_process_noise(
-            cfg_point.mobility_params(), cfg_point.t_csi, num_paths=cfg_point.num_paths
-        )
+        key = (cfg_point.mobility_params(), cfg_point.t_csi, cfg_point.num_paths)
+        if key not in process_noises:
+            params, t_csi, num_paths = key
+            process_noises[key] = calibrate_process_noise(params, t_csi, num_paths=num_paths)
+        process_noise = process_noises[key]
         for variant in variants:
             ok_nmse, ok_ber = [], []
             for trial in range(trials):
@@ -403,14 +408,14 @@ def run_sweep(
                 except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
                     row["mean_nmse_db"] = ""
                     row["mean_ber"] = ""
-                    row["status"] = f"error:{type(exc).__name__}"
+                    row["status"] = f"error:{type(exc).__name__}: {exc}"
                 rows.append(row)
             rows.append({
                 "axis_name": axis_name, "axis_value": _fmt(value), "variant": variant,
                 "trial": "mean", "seed": "",
                 "mean_nmse_db": _fmt(float(np.mean(ok_nmse))) if ok_nmse else "",
                 "mean_ber": _fmt(float(np.mean(ok_ber))) if ok_ber else "",
-                "cycles": str(base_config.num_cycles), "status": "aggregate",
+                "cycles": str(cfg_point.num_cycles), "status": "aggregate",
             })
     if out_path is not None:
         with open(out_path, "w", newline="") as fh:
@@ -434,13 +439,14 @@ def calibrate_estimate_noise(
     so occasional loss-of-lock excursions do not dominate the table.
     """
     snr_grid_db = np.sort(np.asarray(snr_grid_db, dtype=np.float64))
+    # The process noise depends on the mobility model only, not on the SNR.
+    process_noise = calibrate_process_noise(
+        base_config.mobility_params(), base_config.t_csi, num_paths=base_config.num_paths
+    )
     stds = []
-    for point, snr in enumerate(snr_grid_db):
+    for snr in snr_grid_db:
         pooled = []
         cfg_point = replace(base_config, variant="ekf", snr_db=float(snr))
-        process_noise = calibrate_process_noise(
-            cfg_point.mobility_params(), cfg_point.t_csi, num_paths=cfg_point.num_paths
-        )
         for ep in range(episodes_per_point):
             seed = episode_seed(master_seed, "calibration", float(snr), ep)
             result = run_episode(replace(cfg_point, seed=seed), process_noise=process_noise)

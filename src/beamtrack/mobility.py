@@ -36,6 +36,13 @@ DEFAULT_RHO = 0.9999
 # Chosen so the stationary velocity variance drive_var / (1 - rho^2) is 0.2.
 DEFAULT_DRIVE_VAR = 0.2 * (1.0 - DEFAULT_RHO**2)
 
+# Chunk sizes of generate_trajectory, in slots. Reflections are thousands of
+# slots apart at walking rates, so most slots run in full-size chunks; a
+# small first chunk keeps fast ballistic motion, which reflects every few
+# slots, from discarding a full chunk of recursion per reflection.
+_FIRST_CHUNK = 16
+_MAX_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class MobilityParams:
@@ -91,6 +98,20 @@ def generate_trajectory(
     Paths evolve independently from shared parameters. When not given,
     initial angles are drawn uniform on [-0.8, 0.8] and initial velocities
     from N(a_avg, 0.2), matching the stationary velocity spread.
+
+    The output is bit-identical to stepping the recursion slot by slot.
+    Each path is generated in chunks: the velocity recursion runs over the
+    chunk's drive as plain Python floats, which performs the same float
+    operations in the same order as the per-slot update. The angle is then
+    the running sum of dt * v with the carried angle added to the first step;
+    `np.cumsum` accumulates strictly left to right, so each partial sum
+    equals `th += dt * v` exactly. At the chunk's first slot with |theta| > 1
+    the slots before it are kept, the reflection is applied there (negating
+    the velocity), and the next chunk restarts at the following slot. Chunks
+    double from _FIRST_CHUNK to _MAX_CHUNK slots while no reflection occurs
+    and shrink back after one, so the recursion discarded at each reflection
+    stays proportional to the distance between reflections. Temporaries are
+    at most one chunk long.
     """
     if num_paths < 1 or num_slots < 1:
         raise ValueError("num_paths and num_slots must be >= 1")
@@ -112,17 +133,30 @@ def generate_trajectory(
     for l in range(num_paths):
         th = float(init_aoa[l])
         v = float(init_velocity[l])
-        w = drive[l]
-        a_row = aoa[l]
-        v_row = velocity[l]
-        for n in range(num_slots):
-            v = pull + rho * v + w[n]
-            th += dt * v
+        n, size = 0, _FIRST_CHUNK
+        while n < num_slots:
+            m = min(n + size, num_slots)
+            vs = []
+            append = vs.append
+            for w in drive[l, n:m].tolist():
+                v = pull + rho * v + w
+                append(v)
+            vel = np.array(vs)
+            ang = vel * dt
+            ang[0] += th
+            np.cumsum(ang, out=ang)
+            outside = np.abs(ang) > 1.0
+            bounced = bool(outside.any())
+            end = int(outside.argmax()) + 1 if bounced else m - n
+            th, v = float(ang[end - 1]), vs[end - 1]
             while th > 1.0 or th < -1.0:
                 th = 2.0 - th if th > 1.0 else -2.0 - th
                 v = -v
-            a_row[n] = th
-            v_row[n] = v
+            ang[end - 1], vel[end - 1] = th, v
+            aoa[l, n : n + end] = ang[:end]
+            velocity[l, n : n + end] = vel[:end]
+            n += end
+            size = _FIRST_CHUNK if bounced else min(2 * size, _MAX_CHUNK)
     return Trajectory(aoa, velocity, params.dt)
 
 

@@ -28,3 +28,22 @@ def codebook64():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xBEEF)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """install(module, name[, calls]) wraps module.name for this test and
+    returns the list that receives each call's positional arguments."""
+
+    def install(module, name, calls=None):
+        calls = [] if calls is None else calls
+        real = getattr(module, name)
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install

@@ -8,8 +8,8 @@ expensive parts; everything downstream of them uses paired episode seeds so
 that variant comparisons are like against like.
 
 This module is the slow part of the suite (several minutes, dominated by
-training the evaluation models). Run `pytest --ignore=tests/test_acceptance.py`
-while iterating on the library itself.
+training the evaluation models). Every test here carries the `slow` marker:
+run `pytest -m "not slow"` while iterating on the library itself.
 """
 
 import math
@@ -52,6 +52,8 @@ from beamtrack.predictor import (
     train,
 )
 from beamtrack.trackers import calibrate_process_noise
+
+pytestmark = pytest.mark.slow
 
 MASTER_SEED = 0xACCE
 NUM_EPISODES = 50

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from beamtrack import harness, predictor, trackers
 from beamtrack.cli import (
     _angle_rate,
     _float_list,
@@ -15,7 +16,13 @@ from beamtrack.cli import (
     build_parser,
     main,
 )
-from beamtrack.predictor import NoiseTable, load_checkpoint
+from beamtrack.predictor import (
+    NoiseTable,
+    NormStats,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def test_angle_rate_parser():
@@ -163,3 +170,40 @@ def test_cli_plot_data(tmp_path, capsys):
     assert names == [
         "ber_vs_snr.csv", "nmse_vs_a_avg.csv", "nmse_vs_snr.csv", "nmse_vs_t_csi.csv",
     ]
+
+
+def test_cli_evaluate_calibrates_once_and_prints_the_same_lines(count_calls, capsys):
+    # Expected lines: each variant's episode calibrating its own process noise.
+    variants = ("genie", "ekf", "lms")
+    expected = ["variant mean_nmse_db mean_ber"]
+    for variant in variants:
+        cfg = harness.SimConfig(num_cycles=3, t_csi=40, seed=4, variant=variant)
+        result = harness.run_episode(cfg)
+        expected.append(f"{variant} {result.mean_nmse_db:.4f} {result.mean_ber:.6g}")
+
+    calls = count_calls(trackers, "calibrate_process_noise")
+    count_calls(harness, "calibrate_process_noise", calls)
+    rc = main([
+        "evaluate", "--variants", ",".join(variants), "--num-cycles", "3",
+        "--t-csi", "40", "--seed", "4",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.strip().splitlines() == expected
+    assert len(calls) == 1
+
+
+def test_cli_plot_data_parses_the_checkpoint_once(tmp_path, monkeypatch, count_calls, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    model = build_model(np.random.default_rng(0))
+    model.norm = NormStats(np.zeros(9), np.ones(9), np.zeros(1), np.ones(1))
+    save_checkpoint(model, ckpt)
+    # A constant process noise keeps the sweeps short; this test is about parsing.
+    monkeypatch.setattr(harness, "calibrate_process_noise", lambda *a, **kw: 1e-5)
+    calls = count_calls(predictor, "load_checkpoint")
+    rc = main([
+        "plot-data", "--variants", "proposed_csi_imu,proposed_csi", "--trials", "1",
+        "--num-cycles", "1", "--t-csi", "40", "--checkpoint", str(ckpt),
+        "--out-dir", str(tmp_path / "figs"),
+    ])
+    assert rc == 0
+    assert len(calls) == 1

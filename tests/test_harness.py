@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from beamtrack import harness
 from beamtrack.harness import (
     NMSE_FLOOR_DB,
     SimConfig,
@@ -170,7 +171,10 @@ def test_run_sweep_survives_failing_cells(tmp_path):
     cfg = _tiny_config(num_cycles=2)
     rows = run_sweep(cfg, "snr_db", [9.0], ("proposed_csi", "genie"), trials=2)
     failures = [r for r in rows if r["variant"] == "proposed_csi" and r["trial"] != "mean"]
-    assert all(r["status"] == "error:ValueError" for r in failures)
+    assert all(
+        r["status"] == "error:ValueError: proposed variants need a model or a checkpoint path"
+        for r in failures
+    )
     assert all(r["mean_nmse_db"] == "" for r in failures)
     empty_mean = [r for r in rows if r["variant"] == "proposed_csi" and r["trial"] == "mean"]
     assert empty_mean[0]["mean_nmse_db"] == ""
@@ -220,3 +224,32 @@ def test_plot_data_writes_per_figure_csvs(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["snr_db", "variant", "mean_nmse_db"]
     assert len(rows) == 3  # header + one aggregate row per variant
+
+
+def test_run_sweep_mean_rows_report_the_swept_cycle_count():
+    rows = run_sweep(SimConfig(), "num_cycles", [5, 10], ("genie",), 1)
+    means = [r for r in rows if r["trial"] == "mean"]
+    assert [r["cycles"] for r in means] == ["5", "10"]
+    trials = [r for r in rows if r["trial"] != "mean"]
+    assert [r["cycles"] for r in trials] == ["5", "10"]
+
+
+def test_run_sweep_calibrates_once_per_distinct_mobility(count_calls):
+    calls = count_calls(harness, "calibrate_process_noise")
+    cfg = _tiny_config(num_cycles=1)
+    run_sweep(cfg, "snr_db", [3.0, 6.0, 9.0], ("genie",), 2)
+    assert len(calls) == 1
+    calls.clear()
+    run_sweep(cfg, "t_csi", [40, 80, 40], ("genie",), 1)
+    assert [t_csi for _, t_csi in calls] == [40, 80]
+    calls.clear()
+    run_sweep(cfg, "a_avg", [0.1, 0.2], ("genie",), 1)
+    assert [params.a_avg for params, _ in calls] == [0.1, 0.2]
+
+
+def test_calibrate_estimate_noise_calibrates_process_noise_once(count_calls):
+    calls = count_calls(harness, "calibrate_process_noise")
+    calibrate_estimate_noise(
+        _tiny_config(num_cycles=3), [6.0, 9.0, 12.0], episodes_per_point=1, skip_cycles=1
+    )
+    assert len(calls) == 1

@@ -2,13 +2,64 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beamtrack import mobility
 from beamtrack.mobility import (
     MobilityParams,
     Trajectory,
     generate_trajectory,
     synthesize_imu,
 )
+
+
+def per_slot_trajectory(params, num_paths, num_slots, rng, init_aoa=None, init_velocity=None):
+    """Reference: the recursion stepped one slot at a time, drawing from rng
+    exactly as generate_trajectory does."""
+    if init_aoa is None:
+        init_aoa = rng.uniform(-0.8, 0.8, size=num_paths)
+    init_aoa = np.broadcast_to(np.asarray(init_aoa, dtype=np.float64), (num_paths,))
+    if init_velocity is None:
+        init_velocity = rng.normal(params.a_avg, np.sqrt(0.2), size=num_paths)
+    init_velocity = np.broadcast_to(np.asarray(init_velocity, dtype=np.float64), (num_paths,))
+
+    drive = rng.normal(0.0, np.sqrt(params.drive_var), size=(num_paths, num_slots))
+    aoa = np.empty((num_paths, num_slots))
+    velocity = np.empty((num_paths, num_slots))
+    pull = (1.0 - params.rho) * params.a_avg
+    rho, dt = params.rho, params.dt
+    for l in range(num_paths):
+        th = float(init_aoa[l])
+        v = float(init_velocity[l])
+        w = drive[l]
+        for n in range(num_slots):
+            v = pull + rho * v + w[n]
+            th += dt * v
+            while th > 1.0 or th < -1.0:
+                th = 2.0 - th if th > 1.0 else -2.0 - th
+                v = -v
+            aoa[l, n] = th
+            velocity[l, n] = v
+    return Trajectory(aoa, velocity, params.dt)
+
+
+def _assert_matches_per_slot(params, num_paths, num_slots, seed, **init):
+    fast = generate_trajectory(params, num_paths, num_slots, np.random.default_rng(seed), **init)
+    slow = per_slot_trajectory(params, num_paths, num_slots, np.random.default_rng(seed), **init)
+    assert np.array_equal(fast.aoa, slow.aoa)
+    assert np.array_equal(fast.velocity, slow.velocity)
+
+
+def _chunk_boundaries():
+    """Slot counts ending exactly on a chunk boundary when no reflection occurs."""
+    ends, size, total = [], mobility._FIRST_CHUNK, 0
+    while size < mobility._MAX_CHUNK:
+        total += size
+        ends.append(total)
+        size *= 2
+    ends += [mobility._MAX_CHUNK, total + mobility._MAX_CHUNK]
+    return sorted({n + d for n in ends for d in (-1, 0, 1)})
 
 
 def test_params_validation():
@@ -152,3 +203,33 @@ def test_imu_determinism_and_divisibility():
     np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError):
         synthesize_imu(traj, 3, 160, 5.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("a_avg", [0.2 * np.pi, 0.4 * np.pi])
+@pytest.mark.parametrize("seed", range(5))
+def test_matches_per_slot_recursion_at_walking_rates(a_avg, seed):
+    # Long enough for full-size chunks and several reflections per path.
+    _assert_matches_per_slot(MobilityParams(a_avg=a_avg), 3, 30_000, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rho=st.floats(0.0, 1.0 - 1e-12),
+    a_avg=st.floats(-3000.0, 3000.0),
+    dt=st.sampled_from([1e-9, 1e-6, 125e-6, 1e-3]),
+    drive_var=st.floats(0.0, 10.0),
+    init_aoa=st.none() | st.floats(-1.0, 1.0),
+    init_velocity=st.none() | st.floats(-1e5, 1e5),
+    num_paths=st.integers(1, 3),
+    num_slots=st.sampled_from([1, 2, 100] + _chunk_boundaries()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_per_slot_recursion_property(
+    rho, a_avg, dt, drive_var, init_aoa, init_velocity, num_paths, num_slots, seed
+):
+    # Covers ballistic motion that reflects every few slots (or several times
+    # within one slot) as well as chunk ends falling on and next to num_slots.
+    params = MobilityParams(a_avg=a_avg, rho=rho, drive_var=drive_var, dt=dt)
+    _assert_matches_per_slot(
+        params, num_paths, num_slots, seed, init_aoa=init_aoa, init_velocity=init_velocity
+    )
