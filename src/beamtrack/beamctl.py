@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +27,13 @@ from .measurement import (
     _measurement_factors,
 )
 
-__all__ = ["BeamSelection", "nearest_beams", "crlb_objective", "select_sounding"]
+__all__ = [
+    "BeamSelection",
+    "nearest_beams",
+    "crlb_objective",
+    "spd_inverse_trace",
+    "select_sounding",
+]
 
 # Selection still needs a finite information weight when pilots are noiseless.
 _MIN_NOISE_VAR = 1e-12
@@ -98,6 +105,61 @@ def crlb_objective(
         return np.inf
 
 
+def spd_inverse_trace(mats: np.ndarray) -> np.ndarray:
+    """trace(A^-1) for each symmetric positive definite A in a (..., L, L) batch.
+
+    With the lower Cholesky factor C of A, trace(A^-1) = ||C^-1||_F^2. The
+    factorisation and the triangular inverse loop over matrix entries, each
+    step one elementwise operation over the batch; only the lower triangle
+    of A is read. An entry whose factorisation meets a non-positive or
+    non-finite pivot (singular, indefinite or non-finite) scores np.inf; the
+    others are unaffected.
+    """
+    mats = np.asarray(mats, dtype=np.float64)
+    size = mats.shape[-1]
+    ok = np.ones(mats.shape[:-2], dtype=bool)
+    chol: list[list[np.ndarray]] = []  # chol[i][j], j <= i
+    inv: list[list[np.ndarray]] = []  # inv[i][j] of C^-1, j <= i
+    traces = np.zeros(mats.shape[:-2])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(size):
+            row = []
+            for j in range(i + 1):
+                acc = mats[..., i, j]
+                other = row if j == i else chol[j]
+                for k in range(j):
+                    acc = acc - row[k] * other[k]
+                if j < i:
+                    row.append(acc / chol[j][j])
+                    continue
+                ok &= np.isfinite(acc) & (acc > 0.0)
+                row.append(np.sqrt(np.where(ok, acc, 1.0)))
+            chol.append(row)
+        # Forward substitution for C^-1, also lower triangular.
+        for i in range(size):
+            recip = 1.0 / chol[i][i]
+            row = []
+            for j in range(i):
+                acc = chol[i][j] * inv[j][j]
+                for k in range(j + 1, i):
+                    acc = acc + chol[i][k] * inv[k][j]
+                row.append(-acc * recip)
+            row.append(recip)
+            inv.append(row)
+            for entry in row:
+                traces += entry * entry
+    return np.where(ok, traces, np.inf)
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographic unordered pairs (j1 < j2) of n beams, computed once per n."""
+    j1, j2 = np.triu_indices(n, k=1)
+    j1.flags.writeable = False
+    j2.flags.writeable = False
+    return j1, j2
+
+
 def _rx_pair_scores(
     belief: GaussianBelief,
     tx_angles: np.ndarray,
@@ -113,7 +175,7 @@ def _rx_pair_scores(
     The information matrix separates per pair: with transmit factors
     t[l, i] and receive derivative factors d[l, j], Re(O^H O)[l, l'] is the
     elementwise product of sum_i conj(t) t and sum_{j in pair} conj(d) d,
-    so all pairs can be scored with one batched matrix inverse.
+    so all pairs are scored with one batched Cholesky trace of J^-1.
     """
     num_paths = gains.size
     probe = SoundingConfig(tx_angles=tx_angles, rx_angles=codebook.angles)
@@ -124,19 +186,11 @@ def _rx_pair_scores(
     t_mat = t.conj() @ t.T  # (L, L): sum over tx beams
     d_mat = np.einsum("lj,mj->jlm", dgr.conj(), dgr)  # (n_beams, L, L)
 
-    j1, j2 = np.triu_indices(len(codebook), k=1)
+    j1, j2 = _pair_indices(len(codebook))
     pair_info = d_mat[j1] + d_mat[j2]  # (n_pairs, L, L)
     noise = max(noise_var, _MIN_NOISE_VAR)
     info = np.linalg.inv(belief.cov)[None] + (2.0 / noise) * (t_mat[None] * pair_info).real
-    try:
-        traces = np.trace(np.linalg.inv(info), axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        traces = np.empty(j1.size)
-        for k in range(j1.size):
-            try:
-                traces[k] = np.trace(np.linalg.inv(info[k]))
-            except np.linalg.LinAlgError:
-                traces[k] = np.inf
+    traces = spd_inverse_trace(info)
     return j1, j2, traces
 
 

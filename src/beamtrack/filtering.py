@@ -47,6 +47,20 @@ DEFAULT_BETA = 2.0
 DEFAULT_JITTER = 1e-8
 
 
+# Symmetry tolerances of GaussianBelief: np.allclose(cov, cov.T, rtol, atol).
+_SYM_RTOL = 1e-5
+_SYM_ATOL = 1e-10
+
+
+def _is_symmetric(cov: np.ndarray) -> bool:
+    """np.allclose(cov, cov.T, rtol=_SYM_RTOL, atol=_SYM_ATOL) without its
+    wrapper: NaN fails, and an inf passes only against an equal inf."""
+    cov_t = cov.T
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(cov - cov_t) <= _SYM_ATOL + _SYM_RTOL * np.abs(cov_t)) & np.isfinite(cov_t)
+    return bool(np.all(close | (cov == cov_t)))
+
+
 @dataclass
 class GaussianBelief:
     """Mean and covariance of a real-valued state."""
@@ -60,7 +74,7 @@ class GaussianBelief:
         d = self.mean.size
         if self.cov.shape != (d, d):
             raise ValueError(f"covariance must be ({d}, {d}), got {self.cov.shape}")
-        if not np.allclose(self.cov, self.cov.T, atol=1e-10):
+        if d > 1 and not _is_symmetric(self.cov):
             raise ValueError("covariance must be symmetric")
 
     @property

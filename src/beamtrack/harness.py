@@ -26,7 +26,13 @@ from scipy.special import erfc
 from .arrays import ArrayGeometry, make_codebook
 from .filtering import GaussianBelief
 from .mobility import MobilityParams, generate_trajectory, synthesize_imu
-from .predictor import NoiseTable, PredictorModel, load_checkpoint, scale_sensor_block
+from .predictor import (
+    NoiseTable,
+    PredictorModel,
+    load_checkpoint,
+    model_fingerprint,
+    scale_sensor_block,
+)
 from .trackers import (
     EkfTracker,
     GenieTracker,
@@ -97,8 +103,12 @@ class SimConfig:
         if self.ber_mode not in ("analytic", "montecarlo"):
             raise ValueError(f"unknown ber_mode {self.ber_mode!r}")
 
-    def digest(self) -> str:
-        text = json.dumps(asdict(self), sort_keys=True, default=str)
+    def digest(self, model_fingerprint: str | None = None) -> str:
+        """Short hash of the config, plus the model's fingerprint when given."""
+        content = asdict(self)
+        if model_fingerprint is not None:
+            content["model_fingerprint"] = model_fingerprint
+        text = json.dumps(content, sort_keys=True, default=str)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def mobility_params(self) -> MobilityParams:
@@ -116,7 +126,7 @@ class EpisodeResult:
     aoa_error: np.ndarray  # (num_paths, num_cycles), estimate - truth
     variant: str
     seed: int
-    config_digest: str
+    config_digest: str  # SimConfig.digest(), folding in the model for proposed variants
 
     @property
     def mean_nmse_db(self) -> float:
@@ -170,32 +180,51 @@ def _steering_table(geom: ArrayGeometry, thetas: np.ndarray) -> np.ndarray:
     )
 
 
-def _channel_from_angles(gains, aoas, aods, geom_rx, geom_tx) -> np.ndarray:
+def _channel_from_angles(gains, aoas, geom_rx, a_t) -> np.ndarray:
+    """A_r(aoas) diag(gains) A_t^H for the episode's transmit steering table A_t."""
     a_r = _steering_table(geom_rx, aoas)
-    a_t = _steering_table(geom_tx, aods)
     return (a_r * np.asarray(gains)) @ a_t.conj().T
+
+
+def _rx_gains(w: np.ndarray, geom_rx: ArrayGeometry, thetas: np.ndarray) -> np.ndarray:
+    """w^H a(theta) elementwise over thetas.
+
+    With z = exp(j kappa theta), w^H a(theta) = sum_k conj(w_k) z^k / sqrt(N),
+    evaluated by Horner's rule: one exponential per angle instead of N.
+    """
+    z = np.exp(1j * geom_rx.spatial_freq * np.asarray(thetas))
+    coeffs = w.conj()
+    acc = np.full(z.shape, coeffs[-1])
+    for coeff in coeffs[-2::-1]:
+        acc *= z
+        acc += coeff
+    return acc / np.sqrt(geom_rx.num_elements)
 
 
 def _cycle_ber(
     config: SimConfig,
-    h_est: np.ndarray,
     gains: np.ndarray,
+    est_aoas: np.ndarray,
     aoa_slots: np.ndarray,
-    aods: np.ndarray,
+    tx_r: np.ndarray,
     noise_var: float,
     geom_rx: ArrayGeometry,
-    geom_tx: ArrayGeometry,
     ber_rng: np.random.Generator,
 ) -> float:
-    """Mean BER over one cycle with the estimate's top singular pair."""
-    u, _, vh = np.linalg.svd(h_est, full_matrices=False)
-    w = u[:, 0]
-    f = vh[0].conj()
-    tx_gain = _steering_table(geom_tx, aods).conj().T @ f  # (L,)
-    g = np.zeros(aoa_slots.shape[1], dtype=np.complex128)
-    for l in range(gains.size):
-        rx = w.conj() @ _steering_table(geom_rx, aoa_slots[l])  # (slots,)
-        g += gains[l] * tx_gain[l] * rx
+    """Mean BER over one cycle with the estimate's top singular pair.
+
+    The estimate h_est = A_r diag(gains) A_t^H has rank at most L. With thin
+    QR factors A_r = Q_r R_r and A_t = Q_t R_t (tx_r is R_t, fixed for the
+    episode), h_est = Q_r (R_r diag(gains) R_t^H) Q_t^H, so its top singular
+    pair comes from the SVD of the L x L core: w = Q_r u and f = Q_t v.
+    The transmit gains A_t^H f reduce to R_t^H v.
+    """
+    q_r, r_r = np.linalg.qr(_steering_table(geom_rx, est_aoas))
+    u, _, vh = np.linalg.svd((r_r * gains) @ tx_r.conj().T)
+    w = q_r @ u[:, 0]
+    tx_gain = tx_r.conj().T @ vh[0].conj()  # (L,): a_t(aod_l)^H f
+    rx = _rx_gains(w, geom_rx, aoa_slots)  # (L, slots)
+    g = (gains * tx_gain) @ rx
     if noise_var == 0.0:
         return 0.0
     if config.ber_mode == "analytic":
@@ -257,10 +286,12 @@ def run_episode(
     center, which the trackers know), and a mobility trajectory. Tracker
     beliefs start from the true angles perturbed by init_error_std.
     """
-    if model is None and config.variant.startswith("proposed"):
+    proposed = config.variant.startswith("proposed")
+    if model is None and proposed:
         if config.checkpoint is None:
             raise ValueError("proposed variants need a model or a checkpoint path")
         model = load_checkpoint(config.checkpoint)
+    digest = config.digest(model_fingerprint(model) if proposed else None)
 
     geom_rx = ArrayGeometry(config.n_m)
     geom_tx = ArrayGeometry(config.n_b)
@@ -303,6 +334,8 @@ def run_episode(
         geom_rx, geom_tx, noise_var, process_noise,
     )
 
+    a_t = _steering_table(geom_tx, aods)  # departures are fixed for the episode
+    tx_r = np.linalg.qr(a_t, mode="r")
     block_width = 2 * config.k_samples
     nmse = np.empty(config.num_cycles)
     ber = np.empty(config.num_cycles)
@@ -314,16 +347,16 @@ def run_episode(
         block = blocks[:, t - 1] if t >= 1 else np.zeros((num_paths, block_width))
         record = tracker.step(channel, block)
 
-        h_true = _channel_from_angles(gains, truth[:, t], aods, geom_rx, geom_tx)
-        h_est = _channel_from_angles(gains, record.estimates, aods, geom_rx, geom_tx)
+        h_true = _channel_from_angles(gains, truth[:, t], geom_rx, a_t)
+        h_est = _channel_from_angles(gains, record.estimates, geom_rx, a_t)
         nmse[t] = normalized_mse(h_true, h_est)
         aoa_slots = traj.aoa[:, t * config.t_csi : (t + 1) * config.t_csi]
         ber[t] = _cycle_ber(
-            config, h_est, gains, aoa_slots, aods, noise_var, geom_rx, geom_tx, ber_rng
+            config, gains, record.estimates, aoa_slots, tx_r, noise_var, geom_rx, ber_rng
         )
         err[:, t] = record.estimates - truth[:, t]
 
-    return EpisodeResult(nmse, ber, err, config.variant, config.seed, config.digest())
+    return EpisodeResult(nmse, ber, err, config.variant, config.seed, digest)
 
 
 def episode_seed(master_seed: int, axis_name: str, value, trial: int) -> int:

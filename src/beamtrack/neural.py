@@ -205,6 +205,7 @@ class _Trace:
 
 
 def _forward(layers, xs: np.ndarray) -> tuple[np.ndarray, _Trace]:
+    """Training forward pass: the output plus every activation BPTT reads."""
     pre, lstms, post = _split_stack(layers)
     trace = _Trace()
     cur = xs  # (B, T, d)
@@ -257,9 +258,31 @@ def forward_stack(layers, xs: np.ndarray) -> np.ndarray:
     xs is (steps, dim) for one window or (batch, steps, dim) for a batch.
     FC layers before the LSTM block are applied at every step, the LSTM block
     consumes the sequence, and FC layers after it map the final hidden state.
+    Inference keeps no gate history: it runs `lstm_step`, which computes the
+    same cell as the training pass in `_forward`, so outputs match bit for bit.
     """
     xs3, squeeze = _promote(xs)
-    out, _ = _forward(layers, xs3)
+    pre, lstms, post = _split_stack(layers)
+    cur = xs3
+    for lyr in pre:
+        cur = fc_apply(lyr, cur)
+    if lstms:
+        for lyr in lstms:
+            batch, steps, _ = cur.shape
+            seq = np.empty((batch, steps, lyr.hidden_size))
+            h = np.zeros((batch, lyr.hidden_size))
+            c = np.zeros((batch, lyr.hidden_size))
+            for t in range(steps):
+                h, c = lstm_step(lyr, cur[:, t], h, c)
+                seq[:, t] = h
+            cur = seq
+        out = cur[:, -1]
+    else:
+        if cur.shape[1] != 1:
+            raise ValueError("a stack without an LSTM only accepts single-step inputs")
+        out = cur[:, 0]
+    for lyr in post:
+        out = fc_apply(lyr, out)
     return out[0] if squeeze else out
 
 

@@ -13,6 +13,7 @@ regression target well scaled without changing the external contract
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ __all__ = [
     "Dataset",
     "CheckpointError",
     "build_model",
+    "model_fingerprint",
     "window_matrix",
     "predict",
     "generate_dataset",
@@ -182,6 +184,25 @@ def build_model(
         j_channels=j_channels,
         context_dim=context_dim,
     )
+
+
+def model_fingerprint(model: PredictorModel) -> str:
+    """sha256 over the model's parameter, normalisation and prediction-variance
+    arrays (names, shapes and float64 bytes) and its layer activations."""
+    arrays = dict(neural.layer_param_dict(model.layers))
+    if model.norm is not None:
+        for name in ("input_mean", "input_std", "target_mean", "target_std"):
+            arrays[f"norm.{name}"] = getattr(model.norm, name)
+    if model.prediction_var is not None:
+        arrays["prediction_var"] = model.prediction_var
+    sha = hashlib.sha256()
+    activations = [lyr.activation for lyr in model.layers if isinstance(lyr, FcParams)]
+    sha.update(f"{model.mode}|{model.delta}|{','.join(activations)}".encode())
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        sha.update(f"|{name}{arr.shape}".encode())
+        sha.update(arr.tobytes())
+    return sha.hexdigest()
 
 
 def window_matrix(window: InputWindow) -> np.ndarray:

@@ -1,0 +1,90 @@
+"""Golden tracker outputs: fixed episodes whose per-cycle traces are pinned.
+
+The cases are every variant x 3 seeds x 40 cycles at two operating points.
+The proposed variants use a model built deterministically here (fixed-seed
+initialisation and fixed normalisation constants, no training), so the file
+depends on nothing outside this module and the package.
+
+    PYTHONPATH=src python tests/golden_episodes.py
+
+rewrites tests/data/golden_episodes.npz from the package on the path. The
+stored traces were written by the commit before the per-cycle scoring and
+selection speed-ups; tests/test_golden.py asserts that the current package
+still produces them (NMSE and angle errors bit for bit, BER to 1e-12).
+Bit-identity holds on the NumPy/OpenBLAS build the file was written with;
+a different BLAS build may legitimately round differently.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from beamtrack.harness import VARIANTS, SimConfig, run_episode
+from beamtrack.predictor import NormStats, PredictorModel, build_model
+from beamtrack.trackers import calibrate_process_noise
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_episodes.npz"
+
+SETTINGS = (
+    dict(snr_db=9.0, a_avg=0.4 * np.pi, t_csi=160),
+    dict(snr_db=3.0, a_avg=0.1 * np.pi, t_csi=40),
+)
+SEEDS = (11, 22, 33)
+NUM_CYCLES = 40
+
+
+def golden_model() -> PredictorModel:
+    """An untrained predictor with fixed weights and normalisation."""
+    model = build_model(np.random.default_rng(2021))
+    dim = model.input_dim
+    model.norm = NormStats(
+        input_mean=np.zeros(dim),
+        input_std=np.full(dim, 0.5),
+        target_mean=np.zeros(1),
+        target_std=np.full(1, 0.01),
+    )
+    model.prediction_var = np.array([1e-4])
+    return model
+
+
+def run_cases(model: PredictorModel | None = None) -> dict[str, np.ndarray]:
+    """Traces shaped (setting, variant, seed, ...) for every golden case."""
+    model = golden_model() if model is None else model
+    shape = (len(SETTINGS), len(VARIANTS), len(SEEDS))
+    nmse = np.empty(shape + (NUM_CYCLES,))
+    ber = np.empty(shape + (NUM_CYCLES,))
+    err = None
+    for s, setting in enumerate(SETTINGS):
+        base = SimConfig(num_cycles=NUM_CYCLES, **setting)
+        process_noise = calibrate_process_noise(
+            base.mobility_params(), base.t_csi, num_paths=base.num_paths
+        )
+        for v, variant in enumerate(VARIANTS):
+            for k, seed in enumerate(SEEDS):
+                cfg = replace(base, variant=variant, seed=seed)
+                result = run_episode(
+                    cfg,
+                    model=model if variant.startswith("proposed") else None,
+                    process_noise=process_noise,
+                )
+                if err is None:
+                    err = np.empty(shape + result.aoa_error.shape)
+                nmse[s, v, k] = result.nmse_db
+                ber[s, v, k] = result.ber
+                err[s, v, k] = result.aoa_error
+    return {"nmse_db": nmse, "aoa_error": err, "ber": ber}
+
+
+def main() -> int:
+    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    np.savez_compressed(GOLDEN_PATH, **run_cases())
+    print(f"wrote {GOLDEN_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

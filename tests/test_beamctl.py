@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack.arrays import make_codebook
 from beamtrack.beamctl import (
@@ -11,6 +13,7 @@ from beamtrack.beamctl import (
     crlb_objective,
     nearest_beams,
     select_sounding,
+    spd_inverse_trace,
 )
 from beamtrack.filtering import GaussianBelief
 from beamtrack.measurement import SoundingConfig
@@ -161,3 +164,53 @@ def test_select_sounding_validation(geom32, codebook64):
             belief, codebook64, np.ones(1, dtype=complex), 0.1, geom32, geom32,
             mode="bogus", known_aod=0.0,
         )
+
+
+def _spd_batch(seed, size, batch, log_scale):
+    """SPD matrices Q diag(lam) Q^T, condition number at most 1e4."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(batch, size, size)))
+    lam = 10.0 ** (log_scale + rng.uniform(-2.0, 2.0, size=(batch, size)))
+    mats = (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+    return 0.5 * (mats + mats.transpose(0, 2, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 4),
+    batch=st.integers(1, 12),
+    log_scale=st.floats(-6.0, 6.0),
+)
+def test_spd_inverse_trace_matches_explicit_inverse(seed, size, batch, log_scale):
+    mats = _spd_batch(seed, size, batch, log_scale)
+    expected = np.trace(np.linalg.inv(mats), axis1=1, axis2=2)
+    got = spd_inverse_trace(mats)
+    assert got.shape == (batch,)
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 4),
+    batch=st.integers(2, 12),
+    kind=st.sampled_from(["singular", "indefinite", "nan", "inf"]),
+    data=st.data(),
+)
+def test_spd_inverse_trace_flags_only_the_bad_entry(seed, size, batch, kind, data):
+    mats = _spd_batch(seed, size, batch, 0.0)
+    bad = data.draw(st.integers(0, batch - 1), label="bad entry")
+    col = data.draw(st.integers(0, size - 1), label="bad row/column")
+    broken = mats.copy()
+    if kind in ("singular", "indefinite"):
+        broken[bad, col, :] = 0.0
+        broken[bad, :, col] = 0.0
+        broken[bad, col, col] = 0.0 if kind == "singular" else -1.0
+    else:
+        broken[bad, col, 0] = broken[bad, 0, col] = np.nan if kind == "nan" else np.inf
+    got = spd_inverse_trace(broken)
+    assert got[bad] == np.inf
+    keep = np.arange(batch) != bad
+    np.testing.assert_array_equal(got[keep], spd_inverse_trace(mats[keep]))
+    assert np.all(np.isfinite(got[keep]))

@@ -40,6 +40,33 @@ def test_belief_validation():
     assert b.dim == 1 and b.cov.shape == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "upper, lower",
+    [
+        (0.5, 0.5),
+        (0.5, 0.5 + 1e-11),
+        (0.5, 0.5 + 1e-9),
+        (1e-8, 1e-8 + 5e-11),
+        (1e-8, 1e-8 + 2e-10),
+        (1e6, 1e6 * (1 + 9e-6)),
+        (1e6, 1e6 * (1 + 2e-5)),
+        (np.nan, np.nan),
+        (np.inf, np.inf),
+        (np.inf, -np.inf),
+        (np.inf, 1.0),
+        (1.0, np.inf),
+        (np.nan, 1.0),
+    ],
+)
+def test_belief_symmetry_check_matches_allclose(upper, lower):
+    cov = np.array([[1.0, upper, 0.0], [lower, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    if np.allclose(cov, cov.T, atol=1e-10):
+        assert GaussianBelief(np.zeros(3), cov).dim == 3
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianBelief(np.zeros(3), cov)
+
+
 def test_psd_sqrt_round_trip(rng):
     for n in (1, 3, 6):
         mat = _random_psd(rng, n)

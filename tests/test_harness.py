@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beamtrack import harness
+from beamtrack.arrays import ArrayGeometry
 from beamtrack.harness import (
     NMSE_FLOOR_DB,
     SimConfig,
@@ -19,6 +20,7 @@ from beamtrack.harness import (
     run_episode,
     run_sweep,
 )
+from beamtrack.predictor import NormStats, build_model
 
 
 def _tiny_config(**kw):
@@ -72,6 +74,33 @@ def test_sim_config_digest_tracks_content():
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
     assert len(a.digest()) == 12
+
+
+def _normalized_model(seed):
+    model = build_model(np.random.default_rng(seed))
+    dim = model.input_dim
+    model.norm = NormStats(np.zeros(dim), np.ones(dim), np.zeros(1), np.full(1, 0.01))
+    return model
+
+
+def test_episode_digest_covers_the_model():
+    # Two in-memory models with different weights under one config must not
+    # share a digest; the same model must reproduce it.
+    cfg = _tiny_config(variant="proposed_csi_imu", num_cycles=4)
+    model_a, model_b = _normalized_model(1), _normalized_model(2)
+    a = run_episode(cfg, model=model_a, process_noise=1e-5)
+    a_again = run_episode(cfg, model=model_a, process_noise=1e-5)
+    b = run_episode(cfg, model=model_b, process_noise=1e-5)
+    assert a.config_digest == a_again.config_digest
+    assert a.config_digest != b.config_digest
+    assert len(a.config_digest) == 12
+
+
+def test_episode_digest_ignores_the_model_for_baselines():
+    cfg = _tiny_config(variant="ekf", num_cycles=2)
+    plain = run_episode(cfg, process_noise=1e-5)
+    with_model = run_episode(cfg, model=_normalized_model(1), process_noise=1e-5)
+    assert plain.config_digest == with_model.config_digest == cfg.digest()
 
 
 def test_episode_seed_properties():
@@ -253,3 +282,68 @@ def test_calibrate_estimate_noise_calibrates_process_noise_once(count_calls):
         _tiny_config(num_cycles=3), [6.0, 9.0, 12.0], episodes_per_point=1, skip_cycles=1
     )
     assert len(calls) == 1
+
+
+def _oracle_steering_table(n, thetas):
+    k = np.arange(n)[:, None]
+    return np.exp(1j * np.pi * k * np.asarray(thetas)[None, :]) / np.sqrt(n)
+
+
+def _oracle_cycle_ber(config, h_est, gains, aoa_slots, aods, noise_var, ber_rng):
+    """Cycle BER from the full SVD of h_est and one steering table per path."""
+    u, _, vh = np.linalg.svd(h_est, full_matrices=False)
+    w = u[:, 0]
+    f = vh[0].conj()
+    tx_gain = _oracle_steering_table(config.n_b, aods).conj().T @ f
+    g = np.zeros(aoa_slots.shape[1], dtype=np.complex128)
+    for l in range(gains.size):
+        rx = w.conj() @ _oracle_steering_table(config.n_m, aoa_slots[l])
+        g += gains[l] * tx_gain[l] * rx
+    if config.ber_mode == "analytic":
+        return float(np.mean(qfunc(np.sqrt(2.0 * np.abs(g) ** 2 / noise_var))))
+    errs = [
+        bit_error_rate_mc(float(np.abs(gv)), noise_var, config.mc_bits_per_slot, ber_rng)
+        for gv in g
+    ]
+    return float(np.mean(errs))
+
+
+@pytest.mark.parametrize("case", ["tracking", "genie", "coincident", "montecarlo"])
+@pytest.mark.parametrize("seed", range(4))
+def test_cycle_ber_matches_full_svd_oracle(case, seed):
+    rng = np.random.default_rng(seed)
+    num_paths = 1 + seed % 3 if case == "tracking" else 3
+    config = _tiny_config(
+        num_paths=num_paths, ber_mode="montecarlo" if case == "montecarlo" else "analytic",
+        mc_bits_per_slot=4,
+    )
+    geom_rx = ArrayGeometry(config.n_m)
+    geom_tx = ArrayGeometry(config.n_b)
+    gains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, num_paths))
+    aods = rng.uniform(-0.8, 0.8) + rng.uniform(-0.02, 0.02, num_paths)
+    start = rng.uniform(-0.8, 0.8, num_paths)
+    drift = rng.normal(0.0, 1e-3, (num_paths, config.t_csi)).cumsum(axis=1)
+    aoa_slots = start[:, None] + drift
+    if case == "genie":
+        est = aoa_slots[:, 0].copy()
+    elif case == "coincident":
+        est = np.full(num_paths, start[0])  # rank-one A_r
+        est[-1] = start[-1]
+    else:
+        est = start + rng.normal(0.0, 0.01, num_paths)
+    noise_var = 10.0 ** (-rng.uniform(0.0, 15.0) / 10.0)
+
+    h_est = (_oracle_steering_table(config.n_m, est) * gains) @ _oracle_steering_table(
+        config.n_b, aods
+    ).conj().T
+    expected = _oracle_cycle_ber(
+        config, h_est, gains, aoa_slots, aods, noise_var, np.random.default_rng(99)
+    )
+    a_t = harness._steering_table(geom_tx, aods)
+    tx_r = np.linalg.qr(a_t, mode="r")
+    got = harness._cycle_ber(
+        config, gains, est, aoa_slots, tx_r, noise_var, geom_rx, np.random.default_rng(99)
+    )
+    assert abs(got - expected) <= 1e-12
+    # The NMSE channel uses the same explicit construction, bit for bit.
+    np.testing.assert_array_equal(harness._channel_from_angles(gains, est, geom_rx, a_t), h_est)

@@ -111,6 +111,26 @@ def test_forward_stack_promotes_single_window(rng):
     np.testing.assert_array_equal(batched[0], single)
 
 
+@pytest.mark.parametrize("batch", [1, 9, 1000])
+def test_forward_stack_matches_training_pass_bit_for_bit(batch):
+    # Inference skips the gate history but must compute the very same numbers
+    # as the forward pass that loss_and_gradients runs for training.
+    rng = np.random.default_rng(batch)
+    layers = [
+        init_fc(rng, 6, 3, "tanh"),
+        init_lstm(rng, 5, 6),
+        init_lstm(rng, 4, 5),
+        init_fc(rng, 7, 4, "relu"),
+        init_fc(rng, 2, 7),
+    ]
+    xs = rng.normal(size=(batch, 4, 3))
+    _, _, trained = loss_and_gradients(layers, xs, np.zeros((batch, 2)))
+    assert np.array_equal(forward_stack(layers, xs), trained)
+    if batch == 1:
+        _, _, single = loss_and_gradients(layers, xs[0], np.zeros(2))
+        assert np.array_equal(forward_stack(layers, xs[0]), single)
+
+
 def test_forward_stack_without_lstm_rejects_sequences(rng):
     layers = [init_fc(rng, 2, 3)]
     with pytest.raises(ValueError):
