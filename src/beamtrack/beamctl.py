@@ -4,11 +4,12 @@ Candidate beam sets are scored with the Bayesian information matrix
 
     J = P_prior^-1 + (2 / sigma^2) * Re(O^H O)
 
-where O is the pilot-map Jacobian with respect to the tracked angles at the
-predicted mean; the objective is trace(J^-1) over the angle block, i.e. the
-posterior Cramer-Rao bound surrogate. In arrival-only mode the transmit side
-is pinned to the codebook beams nearest the known departure direction and the
-receive pair is found by exhaustive search over all unordered codebook pairs.
+where O is the pilot-map Jacobian with respect to the tracked arrival
+angles at the predicted mean, the departure angles being known; the
+objective is trace(J^-1), i.e. the posterior Cramer-Rao bound surrogate. The
+transmit side is pinned to the codebook beams nearest the known departure
+direction and the receive beams are found by exhaustive search over all
+unordered codebook subsets.
 """
 
 from __future__ import annotations
@@ -66,23 +67,6 @@ def nearest_beams(angle: float, codebook: Codebook, m: int) -> np.ndarray:
     return np.sort(order[:m])
 
 
-def _state_jacobian(belief, gains, sounding, geom_rx, geom_tx, aods, mode):
-    num_paths = np.asarray(gains).size
-    if mode == "aoa_only":
-        aoas = belief.mean
-        aods = np.asarray(aods, dtype=np.float64)
-    else:
-        aoas = belief.mean[0::2]
-        aods = belief.mean[1::2]
-    jac_full = _jacobian_from_angles(
-        np.asarray(gains, dtype=np.complex128), aoas, aods, sounding, geom_rx, geom_tx
-    )
-    if mode == "aoa_only":
-        return jac_full[:, 1::2]
-    order = np.arange(2 * num_paths).reshape(num_paths, 2)[:, ::-1].ravel()
-    return jac_full[:, order]
-
-
 def crlb_objective(
     belief: GaussianBelief,
     sounding: SoundingConfig,
@@ -90,13 +74,13 @@ def crlb_objective(
     noise_var: float,
     geom_rx,
     geom_tx,
-    aods: np.ndarray | None = None,
-    mode: str = "aoa_only",
+    aods: np.ndarray,
 ) -> float:
     """trace(J^-1) for one candidate sounding; np.inf when J is singular."""
-    if mode == "aoa_only" and aods is None:
-        raise ValueError("aoa_only mode needs the known departure angles")
-    jac = _state_jacobian(belief, gains, sounding, geom_rx, geom_tx, aods, mode)
+    jac = _jacobian_from_angles(
+        np.asarray(gains, dtype=np.complex128), belief.mean,
+        np.asarray(aods, dtype=np.float64), sounding, geom_rx, geom_tx,
+    )[:, 1::2]
     noise = max(noise_var, _MIN_NOISE_VAR)
     info = np.linalg.inv(belief.cov) + (2.0 / noise) * (jac.conj().T @ jac).real
     try:
@@ -170,7 +154,7 @@ def _rx_pair_scores(
     geom_tx,
     aods: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective for every unordered receive-beam pair (arrival-only mode).
+    """Objective for every unordered receive-beam pair.
 
     The information matrix separates per pair: with transmit factors
     t[l, i] and receive derivative factors d[l, j], Re(O^H O)[l, l'] is the
@@ -209,50 +193,33 @@ def select_sounding(
 ) -> BeamSelection:
     """Pick the sounding beams that minimize the predicted error bound.
 
-    Arrival-only mode: the transmit beams are the `num_tx` codebook entries
-    nearest `known_aod`, and the receive side is an exhaustive search over all
-    unordered `num_rx`-subsets of the codebook (vectorized for pairs). Full
-    mode searches transmit and receive subsets jointly by brute force, which
-    is only practical for small codebooks. Objective ties resolve toward the
-    lexicographically smallest index tuple.
+    The transmit beams are the `num_tx` codebook entries nearest `known_aod`,
+    and the receive side is an exhaustive search over all unordered
+    `num_rx`-subsets of the codebook (vectorized for pairs). `aods` defaults
+    to `known_aod` for every path. `mode` accepts only "aoa_only", the one
+    tracked state. Objective ties resolve toward the lexicographically
+    smallest index tuple.
     """
+    if mode != "aoa_only":
+        raise ValueError(f"unknown mode {mode!r}: only 'aoa_only' is tracked")
+    if known_aod is None:
+        raise ValueError("select_sounding needs known_aod for the transmit side")
     gains = np.asarray(gains, dtype=np.complex128)
-    if mode == "aoa_only":
-        if known_aod is None:
-            raise ValueError("aoa_only mode needs known_aod for the transmit side")
-        if aods is None:
-            aods = np.full(gains.size, known_aod, dtype=np.float64)
-        tx_idx = nearest_beams(known_aod, codebook, num_tx)
-        tx_angles = codebook.angles[tx_idx]
-        if num_rx == 2:
-            j1, j2, scores = _rx_pair_scores(
-                belief, tx_angles, codebook, gains, noise_var, geom_rx, geom_tx, aods
-            )
-            best = int(np.argmin(scores))
-            rx_idx = np.array([j1[best], j2[best]])
-            return BeamSelection(tx_idx, rx_idx, float(scores[best]))
-        best_idx, best_val = None, np.inf
-        for combo in itertools.combinations(range(len(codebook)), num_rx):
-            sounding = SoundingConfig(tx_angles=tx_angles, rx_angles=codebook.angles[list(combo)])
-            val = crlb_objective(
-                belief, sounding, gains, noise_var, geom_rx, geom_tx, aods=aods, mode=mode
-            )
-            if val < best_val:
-                best_idx, best_val = combo, val
-        return BeamSelection(tx_idx, np.array(best_idx), float(best_val))
-
-    if mode != "full":
-        raise ValueError(f"unknown mode {mode!r}")
-    best, best_val = None, np.inf
-    for tx_combo in itertools.combinations(range(len(codebook)), num_tx):
-        for rx_combo in itertools.combinations(range(len(codebook)), num_rx):
-            sounding = SoundingConfig(
-                tx_angles=codebook.angles[list(tx_combo)],
-                rx_angles=codebook.angles[list(rx_combo)],
-            )
-            val = crlb_objective(
-                belief, sounding, gains, noise_var, geom_rx, geom_tx, mode=mode
-            )
-            if val < best_val:
-                best, best_val = (tx_combo, rx_combo), val
-    return BeamSelection(np.array(best[0]), np.array(best[1]), float(best_val))
+    if aods is None:
+        aods = np.full(gains.size, known_aod, dtype=np.float64)
+    tx_idx = nearest_beams(known_aod, codebook, num_tx)
+    tx_angles = codebook.angles[tx_idx]
+    if num_rx == 2:
+        j1, j2, scores = _rx_pair_scores(
+            belief, tx_angles, codebook, gains, noise_var, geom_rx, geom_tx, aods
+        )
+        best = int(np.argmin(scores))
+        rx_idx = np.array([j1[best], j2[best]])
+        return BeamSelection(tx_idx, rx_idx, float(scores[best]))
+    best_idx, best_val = None, np.inf
+    for combo in itertools.combinations(range(len(codebook)), num_rx):
+        sounding = SoundingConfig(tx_angles=tx_angles, rx_angles=codebook.angles[list(combo)])
+        val = crlb_objective(belief, sounding, gains, noise_var, geom_rx, geom_tx, aods)
+        if val < best_val:
+            best_idx, best_val = combo, val
+    return BeamSelection(tx_idx, np.array(best_idx), float(best_val))

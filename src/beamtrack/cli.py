@@ -135,8 +135,7 @@ def _cmd_generate_data(args) -> int:
     rng = np.random.default_rng(args.seed)
     data = predictor.generate_dataset(cfg, table, rng)
     data.save(args.out)
-    print(f"wrote {args.out}: {data.inputs.shape[0]} windows, "
-          f"state dim {data.inputs.shape[2]}")
+    print(f"wrote {args.out}: {len(data)} windows of shape {data.inputs.shape[1:]}")
     return 0
 
 
@@ -145,7 +144,6 @@ def _cmd_train(args) -> int:
     meta = data.meta
     model = predictor.build_model(
         np.random.default_rng(args.seed),
-        mode=meta.get("mode", "aoa_only"),
         delta=int(meta["delta"]),
         k_samples=int(meta["k_samples"]),
         lstm_layers=args.lstm_layers,

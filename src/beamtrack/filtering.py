@@ -11,15 +11,16 @@ with alpha = 1e-3 and beta = 2 by default. Sigma offsets perturb only the most
 recent estimate entry of the input window; older entries and sensor samples
 are treated as exogenous.
 
-The measurement step is a joint Kalman update across paths on the
-real-stacked pilot vector: a complex pilot with noise variance sigma^2
-becomes two real measurements with variance sigma^2/2 each.
+The measurement step is a joint Kalman update of the L arrival angles on
+the real-stacked pilot vector, with the departure angles known: a complex
+pilot with noise variance sigma^2 becomes two real measurements with
+variance sigma^2/2 each.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,45 +209,25 @@ def measurement_update(
     gains: np.ndarray,
     geom_rx,
     geom_tx,
-    aods: np.ndarray | None = None,
-    mode: str = "aoa_only",
+    aods: np.ndarray,
 ) -> GaussianBelief:
-    """Joint Kalman update of the stacked path state from one pilot round.
+    """Joint Kalman update of the L arrival angles from one pilot round.
 
-    In "aoa_only" mode the state is the L arrival angles and `aods` supplies
-    the known departure angles; in "full" mode the state stacks per-path
-    [aoa, aod] and `aods` is ignored. The complex pilot vector and Jacobian
-    are real-stacked (real parts then imaginary parts) with per-component
-    noise variance pilot.noise_var / 2.
+    The belief stacks one arrival angle per path and `aods` holds the known
+    departure angles. The complex pilot vector and Jacobian are real-stacked
+    (real parts then imaginary parts) with per-component noise variance
+    pilot.noise_var / 2.
     """
     gains = np.asarray(gains, dtype=np.complex128)
-    num_paths = gains.size
-    if mode == "aoa_only":
-        if aods is None:
-            raise ValueError("aoa_only mode needs the known departure angles")
-        if belief.dim != num_paths:
-            raise ValueError("belief must stack one arrival angle per path")
-        aoas = belief.mean
-        aods = np.asarray(aods, dtype=np.float64)
-    elif mode == "full":
-        if belief.dim != 2 * num_paths:
-            raise ValueError("belief must stack [aoa, aod] per path")
-        aoas = belief.mean[0::2]
-        aods = belief.mean[1::2]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    if belief.dim != gains.size:
+        raise ValueError("belief must stack one arrival angle per path")
     if pilot.values.size != sounding.num_pilots:
         raise ValueError("pilot length does not match the sounding configuration")
+    aoas = belief.mean
+    aods = np.asarray(aods, dtype=np.float64)
 
     predicted = _measurement_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
-    jac_full = _jacobian_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
-    if mode == "aoa_only":
-        jac = jac_full[:, 1::2]  # arrival-angle columns
-    else:
-        # Reorder [d/d aod, d/d aoa] pairs into state order [aoa, aod].
-        order = np.arange(2 * num_paths).reshape(num_paths, 2)[:, ::-1].ravel()
-        jac = jac_full[:, order]
+    jac = _jacobian_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)[:, 1::2]
 
     observed = np.concatenate([pilot.values.real, pilot.values.imag])
     predicted_r = np.concatenate([predicted.real, predicted.imag])

@@ -112,6 +112,15 @@ def predicted_measurement(
     return _vec_received(h, sounding, geom_rx, geom_tx)
 
 
+def _near_singular(kappa: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """x as a float array, and the mask of its entries inside the guard window
+    around a singular alignment (kappa*x = 0 mod 2*pi)."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    period = 2.0 * np.pi / kappa
+    wrapped = x - period * np.round(x / period)
+    return x, np.abs(wrapped) < _SINGULAR_GUARD
+
+
 def _geometric_sum(n: int, kappa: float, x: np.ndarray) -> np.ndarray:
     """sum_{k=0}^{n-1} exp(j*kappa*k*x), elementwise over x.
 
@@ -119,10 +128,7 @@ def _geometric_sum(n: int, kappa: float, x: np.ndarray) -> np.ndarray:
     singular alignments (kappa*x = 0 mod 2*pi) and exact direct summation
     inside the guard window.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    period = 2.0 * np.pi / kappa
-    wrapped = x - period * np.round(x / period)
-    near = np.abs(wrapped) < _SINGULAR_GUARD
+    x, near = _near_singular(kappa, x)
 
     out = np.empty(x.shape, dtype=np.complex128)
     safe = ~near
@@ -141,10 +147,7 @@ def _geometric_sum_deriv(n: int, kappa: float, x: np.ndarray) -> np.ndarray:
     Ratio form: with a = j*kappa and s = e^{a x},
         a * (s - n*s^n + (n-1)*s^(n+1)) / (1 - s)^2 .
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    period = 2.0 * np.pi / kappa
-    wrapped = x - period * np.round(x / period)
-    near = np.abs(wrapped) < _SINGULAR_GUARD
+    x, near = _near_singular(kappa, x)
 
     out = np.empty(x.shape, dtype=np.complex128)
     safe = ~near

@@ -1,9 +1,10 @@
 """Minimal dense/recurrent building blocks in numpy.
 
-Provides fully connected layers, a standard LSTM cell
+Provides fully connected layers, a standard LSTM cell with its four gate
+blocks stacked in the order i, f, o, g,
 
-    i = sigmoid(W_xi x + W_hi h + b_i)      f = sigmoid(W_xf x + W_hf h + b_f)
-    o = sigmoid(W_xo x + W_ho h + b_o)      g = tanh(W_xc x + W_hc h + b_c)
+    z = W_x x + W_h h_prev + b              (4H rows: z_i, z_f, z_o, z_g)
+    i, f, o = sigmoid(z_i, z_f, z_o)        g = tanh(z_g)
     c = f * c_prev + i * g                  h = o * tanh(c)
 
 exact backpropagation-through-time gradients of a squared-error loss for a
@@ -15,7 +16,7 @@ headroom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -29,7 +30,6 @@ __all__ = [
     "init_fc",
     "init_lstm",
     "forward_stack",
-    "bptt_gradients",
     "loss_and_gradients",
     "layer_param_dict",
     "grads_as_dict",
@@ -69,49 +69,38 @@ class FcParams:
 
 @dataclass
 class LstmParams:
-    """One LSTM layer; W_x* are (hidden, in), W_h* are (hidden, hidden)."""
+    """One LSTM layer, gate blocks stacked in the order i, f, o, g.
 
-    W_xi: np.ndarray
-    W_hi: np.ndarray
-    W_xf: np.ndarray
-    W_hf: np.ndarray
-    W_xo: np.ndarray
-    W_ho: np.ndarray
-    W_xc: np.ndarray
-    W_hc: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    W_x is (4H, in), W_h is (4H, H) and b is (4H,); rows q*H:(q+1)*H belong
+    to gate q.
+    """
+
+    W_x: np.ndarray
+    W_h: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
         for name in _LSTM_FIELDS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        h = self.W_xi.shape[0]
-        d = self.W_xi.shape[1]
-        for name in ("W_xi", "W_xf", "W_xo", "W_xc"):
-            if getattr(self, name).shape != (h, d):
-                raise ValueError(f"{name} must have shape ({h}, {d})")
-        for name in ("W_hi", "W_hf", "W_ho", "W_hc"):
-            if getattr(self, name).shape != (h, h):
-                raise ValueError(f"{name} must have shape ({h}, {h})")
-        for name in ("b_i", "b_f", "b_o", "b_c"):
-            if getattr(self, name).shape != (h,):
-                raise ValueError(f"{name} must have shape ({h},)")
+        rows = self.W_x.shape[0] if self.W_x.ndim == 2 else 0
+        if rows == 0 or rows % 4:
+            raise ValueError("W_x must be 2-D with 4 * hidden rows")
+        h = rows // 4
+        if self.W_h.shape != (rows, h):
+            raise ValueError(f"W_h must have shape ({rows}, {h})")
+        if self.b.shape != (rows,):
+            raise ValueError(f"b must have shape ({rows},)")
 
     @property
     def hidden_size(self) -> int:
-        return self.W_xi.shape[0]
+        return self.W_x.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.W_xi.shape[1]
+        return self.W_x.shape[1]
 
 
-_LSTM_FIELDS = (
-    "W_xi", "W_hi", "W_xf", "W_hf", "W_xo", "W_ho", "W_xc", "W_hc",
-    "b_i", "b_f", "b_o", "b_c",
-)
+_LSTM_FIELDS = ("W_x", "W_h", "b")
 
 
 def _activate(z: np.ndarray, name: str) -> np.ndarray:
@@ -135,16 +124,30 @@ def fc_apply(params: FcParams, x: np.ndarray) -> np.ndarray:
     return _activate(x @ params.weights.T + params.bias, params.activation)
 
 
+def _lstm_cell(params: LstmParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+    """One LSTM recursion: (gates, c, tanh(c), h), gates = [i, f, o, g] along the last axis."""
+    hs = params.hidden_size
+    gates = x @ params.W_x.T
+    # The recurrent term is added one gate block at a time: a second (B, 4H)
+    # temporary would raise the peak memory of large-batch inference. The
+    # sums are x W_x^T + h W_h^T + b either way, in that order.
+    for q in range(4):
+        rows = slice(q * hs, (q + 1) * hs)
+        gates[..., rows] += h_prev @ params.W_h[rows].T
+    gates += params.b
+    expit(gates[..., : 3 * hs], out=gates[..., : 3 * hs])
+    np.tanh(gates[..., 3 * hs :], out=gates[..., 3 * hs :])
+    i, f, o, g = (gates[..., q * hs : (q + 1) * hs] for q in range(4))
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return gates, c, tanh_c, o * tanh_c
+
+
 def lstm_step(
     params: LstmParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM recursion; returns (h, c). Accepts single vectors or batches."""
-    i = expit(x @ params.W_xi.T + h_prev @ params.W_hi.T + params.b_i)
-    f = expit(x @ params.W_xf.T + h_prev @ params.W_hf.T + params.b_f)
-    o = expit(x @ params.W_xo.T + h_prev @ params.W_ho.T + params.b_o)
-    g = np.tanh(x @ params.W_xc.T + h_prev @ params.W_hc.T + params.b_c)
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
+    _, c, _, h = _lstm_cell(params, x, h_prev, c_prev)
     return h, c
 
 
@@ -157,18 +160,22 @@ def init_fc(
 
 
 def init_lstm(rng: np.random.Generator, hidden: int, n_in: int) -> LstmParams:
-    """Uniform fan-in init; biases zero except the forget bias at +1."""
+    """Uniform fan-in init; biases zero except the forget bias at +1.
+
+    Each gate draws its input block, then its recurrent block, gate by gate,
+    so the weights equal those of a layer stored gate by gate.
+    """
     def w(rows, cols):
         bound = 1.0 / np.sqrt(cols)
         return rng.uniform(-bound, bound, size=(rows, cols))
 
+    blocks = [(w(hidden, n_in), w(hidden, hidden)) for _ in range(4)]
+    bias = np.zeros(4 * hidden)
+    bias[hidden : 2 * hidden] = 1.0
     return LstmParams(
-        W_xi=w(hidden, n_in), W_hi=w(hidden, hidden),
-        W_xf=w(hidden, n_in), W_hf=w(hidden, hidden),
-        W_xo=w(hidden, n_in), W_ho=w(hidden, hidden),
-        W_xc=w(hidden, n_in), W_hc=w(hidden, hidden),
-        b_i=np.zeros(hidden), b_f=np.ones(hidden),
-        b_o=np.zeros(hidden), b_c=np.zeros(hidden),
+        W_x=np.concatenate([wx for wx, _ in blocks]),
+        W_h=np.concatenate([wh for _, wh in blocks]),
+        b=bias,
     )
 
 
@@ -199,7 +206,7 @@ class _Trace:
 
     def __init__(self):
         self.pre = []  # per FC layer: (input, output), shapes (B, T, d)
-        self.lstm = []  # per LSTM layer: dict of (B, T, H) gate/state arrays + input
+        self.lstm = []  # per LSTM layer: dict of (B, T, 4H) gates, (B, T, H) states + input
         self.post = []  # per FC layer: (input, output), shapes (B, d)
         self.output = None
 
@@ -218,26 +225,17 @@ def _forward(layers, xs: np.ndarray) -> tuple[np.ndarray, _Trace]:
         for lyr in lstms:
             batch, steps, _ = cur.shape
             hsize = lyr.hidden_size
-            gates = {
-                name: np.empty((batch, steps, hsize))
-                for name in ("i", "f", "o", "g", "c", "tanh_c", "h")
-            }
+            hist = {name: np.empty((batch, steps, hsize)) for name in ("c", "tanh_c", "h")}
+            hist["gates"] = np.empty((batch, steps, 4 * hsize))
             h = np.zeros((batch, hsize))
             c = np.zeros((batch, hsize))
             for t in range(steps):
-                x_t = cur[:, t]
-                i = expit(x_t @ lyr.W_xi.T + h @ lyr.W_hi.T + lyr.b_i)
-                f = expit(x_t @ lyr.W_xf.T + h @ lyr.W_hf.T + lyr.b_f)
-                o = expit(x_t @ lyr.W_xo.T + h @ lyr.W_ho.T + lyr.b_o)
-                g = np.tanh(x_t @ lyr.W_xc.T + h @ lyr.W_hc.T + lyr.b_c)
-                c = f * c + i * g
-                tc = np.tanh(c)
-                h = o * tc
-                for name, val in zip(("i", "f", "o", "g", "c", "tanh_c", "h"), (i, f, o, g, c, tc, h)):
-                    gates[name][:, t] = val
-            gates["input"] = cur
-            trace.lstm.append(gates)
-            cur = gates["h"]
+                gates, c, tc, h = _lstm_cell(lyr, cur[:, t], h, c)
+                for name, val in zip(("gates", "c", "tanh_c", "h"), (gates, c, tc, h)):
+                    hist[name][:, t] = val
+            hist["input"] = cur
+            trace.lstm.append(hist)
+            cur = hist["h"]
         head_in = cur[:, -1]  # final hidden state
     else:
         if cur.shape[1] != 1:
@@ -258,8 +256,8 @@ def forward_stack(layers, xs: np.ndarray) -> np.ndarray:
     xs is (steps, dim) for one window or (batch, steps, dim) for a batch.
     FC layers before the LSTM block are applied at every step, the LSTM block
     consumes the sequence, and FC layers after it map the final hidden state.
-    Inference keeps no gate history: it runs `lstm_step`, which computes the
-    same cell as the training pass in `_forward`, so outputs match bit for bit.
+    Inference keeps no gate or hidden-state history; it runs the same cell as
+    the training pass in `_forward`, so outputs match bit for bit.
     """
     xs3, squeeze = _promote(xs)
     pre, lstms, post = _split_stack(layers)
@@ -267,16 +265,13 @@ def forward_stack(layers, xs: np.ndarray) -> np.ndarray:
     for lyr in pre:
         cur = fc_apply(lyr, cur)
     if lstms:
-        for lyr in lstms:
-            batch, steps, _ = cur.shape
-            seq = np.empty((batch, steps, lyr.hidden_size))
-            h = np.zeros((batch, lyr.hidden_size))
-            c = np.zeros((batch, lyr.hidden_size))
-            for t in range(steps):
-                h, c = lstm_step(lyr, cur[:, t], h, c)
-                seq[:, t] = h
-            cur = seq
-        out = cur[:, -1]
+        # Step through time outermost, so no layer's hidden sequence is stored.
+        states = [(np.zeros((cur.shape[0], lyr.hidden_size)),) * 2 for lyr in lstms]
+        for t in range(cur.shape[1]):
+            out = cur[:, t]
+            for k, lyr in enumerate(lstms):
+                out, c = lstm_step(lyr, out, *states[k])
+                states[k] = (out, c)
     else:
         if cur.shape[1] != 1:
             raise ValueError("a stack without an LSTM only accepts single-step inputs")
@@ -327,44 +322,30 @@ def loss_and_gradients(layers, xs: np.ndarray, target: np.ndarray):
             lyr = lstms[k]
             tr = trace.lstm[k]
             x_seq = tr["input"]
+            hs = lyr.hidden_size
             g = {name: np.zeros_like(getattr(lyr, name)) for name in _LSTM_FIELDS}
             d_x_seq = np.empty_like(x_seq)
-            dh_next = np.zeros((batch, lyr.hidden_size))
-            dc_next = np.zeros((batch, lyr.hidden_size))
+            dh_next = np.zeros((batch, hs))
+            dc_next = np.zeros((batch, hs))
             for t in range(steps - 1, -1, -1):
-                i, f, o = tr["i"][:, t], tr["f"][:, t], tr["o"][:, t]
-                gg, tc = tr["g"][:, t], tr["tanh_c"][:, t]
+                gates, tc = tr["gates"][:, t], tr["tanh_c"][:, t]
+                i, f, o, gg = (gates[:, q * hs : (q + 1) * hs] for q in range(4))
                 c_prev = tr["c"][:, t - 1] if t > 0 else np.zeros_like(tc)
                 h_prev = tr["h"][:, t - 1] if t > 0 else np.zeros_like(tc)
-                x_t = x_seq[:, t]
 
                 dh = d_hidden_seq[:, t] + dh_next
                 dc = dc_next + dh * o * (1.0 - tc**2)
-                do = dh * tc
-                di = dc * gg
-                dg = dc * i
-                df = dc * c_prev
+                # d loss / d z, in the gate order i, f, o, g.
+                dz = np.concatenate([dc * gg, dc * c_prev, dh * tc, dc * i], axis=1)
+                sig = gates[:, : 3 * hs]
+                dz[:, : 3 * hs] *= sig * (1.0 - sig)
+                dz[:, 3 * hs :] *= 1.0 - gg**2
 
-                dzi = di * i * (1.0 - i)
-                dzf = df * f * (1.0 - f)
-                dzo = do * o * (1.0 - o)
-                dzg = dg * (1.0 - gg**2)
-
-                g["W_xi"] += dzi.T @ x_t
-                g["W_hi"] += dzi.T @ h_prev
-                g["b_i"] += dzi.sum(axis=0)
-                g["W_xf"] += dzf.T @ x_t
-                g["W_hf"] += dzf.T @ h_prev
-                g["b_f"] += dzf.sum(axis=0)
-                g["W_xo"] += dzo.T @ x_t
-                g["W_ho"] += dzo.T @ h_prev
-                g["b_o"] += dzo.sum(axis=0)
-                g["W_xc"] += dzg.T @ x_t
-                g["W_hc"] += dzg.T @ h_prev
-                g["b_c"] += dzg.sum(axis=0)
-
-                d_x_seq[:, t] = dzi @ lyr.W_xi + dzf @ lyr.W_xf + dzo @ lyr.W_xo + dzg @ lyr.W_xc
-                dh_next = dzi @ lyr.W_hi + dzf @ lyr.W_hf + dzo @ lyr.W_ho + dzg @ lyr.W_hc
+                g["W_x"] += dz.T @ x_seq[:, t]
+                g["W_h"] += dz.T @ h_prev
+                g["b"] += dz.sum(axis=0)
+                d_x_seq[:, t] = dz @ lyr.W_x
+                dh_next = dz @ lyr.W_h
                 dc_next = dc * f
             grads_lstm[k] = g
             d_hidden_seq = d_x_seq
@@ -383,12 +364,6 @@ def loss_and_gradients(layers, xs: np.ndarray, target: np.ndarray):
 
     grads = grads_pre + grads_lstm + grads_post
     return loss, grads, (out[0] if squeeze else out)
-
-
-def bptt_gradients(layers, xs: np.ndarray, target: np.ndarray):
-    """Gradients of sum((stack(xs) - target)^2) for every parameter in the stack."""
-    _, grads, _ = loss_and_gradients(layers, xs, target)
-    return grads
 
 
 def layer_param_dict(layers) -> dict[str, np.ndarray]:

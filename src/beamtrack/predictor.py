@@ -117,7 +117,6 @@ class PredictorModel:
     input_fc: FcParams
     lstms: list[LstmParams]
     output_fcs: list[FcParams]
-    mode: str
     delta: int
     k_samples: int
     j_channels: int
@@ -129,14 +128,13 @@ class PredictorModel:
     prediction_var: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in ("aoa_only", "full"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
 
     @property
     def state_dim(self) -> int:
-        return 1 if self.mode == "aoa_only" else 2
+        """One arrival angle per path."""
+        return 1
 
     @property
     def input_dim(self) -> int:
@@ -149,7 +147,6 @@ class PredictorModel:
 
 def build_model(
     rng: np.random.Generator,
-    mode: str = "aoa_only",
     delta: int = 3,
     k_samples: int = 4,
     j_channels: int = 2,
@@ -162,8 +159,7 @@ def build_model(
     """Fresh model with fan-in uniform initialization (forget bias at +1)."""
     if lstm_layers < 1:
         raise ValueError("lstm_layers must be >= 1")
-    state_dim = 1 if mode == "aoa_only" else 2
-    input_dim = state_dim + k_samples * j_channels + context_dim
+    input_dim = 1 + k_samples * j_channels + context_dim
     input_fc = neural.init_fc(rng, input_hidden, input_dim, activation="tanh")
     lstms = []
     in_size = input_hidden
@@ -172,13 +168,12 @@ def build_model(
         in_size = lstm_hidden
     output_fcs = [
         neural.init_fc(rng, output_hidden, lstm_hidden, activation="tanh"),
-        neural.init_fc(rng, state_dim, output_hidden, activation="identity"),
+        neural.init_fc(rng, 1, output_hidden, activation="identity"),
     ]
     return PredictorModel(
         input_fc=input_fc,
         lstms=lstms,
         output_fcs=output_fcs,
-        mode=mode,
         delta=delta,
         k_samples=k_samples,
         j_channels=j_channels,
@@ -197,7 +192,7 @@ def model_fingerprint(model: PredictorModel) -> str:
         arrays["prediction_var"] = model.prediction_var
     sha = hashlib.sha256()
     activations = [lyr.activation for lyr in model.layers if isinstance(lyr, FcParams)]
-    sha.update(f"{model.mode}|{model.delta}|{','.join(activations)}".encode())
+    sha.update(f"{model.delta}|{','.join(activations)}".encode())
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr, dtype=np.float64)
         sha.update(f"|{name}{arr.shape}".encode())
@@ -217,7 +212,8 @@ def _check_window(model: PredictorModel, window: InputWindow) -> None:
         raise ValueError(f"window covers {window.delta} cycles, model expects {model.delta}")
     if window.state_dim != model.state_dim:
         raise ValueError(
-            f"window state dimension {window.state_dim} does not match mode {model.mode!r}"
+            f"window state dimension {window.state_dim} does not match the model's "
+            f"{model.state_dim}"
         )
     expected = model.k_samples * model.j_channels
     if window.sensor_blocks.shape[1] != expected:
@@ -295,12 +291,11 @@ class DatasetConfig:
     imu_snr_db: float | None = None  # None: draw per episode from snr_range_db
     dt: float = 125e-6
     include_imu: bool = True
-    mode: str = "aoa_only"
 
 
 @dataclass
 class Dataset:
-    """Training windows in array form; see as_pairs() for the itemized view."""
+    """Training windows in array form."""
 
     inputs: np.ndarray  # (N, delta, D), raw units
     last_estimates: np.ndarray  # (N, P)
@@ -309,19 +304,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    def as_pairs(self):
-        """Yield (InputWindow, target) pairs."""
-        p = self.meta["state_dim"]
-        kj = self.meta["k_samples"] * self.meta["j_channels"]
-        for k in range(len(self)):
-            raw = self.inputs[k]
-            window = InputWindow(
-                past_estimates=raw[:, :p],
-                sensor_blocks=raw[:, p : p + kj],
-                context=raw[0, p + kj :],
-            )
-            yield window, self.targets[k].copy()
 
     def save(self, path) -> None:
         np.savez(
@@ -350,8 +332,6 @@ def generate_dataset(
     synthesized from the same trajectory. The target of a window ending at
     cycle t-1 is the true angle at cycle t.
     """
-    if cfg.mode != "aoa_only":
-        raise NotImplementedError("dataset generation covers the arrival-only mode")
     delta, k = cfg.delta, cfg.k_samples
     cycles = cfg.cycles_per_episode
     if cycles <= delta:
@@ -402,7 +382,6 @@ def generate_dataset(
         "delta": delta,
         "k_samples": k,
         "j_channels": j_channels,
-        "mode": cfg.mode,
         "include_imu": cfg.include_imu,
         "snr_range_db": list(cfg.snr_range_db),
     }
@@ -421,15 +400,6 @@ class TrainConfig:
     seed: int = 0
 
 
-def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(dataset, Dataset):
-        return dataset.inputs, dataset.last_estimates, dataset.targets
-    windows, targets = zip(*dataset)
-    inputs = np.stack([window_matrix(w) for w in windows])
-    last = np.stack([w.past_estimates[-1] for w in windows])
-    return inputs, np.asarray(last), np.stack([np.atleast_1d(t) for t in targets])
-
-
 def _fit_norm_stats(raw: np.ndarray, increments: np.ndarray) -> NormStats:
     flat = raw.reshape(-1, raw.shape[-1])
     in_mean = flat.mean(axis=0)
@@ -442,7 +412,7 @@ def _fit_norm_stats(raw: np.ndarray, increments: np.ndarray) -> NormStats:
 
 
 def train(
-    model: PredictorModel, dataset, config: TrainConfig
+    model: PredictorModel, dataset: Dataset, config: TrainConfig
 ) -> tuple[PredictorModel, list[float]]:
     """Minibatch Adam on the mean squared prediction error.
 
@@ -451,7 +421,7 @@ def train(
     per-epoch mean loss in standardized units. Raises RuntimeError if the loss
     goes non-finite.
     """
-    raw, last, targets = _dataset_arrays(dataset)
+    raw, last, targets = dataset.inputs, dataset.last_estimates, dataset.targets
     n = raw.shape[0]
     if n < 1:
         raise ValueError("dataset is empty")
@@ -508,6 +478,23 @@ class CheckpointError(Exception):
     """Raised for malformed, incomplete, or version-mismatched checkpoints."""
 
 
+# Format v1 stores each LSTM gate block as its own tensor (W_xi, W_hi, W_xf,
+# ..., b_c). These are its gate letters in LstmParams' block order i, f, o, g:
+# v1 calls the cell-input gate g "c".
+_V1_GATES = ("i", "f", "o", "c")
+
+
+def _v1_lstm_tensors(lstm: LstmParams) -> list[tuple[str, np.ndarray]]:
+    """Split a fused LSTM layer into the v1 per-gate tensors, in file order."""
+    h = lstm.hidden_size
+    out = []
+    for q, gate in enumerate(_V1_GATES):
+        out += [(f"W_x{gate}", lstm.W_x[q * h : (q + 1) * h]),
+                (f"W_h{gate}", lstm.W_h[q * h : (q + 1) * h])]
+    out += [(f"b_{gate}", lstm.b[q * h : (q + 1) * h]) for q, gate in enumerate(_V1_GATES)]
+    return out
+
+
 def _format_array(name: str, arr: np.ndarray) -> list[str]:
     arr = np.asarray(arr, dtype=np.float64)
     shape = " ".join(str(s) for s in arr.shape)
@@ -524,7 +511,7 @@ def save_checkpoint(model: PredictorModel, path) -> None:
         raise ValueError("refusing to save a model without normalization statistics")
     head = [
         _CHECKPOINT_MAGIC,
-        f"mode {model.mode}",
+        "mode aoa_only",
         f"delta {model.delta}",
         f"k_samples {model.k_samples}",
         f"j_channels {model.j_channels}",
@@ -538,8 +525,8 @@ def save_checkpoint(model: PredictorModel, path) -> None:
     body += _format_array("input_fc.weights", model.input_fc.weights)
     body += _format_array("input_fc.bias", model.input_fc.bias)
     for k, lstm in enumerate(model.lstms):
-        for name in neural._LSTM_FIELDS:
-            body += _format_array(f"lstm{k}.{name}", getattr(lstm, name))
+        for name, arr in _v1_lstm_tensors(lstm):
+            body += _format_array(f"lstm{k}.{name}", arr)
     for k, fc in enumerate(model.output_fcs):
         body += _format_array(f"output_fc{k}.weights", fc.weights)
         body += _format_array(f"output_fc{k}.bias", fc.bias)
@@ -615,14 +602,18 @@ def load_checkpoint(path) -> PredictorModel:
         output_acts = meta["output_activations"].split(",")
     except KeyError as exc:
         raise CheckpointError(f"checkpoint header is missing field {exc}") from exc
+    if mode != "aoa_only":
+        raise CheckpointError(f"unsupported mode {mode!r}: only 'aoa_only' models exist")
     if len(output_acts) != num_output_fcs:
         raise CheckpointError("output activation list does not match output_fcs")
 
+    def fused(k: int, prefix: str) -> np.ndarray:
+        return np.concatenate([take(f"lstm{k}.{prefix}{gate}") for gate in _V1_GATES])
+
     input_fc = FcParams(take("input_fc.weights"), take("input_fc.bias"), input_act)
-    lstms = []
-    for k in range(lstm_layers):
-        fields = {name: take(f"lstm{k}.{name}") for name in neural._LSTM_FIELDS}
-        lstms.append(LstmParams(**fields))
+    lstms = [
+        LstmParams(fused(k, "W_x"), fused(k, "W_h"), fused(k, "b_")) for k in range(lstm_layers)
+    ]
     output_fcs = [
         FcParams(take(f"output_fc{k}.weights"), take(f"output_fc{k}.bias"), output_acts[k])
         for k in range(num_output_fcs)
@@ -638,7 +629,6 @@ def load_checkpoint(path) -> PredictorModel:
         input_fc=input_fc,
         lstms=lstms,
         output_fcs=output_fcs,
-        mode=mode,
         delta=delta,
         k_samples=k_samples,
         j_channels=j_channels,

@@ -7,7 +7,7 @@ their internal state and report the posterior angle estimates. The proposed
 and EKF trackers deliberately share the same measurement-update function;
 they differ only in how the predicted belief is formed.
 
-Trackers run the arrival-only configuration: departure angles and path gains
+Trackers estimate the arrival angles only: departure angles and path gains
 are known and constant over an episode.
 """
 
@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import filtering
-from .arrays import Codebook, PathState, assemble_channel
+from .arrays import PathState, assemble_channel
 from .beamctl import nearest_beams, select_sounding
 from .filtering import GaussianBelief, joint_belief, prediction_update, split_joint
 from .measurement import PilotVector, SoundingConfig, receive, _jacobian_from_angles, _measurement_from_angles
@@ -81,7 +81,7 @@ class _KalmanTracker:
     _measurement_update = staticmethod(filtering.measurement_update)
 
     def __init__(self, beliefs, codebook, gains, aods, known_aod, geom_rx, geom_tx,
-                 noise_var, num_tx=2, num_rx=2):
+                 noise_var, process_noise, num_tx=2, num_rx=2):
         self.beliefs = list(beliefs)
         self.codebook = codebook
         self.gains = np.asarray(gains, dtype=np.complex128)
@@ -90,8 +90,10 @@ class _KalmanTracker:
         self.geom_rx = geom_rx
         self.geom_tx = geom_tx
         self.noise_var = float(noise_var)
+        self.process_noise = float(process_noise)
         self.num_tx = num_tx
         self.num_rx = num_rx
+        self._steps = 0
         if len(self.beliefs) != self.gains.size:
             raise ValueError("need one belief per path")
 
@@ -99,18 +101,28 @@ class _KalmanTracker:
     def num_paths(self) -> int:
         return self.gains.size
 
+    def _identity_prediction(self, shift: np.ndarray) -> list[GaussianBelief]:
+        """Identity-dynamics prior: each path's mean moved by its `shift`, its
+        variance inflated by `process_noise`. No inflation is applied on the
+        very first step: the initial belief describes the state at that same
+        instant, before any motion has accrued."""
+        inflate = self.process_noise if self._steps > 0 else 0.0
+        return [
+            GaussianBelief(b.mean + shift[l], b.cov + inflate * np.eye(b.dim))
+            for l, b in enumerate(self.beliefs)
+        ]
+
     def _measure(self, predicted: list[GaussianBelief], channel: PilotChannel):
         joint = joint_belief(predicted)
         selection = select_sounding(
             joint, self.codebook, self.gains, self.noise_var,
-            self.geom_rx, self.geom_tx, mode="aoa_only", known_aod=self.known_aod,
+            self.geom_rx, self.geom_tx, known_aod=self.known_aod,
             num_tx=self.num_tx, num_rx=self.num_rx,
         )
         sounding = selection.to_sounding(self.codebook)
         pilot = channel.receive(sounding)
         posterior = self._measurement_update(
-            joint, pilot, sounding, self.gains, self.geom_rx, self.geom_tx,
-            aods=self.aods, mode="aoa_only",
+            joint, pilot, sounding, self.gains, self.geom_rx, self.geom_tx, self.aods,
         )
         self.beliefs = split_joint(posterior, self.num_paths)
         return sounding
@@ -123,24 +135,11 @@ class EkfTracker(_KalmanTracker):
     """Identity-dynamics extended Kalman tracker.
 
     The prediction step keeps the mean and inflates each path's variance by
-    `process_noise`, the calibrated per-cycle angle movement. No inflation is
-    applied on the very first step: the initial belief describes the state at
-    that same instant, before any motion has accrued.
+    `process_noise`, the calibrated per-cycle angle movement.
     """
 
-    def __init__(self, beliefs, codebook, gains, aods, known_aod, geom_rx, geom_tx,
-                 noise_var, process_noise, **kw):
-        super().__init__(beliefs, codebook, gains, aods, known_aod, geom_rx, geom_tx,
-                         noise_var, **kw)
-        self.process_noise = float(process_noise)
-        self._steps = 0
-
     def step(self, channel: PilotChannel, sensor_block=None) -> CycleRecord:
-        inflate = self.process_noise if self._steps > 0 else 0.0
-        predicted = [
-            GaussianBelief(b.mean, b.cov + inflate * np.eye(b.dim))
-            for b in self.beliefs
-        ]
+        predicted = self._identity_prediction(np.zeros(self.num_paths))
         sounding = self._measure(predicted, channel)
         self._steps += 1
         return CycleRecord(self.estimates(), sounding)
@@ -162,7 +161,7 @@ class ProposedTracker(_KalmanTracker):
                  predict_fn=None, delta=None, use_imu=True, block_width=None,
                  prediction_noise=None, jitter=filtering.DEFAULT_JITTER, **kw):
         super().__init__(beliefs, codebook, gains, aods, known_aod, geom_rx, geom_tx,
-                         noise_var, **kw)
+                         noise_var, process_noise, **kw)
         if model is None and predict_fn is None:
             raise ValueError("provide a predictor model or a predict_fn")
         self.predict_fn = predict_fn if predict_fn is not None else partial(predict, model)
@@ -170,7 +169,6 @@ class ProposedTracker(_KalmanTracker):
         if block_width is None:
             block_width = model.k_samples * model.j_channels if model is not None else 0
         self.block_width = int(block_width)
-        self.process_noise = float(process_noise)
         self.use_imu = use_imu
         self.jitter = jitter
         dim = self.beliefs[0].dim
@@ -182,7 +180,6 @@ class ProposedTracker(_KalmanTracker):
         self.prediction_noise = np.broadcast_to(
             np.asarray(prediction_noise, dtype=np.float64), (dim,)
         ).copy()
-        self._steps = 0
         self._estimates_hist: deque = deque(maxlen=self.delta)
         self._blocks_hist: deque = deque(maxlen=self.delta)
 
@@ -209,15 +206,11 @@ class ProposedTracker(_KalmanTracker):
                     GaussianBelief(prior.mean, prior.cov + np.diag(self.prediction_noise))
                 )
         else:
-            inflate = self.process_noise if self._steps > 0 else 0.0
             shift = np.zeros(self.num_paths)
             if self.use_imu and self._steps > 0 and self.block_width:
                 k = self.block_width // 2
                 shift = sensor_block[:, :k].mean(axis=1)  # per-cycle angle units
-            predicted = [
-                GaussianBelief(b.mean + shift[l], b.cov + inflate * np.eye(b.dim))
-                for l, b in enumerate(self.beliefs)
-            ]
+            predicted = self._identity_prediction(shift)
         sounding = self._measure(predicted, channel)
         self._steps += 1
         self._estimates_hist.append(self.estimates())

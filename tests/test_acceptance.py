@@ -42,7 +42,7 @@ from beamtrack.measurement import (
     measurement_jacobian,
     predicted_measurement,
 )
-from beamtrack.neural import bptt_gradients, forward_stack, grads_as_dict, layer_param_dict
+from beamtrack.neural import forward_stack, grads_as_dict, layer_param_dict, loss_and_gradients
 from beamtrack.predictor import (
     DatasetConfig,
     InputWindow,
@@ -179,7 +179,7 @@ def test_full_network_gradient_matches_finite_differences():
         return float(np.sum((forward_stack(layers, xs) - target) ** 2))
 
     start = time.perf_counter()
-    grads = grads_as_dict(layers, bptt_gradients(layers, xs, target))
+    grads = grads_as_dict(layers, loss_and_gradients(layers, xs, target)[1])
     params = layer_param_dict(layers)
     step = 1e-6
     worst_name, worst = "", 0.0

@@ -159,6 +159,22 @@ def test_cli_pipeline_data_train_evaluate(tmp_path, capsys):
         assert math.isfinite(nmse)
 
 
+def test_cli_generate_data_reports_the_window_shape(tmp_path, capsys):
+    # Each window is (delta cycles, per-cycle features): 3 x (1 angle + 4
+    # samples x 2 sensor channels). The state itself is one angle per path.
+    table_path = tmp_path / "noise.json"
+    table_path.write_text(NoiseTable(snr_db=[0.0], estimate_std=[0.01]).to_json())
+    data_path = tmp_path / "train.npz"
+    rc = main([
+        "generate-data", "--noise-table", str(table_path), "--num-windows", "50",
+        "--cycles-per-episode", "20", "--seed", "1", "--out", str(data_path),
+    ])
+    assert rc == 0
+    assert predictor.Dataset.load(data_path).inputs.shape == (50, 3, 9)
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == [f"wrote {data_path}: 50 windows of shape (3, 9)"]
+
+
 def test_cli_plot_data(tmp_path, capsys):
     out_dir = tmp_path / "figs"
     rc = main([

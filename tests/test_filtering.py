@@ -215,29 +215,15 @@ def test_measurement_update_pulls_angle_toward_truth(geom32, rng):
     assert post.cov[0, 0] < prior.cov[0, 0]
 
 
-def test_measurement_update_full_mode_runs(geom32, rng):
-    paths = [PathState(1.0 + 0j, 0.2, -0.3), PathState(0.5j, -0.5, 0.6)]
-    channel = assemble_channel(paths, geom32, geom32)
-    snd = SoundingConfig(tx_angles=[-0.3, 0.6], rx_angles=[0.2, -0.5])
-    pilot = receive(channel, snd, 20.0, rng, geom32, geom32)
-    prior = GaussianBelief([0.19, -0.29, -0.49, 0.59], 1e-3 * np.eye(4))
-    post = measurement_update(
-        prior, pilot, snd, np.array([p.gain for p in paths]), geom32, geom32,
-        mode="full",
-    )
-    assert post.dim == 4
-    assert np.all(np.isfinite(post.mean)) and np.all(np.isfinite(post.cov))
-
-
 def test_measurement_update_validation(geom32, rng):
     snd = SoundingConfig(tx_angles=[0.0], rx_angles=[0.1])
     pilot = PilotVector(np.zeros(1, dtype=complex), 0.1)
     prior = GaussianBelief([0.1], [[0.01]])
     gains = np.array([1.0 + 0j])
-    with pytest.raises(ValueError, match="departure"):
+    with pytest.raises(TypeError, match="aods"):
         measurement_update(prior, pilot, snd, gains, geom32, geom32)
-    with pytest.raises(ValueError, match="unknown mode"):
-        measurement_update(prior, pilot, snd, gains, geom32, geom32, mode="x")
+    with pytest.raises(ValueError, match="one arrival angle per path"):
+        measurement_update(prior, pilot, snd, np.ones(2, dtype=complex), geom32, geom32, [0.0, 0.0])
     bad = PilotVector(np.zeros(3, dtype=complex), 0.1)
     with pytest.raises(ValueError, match="pilot length"):
         measurement_update(prior, bad, snd, gains, geom32, geom32, aods=[0.0])

@@ -10,7 +10,6 @@ from beamtrack.neural import (
     FcParams,
     LstmParams,
     adam_update,
-    bptt_gradients,
     fc_apply,
     forward_stack,
     grads_as_dict,
@@ -46,11 +45,8 @@ def test_fc_validation():
 def test_lstm_step_scalar_hand_case():
     # hidden = in = 1, every weight pinned; recompute each gate with plain
     # math.exp so the vector route is checked against scalar arithmetic.
-    p = LstmParams(
-        W_xi=[[0.5]], W_hi=[[0.2]], W_xf=[[0.5]], W_hf=[[0.2]],
-        W_xo=[[0.5]], W_ho=[[0.2]], W_xc=[[0.5]], W_hc=[[0.2]],
-        b_i=[0.1], b_f=[1.0], b_o=[-0.2], b_c=[0.3],
-    )
+    # Gate rows are i, f, o, g.
+    p = LstmParams(W_x=[[0.5]] * 4, W_h=[[0.2]] * 4, b=[0.1, 1.0, -0.2, 0.3])
     x, h_prev, c_prev = np.array([1.0]), np.array([0.5]), np.array([-0.3])
     h, c = lstm_step(p, x, h_prev, c_prev)
     i = _sigmoid(0.5 + 0.1 + 0.1)
@@ -76,11 +72,33 @@ def test_lstm_step_batch_matches_loop(rng):
 
 def test_init_lstm_forget_bias_and_bounds(rng):
     p = init_lstm(rng, 8, 3)
-    np.testing.assert_array_equal(p.b_f, np.ones(8))
-    np.testing.assert_array_equal(p.b_i, np.zeros(8))
-    assert np.all(np.abs(p.W_xi) <= 1 / np.sqrt(3))
-    assert np.all(np.abs(p.W_hi) <= 1 / np.sqrt(8))
+    assert p.W_x.shape == (32, 3) and p.W_h.shape == (32, 8) and p.b.shape == (32,)
+    np.testing.assert_array_equal(p.b[8:16], np.ones(8))  # forget gate
+    np.testing.assert_array_equal(p.b[:8], np.zeros(8))
+    np.testing.assert_array_equal(p.b[16:], np.zeros(16))
+    assert np.all(np.abs(p.W_x) <= 1 / np.sqrt(3))
+    assert np.all(np.abs(p.W_h) <= 1 / np.sqrt(8))
     assert p.hidden_size == 8 and p.input_size == 3
+
+
+def test_init_lstm_draws_gate_blocks_in_order():
+    # Input block then recurrent block, gate by gate (i, f, o, g): the draw
+    # order that keeps seeded models' weights what they have always been.
+    p = init_lstm(np.random.default_rng(5), 4, 3)
+    rng = np.random.default_rng(5)
+    for q in range(4):
+        rows = slice(4 * q, 4 * (q + 1))
+        np.testing.assert_array_equal(p.W_x[rows], rng.uniform(-1 / np.sqrt(3), 1 / np.sqrt(3), (4, 3)))
+        np.testing.assert_array_equal(p.W_h[rows], rng.uniform(-0.5, 0.5, (4, 4)))
+
+
+def test_lstm_params_shape_validation():
+    with pytest.raises(ValueError, match="4 \\* hidden"):
+        LstmParams(np.zeros((6, 2)), np.zeros((6, 6)), np.zeros(6))
+    with pytest.raises(ValueError, match="W_h"):
+        LstmParams(np.zeros((8, 2)), np.zeros((8, 8)), np.zeros(8))
+    with pytest.raises(ValueError, match="b must"):
+        LstmParams(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(2))
 
 
 def test_init_fc_bounds(rng):
@@ -153,7 +171,7 @@ def test_bptt_matches_finite_differences():
     ]
     xs = rng.normal(size=(4, 3))
     target = rng.normal(size=1)
-    grads = grads_as_dict(layers, bptt_gradients(layers, xs, target))
+    grads = grads_as_dict(layers, loss_and_gradients(layers, xs, target)[1])
     params = layer_param_dict(layers)
 
     def loss():
@@ -184,10 +202,10 @@ def test_bptt_batch_is_sum_of_windows(rng):
     layers = [init_lstm(rng, 3, 2), init_fc(rng, 1, 3)]
     xs = rng.normal(size=(3, 5, 2))
     tgt = rng.normal(size=(3, 1))
-    batched = grads_as_dict(layers, bptt_gradients(layers, xs, tgt))
+    batched = grads_as_dict(layers, loss_and_gradients(layers, xs, tgt)[1])
     summed = {name: np.zeros_like(arr) for name, arr in batched.items()}
     for b in range(3):
-        per = grads_as_dict(layers, bptt_gradients(layers, xs[b], tgt[b]))
+        per = grads_as_dict(layers, loss_and_gradients(layers, xs[b], tgt[b])[1])
         for name in summed:
             summed[name] += per[name]
     for name in batched:
