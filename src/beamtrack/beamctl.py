@@ -80,7 +80,7 @@ def crlb_objective(
     jac = _jacobian_from_angles(
         np.asarray(gains, dtype=np.complex128), belief.mean,
         np.asarray(aods, dtype=np.float64), sounding, geom_rx, geom_tx,
-    )[:, 1::2]
+    )
     noise = max(noise_var, _MIN_NOISE_VAR)
     info = np.linalg.inv(belief.cov) + (2.0 / noise) * (jac.conj().T @ jac).real
     try:
@@ -163,7 +163,7 @@ def _rx_pair_scores(
     """
     num_paths = gains.size
     probe = SoundingConfig(tx_angles=tx_angles, rx_angles=codebook.angles)
-    scale, gt, _, _, dgr = _measurement_factors(
+    scale, gt, _, dgr = _measurement_factors(
         gains, belief.mean, aods, probe, geom_rx, geom_tx, with_derivatives=True
     )
     t = scale[:, None] * gt  # (L, M_b)

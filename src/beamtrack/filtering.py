@@ -1,8 +1,9 @@
 """Gaussian beliefs, scaled sigma points, and the tracking-cycle updates.
 
 The prediction step propagates each path's belief through the (nonlinear)
-learned predictor with the scaled unscented transform: 2P+1 sigma points for
-state dimension P, spread lam = alpha^2 * P - P, weights
+learned predictor with the scaled unscented transform, the sigma points of
+all paths in one predictor call: 2P+1 sigma points for state dimension P,
+spread lam = alpha^2 * P - P, weights
 
     w0_mean = lam / (P + lam)            w0_cov = w0_mean + (1 - alpha^2 + beta)
     wi      = 1 / (2 (P + lam))          i = 1..2P
@@ -36,6 +37,7 @@ __all__ = [
     "GaussianBelief",
     "SigmaSet",
     "sigma_points",
+    "per_window",
     "prediction_update",
     "kalman_update",
     "measurement_update",
@@ -126,38 +128,64 @@ def sigma_points(
     return SigmaSet(points, w_mean, w_cov, alpha, beta)
 
 
+def per_window(predict_fn):
+    """The batched form of a one-window predict_fn: it maps a sequence of
+    windows to the (n, P) stack of predict_fn's outputs, one call each."""
+    return lambda windows: np.array([np.atleast_1d(predict_fn(w)) for w in windows])
+
+
 def prediction_update(
-    belief: GaussianBelief,
-    window: InputWindow,
+    belief,
+    window,
     predict_fn,
     jitter: float = DEFAULT_JITTER,
     alpha: float = DEFAULT_ALPHA,
     beta: float = DEFAULT_BETA,
-) -> GaussianBelief:
-    """Unscented propagation of one path's belief through the predictor.
+):
+    """Unscented propagation of path beliefs through the predictor.
 
-    predict_fn maps an InputWindow to the next-cycle state vector. Each sigma
-    point replaces the window's most recent estimate entry; the propagated
-    set is recombined with the standard weighted sums and a small diagonal
-    jitter keeps the predicted covariance positive definite.
+    Batched form: `belief` and `window` are equal-length sequences, one entry
+    per path, and predict_fn maps the list of every path's sigma windows to
+    an (n, P) array of next-cycle states in one call, as predictor.predict
+    does. Returns the list of predicted beliefs.
+
+    One path: `belief` is a GaussianBelief, `window` an InputWindow and
+    predict_fn maps one window to a state. This is the batch of one, with
+    predict_fn lifted by `per_window`; it returns one GaussianBelief.
+
+    Each sigma point replaces its window's most recent estimate entry; each
+    path's propagated set is recombined with the standard weighted sums and
+    a small diagonal jitter keeps the predicted covariance positive definite.
     """
-    p = belief.dim
-    if window.state_dim != p:
-        raise ValueError("window state dimension does not match the belief")
-    sigma = sigma_points(belief, alpha=alpha, beta=beta)
+    if isinstance(belief, GaussianBelief):
+        return prediction_update([belief], [window], per_window(predict_fn), jitter, alpha, beta)[0]
+    if len(belief) != len(window):
+        raise ValueError("need one window per belief")
+    sigmas = []
+    perturbed = []
+    for b, w in zip(belief, window):
+        if w.state_dim != b.dim:
+            raise ValueError("window state dimension does not match the belief")
+        sigma = sigma_points(b, alpha=alpha, beta=beta)
+        sigmas.append(sigma)
+        for point in sigma.points:
+            estimates = w.past_estimates.copy()
+            estimates[-1] = point
+            perturbed.append(InputWindow(estimates, w.sensor_blocks, w.context))
+    outputs = np.asarray(predict_fn(perturbed), dtype=np.float64)
 
-    outputs = np.empty((2 * p + 1, p))
-    for k, point in enumerate(sigma.points):
-        estimates = window.past_estimates.copy()
-        estimates[-1] = point
-        perturbed = InputWindow(estimates, window.sensor_blocks, window.context)
-        outputs[k] = np.atleast_1d(predict_fn(perturbed))
-
-    mean = sigma.mean_weights @ outputs
-    centered = outputs - mean
-    cov = (sigma.cov_weights[:, None] * centered).T @ centered
-    cov = 0.5 * (cov + cov.T) + jitter * np.eye(p)
-    return GaussianBelief(mean, cov)
+    predicted = []
+    at = 0
+    for b, sigma in zip(belief, sigmas):
+        p = b.dim
+        rows = outputs[at : at + 2 * p + 1]
+        at += 2 * p + 1
+        mean = sigma.mean_weights @ rows
+        centered = rows - mean
+        cov = (sigma.cov_weights[:, None] * centered).T @ centered
+        cov = 0.5 * (cov + cov.T) + jitter * np.eye(p)
+        predicted.append(GaussianBelief(mean, cov))
+    return predicted
 
 
 def kalman_update(
@@ -227,7 +255,7 @@ def measurement_update(
     aods = np.asarray(aods, dtype=np.float64)
 
     predicted = _measurement_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
-    jac = _jacobian_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)[:, 1::2]
+    jac = _jacobian_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
 
     observed = np.concatenate([pilot.values.real, pilot.values.imag])
     predicted_r = np.concatenate([predicted.real, predicted.imag])

@@ -393,6 +393,7 @@ def run_sweep(
     models: dict[str, PredictorModel] | None = None,
     out_path=None,
     episodes_hook=None,
+    process_noises: dict | None = None,
 ) -> list[dict]:
     """Grid of episodes over one config axis, with per-trial and mean rows.
 
@@ -400,7 +401,9 @@ def run_sweep(
     A failed episode is recorded with status "error:<Type>: <message>" and
     empty metrics; the sweep keeps going. Mean rows average the successful
     trials. Process noise is calibrated once per distinct mobility model,
-    cycle length and path count among the sweep points.
+    cycle length and path count among the sweep points; a caller running
+    several sweeps passes one `process_noises` dict to all of them, keyed by
+    (mobility params, t_csi, num_paths), to calibrate once across them.
     """
     if axis_name not in _FIELD_TYPES:
         raise ValueError(f"unknown config field {axis_name!r}")
@@ -410,7 +413,7 @@ def run_sweep(
         "mean_nmse_db", "mean_ber", "cycles", "status",
     ]
     rows: list[dict] = []
-    process_noises: dict[tuple, float] = {}
+    process_noises = {} if process_noises is None else process_noises
     for value in axis_values:
         value = _coerce_axis_value(axis_name, value)
         cfg_point = replace(base_config, **{axis_name: value})
@@ -511,10 +514,11 @@ def plot_data(
         ("a_avg", a_avg_values, [("nmse_vs_a_avg.csv", "mean_nmse_db")]),
     ]
     written = []
+    process_noises: dict[tuple, float] = {}  # the sweeps share the base point
     for axis, values, figures in jobs:
         rows = run_sweep(
             base_config, axis, values, variants, trials,
-            master_seed=master_seed, models=models,
+            master_seed=master_seed, models=models, process_noises=process_noises,
         )
         means = [r for r in rows if r["status"] == "aggregate"]
         for fname, metric in figures:

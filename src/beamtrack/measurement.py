@@ -186,8 +186,7 @@ def _measurement_factors(
         q_(i,j) = sum_l gain_l / (N_b * N_m) * conj(G_b(aod_l - nu_i)) * G_m(aoa_l - mu_j)
 
     where G_n is the n-term geometric sum above. Returns (scale, gt, gr) and,
-    when requested, the derivative factors (dgt, dgr) with respect to the
-    departure and arrival angles.
+    when requested, the arrival-angle derivative factor dgr.
     """
     n_b, n_m = geom_tx.num_elements, geom_rx.num_elements
     kb, km = geom_tx.spatial_freq, geom_rx.spatial_freq
@@ -198,9 +197,7 @@ def _measurement_factors(
     scale = gains / (n_b * n_m)
     if not with_derivatives:
         return scale, gt, gr
-    dgt = _geometric_sum_deriv(n_b, kb, dx_t).conj()
-    dgr = _geometric_sum_deriv(n_m, km, dx_r)
-    return scale, gt, gr, dgt, dgr
+    return scale, gt, gr, _geometric_sum_deriv(n_m, km, dx_r)
 
 
 def _measurement_from_angles(
@@ -244,15 +241,14 @@ def _jacobian_from_angles(
     geom_rx: ArrayGeometry,
     geom_tx: ArrayGeometry,
 ) -> np.ndarray:
-    """Complex Jacobian of the pilot map, columns [d/d aod_1, d/d aoa_1, ...]."""
-    scale, gt, gr, dgt, dgr = _measurement_factors(
+    """Complex Jacobian of the pilot map in the arrival angles: (M_b*M_m, L),
+    column l holds dq/d(aoa_l). The trackers estimate arrival angles only."""
+    scale, gt, _, dgr = _measurement_factors(
         gains, aoas, aods, sounding, geom_rx, geom_tx, with_derivatives=True
     )
-    num_paths = gains.size
-    jac = np.empty((sounding.num_pilots, 2 * num_paths), dtype=np.complex128)
-    for l in range(num_paths):
-        jac[:, 2 * l] = (scale[l] * np.outer(dgt[l], gr[l])).ravel()
-        jac[:, 2 * l + 1] = (scale[l] * np.outer(gt[l], dgr[l])).ravel()
+    jac = np.empty((sounding.num_pilots, gains.size), dtype=np.complex128)
+    for l in range(gains.size):
+        jac[:, l] = (scale[l] * np.outer(gt[l], dgr[l])).ravel()
     return jac
 
 
@@ -268,7 +264,14 @@ def measurement_jacobian(
     dq/d(aoa_l). Matches central finite differences of predicted_measurement.
     """
     gains, aoas, aods = _path_arrays(paths)
-    return _jacobian_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
+    scale, _, gr = _measurement_factors(gains, aoas, aods, sounding, geom_rx, geom_tx)
+    dx_t = aods[:, None] - sounding.tx_angles[None, :]
+    dgt = _geometric_sum_deriv(geom_tx.num_elements, geom_tx.spatial_freq, dx_t).conj()
+    jac = np.empty((sounding.num_pilots, 2 * gains.size), dtype=np.complex128)
+    for l in range(gains.size):
+        jac[:, 2 * l] = (scale[l] * np.outer(dgt[l], gr[l])).ravel()
+    jac[:, 1::2] = _jacobian_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
+    return jac
 
 
 def receive(

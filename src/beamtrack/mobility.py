@@ -110,8 +110,10 @@ def generate_trajectory(
     the velocity), and the next chunk restarts at the following slot. Chunks
     double from _FIRST_CHUNK to _MAX_CHUNK slots while no reflection occurs
     and shrink back after one, so the recursion discarded at each reflection
-    stays proportional to the distance between reflections. Temporaries are
-    at most one chunk long.
+    stays proportional to the distance between reflections. The drive noise
+    is drawn path by path, which takes the same numbers from the generator
+    as one (num_paths, num_slots) draw; apart from that one path's drive,
+    temporaries are at most one chunk long.
     """
     if num_paths < 1 or num_slots < 1:
         raise ValueError("num_paths and num_slots must be >= 1")
@@ -124,13 +126,14 @@ def generate_trajectory(
         init_velocity = rng.normal(params.a_avg, np.sqrt(0.2), size=num_paths)
     init_velocity = np.broadcast_to(np.asarray(init_velocity, dtype=np.float64), (num_paths,))
 
-    drive = rng.normal(0.0, np.sqrt(params.drive_var), size=(num_paths, num_slots))
+    drive_std = np.sqrt(params.drive_var)
     aoa = np.empty((num_paths, num_slots))
     velocity = np.empty((num_paths, num_slots))
     pull = (1.0 - params.rho) * params.a_avg
     rho, dt = params.rho, params.dt
 
     for l in range(num_paths):
+        drive = rng.normal(0.0, drive_std, size=num_slots)
         th = float(init_aoa[l])
         v = float(init_velocity[l])
         n, size = 0, _FIRST_CHUNK
@@ -138,7 +141,7 @@ def generate_trajectory(
             m = min(n + size, num_slots)
             vs = []
             append = vs.append
-            for w in drive[l, n:m].tolist():
+            for w in drive[n:m].tolist():
                 v = pull + rho * v + w
                 append(v)
             vel = np.array(vs)

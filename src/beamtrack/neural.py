@@ -119,21 +119,38 @@ def _activation_grad_from_output(out: np.ndarray, name: str) -> np.ndarray:
     return (out > 0).astype(np.float64)
 
 
+def _per_row(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """x @ weights.T for x of shape (..., d), as one one-row product per row.
+
+    A plain (B, d) @ (d, n) product lets BLAS pick its kernel by the row
+    count B, so a row's result depends on how many windows share the call.
+    A stack of (1, d) products runs the same kernel for every row: a B-window
+    call then equals B one-window calls bit for bit (batch invariance).
+    """
+    return (x[..., None, :] @ weights.T)[..., 0, :]
+
+
 def fc_apply(params: FcParams, x: np.ndarray) -> np.ndarray:
-    """Apply the dense layer; x may carry arbitrary leading batch axes."""
-    return _activate(x @ params.weights.T + params.bias, params.activation)
+    """Apply the dense layer to a (d,) vector, (B, d) rows or (B, T, d) windows.
+
+    Every product is computed per window, never with windows folded into GEMM
+    rows: (B, d) inputs row by row, (B, T, d) inputs as one (T, d) product
+    per window.
+    """
+    z = x @ params.weights.T if x.ndim == 3 else _per_row(x, params.weights)
+    return _activate(z + params.bias, params.activation)
 
 
 def _lstm_cell(params: LstmParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One LSTM recursion: (gates, c, tanh(c), h), gates = [i, f, o, g] along the last axis."""
+    """One LSTM recursion: (gates, c, tanh(c), h), gates = [i, f, o, g] along the last axis.
+
+    Rows of x, h_prev and c_prev are windows; the input and recurrent terms
+    are per-row products, so a batched step equals per-window steps bit for
+    bit.
+    """
     hs = params.hidden_size
-    gates = x @ params.W_x.T
-    # The recurrent term is added one gate block at a time: a second (B, 4H)
-    # temporary would raise the peak memory of large-batch inference. The
-    # sums are x W_x^T + h W_h^T + b either way, in that order.
-    for q in range(4):
-        rows = slice(q * hs, (q + 1) * hs)
-        gates[..., rows] += h_prev @ params.W_h[rows].T
+    gates = _per_row(x, params.W_x)
+    gates += _per_row(h_prev, params.W_h)
     gates += params.b
     expit(gates[..., : 3 * hs], out=gates[..., : 3 * hs])
     np.tanh(gates[..., 3 * hs :], out=gates[..., 3 * hs :])

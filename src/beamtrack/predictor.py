@@ -200,25 +200,32 @@ def model_fingerprint(model: PredictorModel) -> str:
     return sha.hexdigest()
 
 
+def _feature_matrix(past: np.ndarray, sensors: np.ndarray, context: np.ndarray) -> np.ndarray:
+    """[estimate, sensors, context] per cycle; any leading axes index windows."""
+    ctx = np.broadcast_to(context[..., None, :], sensors.shape[:-1] + context.shape[-1:])
+    return np.concatenate([past, sensors, ctx], axis=-1)
+
+
 def window_matrix(window: InputWindow) -> np.ndarray:
     """Raw (delta, D) feature matrix: [estimate, sensors, context] per cycle."""
-    delta = window.delta
-    ctx = np.broadcast_to(window.context, (delta, window.context.size))
-    return np.concatenate([window.past_estimates, window.sensor_blocks, ctx], axis=1)
+    return _feature_matrix(window.past_estimates, window.sensor_blocks, window.context)
 
 
-def _check_window(model: PredictorModel, window: InputWindow) -> None:
-    if window.delta != model.delta:
-        raise ValueError(f"window covers {window.delta} cycles, model expects {model.delta}")
-    if window.state_dim != model.state_dim:
+def _check_windows(
+    model: PredictorModel, past: np.ndarray, sensors: np.ndarray, context: np.ndarray
+) -> None:
+    """Validate stacked windows: past (B, delta, P), sensors (B, delta, KJ), context (B, C)."""
+    if past.shape[1] != model.delta:
+        raise ValueError(f"window covers {past.shape[1]} cycles, model expects {model.delta}")
+    if past.shape[2] != model.state_dim:
         raise ValueError(
-            f"window state dimension {window.state_dim} does not match the model's "
+            f"window state dimension {past.shape[2]} does not match the model's "
             f"{model.state_dim}"
         )
     expected = model.k_samples * model.j_channels
-    if window.sensor_blocks.shape[1] != expected:
+    if sensors.shape[2] != expected:
         raise ValueError(f"sensor blocks must have {expected} entries per cycle")
-    if window.context.size != model.context_dim:
+    if context.shape[1] != model.context_dim:
         raise ValueError(f"context must have {model.context_dim} entries")
 
 
@@ -232,12 +239,25 @@ def _forward_raw_batch(model: PredictorModel, raw: np.ndarray, last_est: np.ndar
     return last_est + norm.target_mean + norm.target_std * out
 
 
-def predict(model: PredictorModel, window: InputWindow) -> np.ndarray:
-    """Predict the next-cycle state for one path from its input window."""
-    _check_window(model, window)
-    raw = window_matrix(window)[None]
-    last_est = window.past_estimates[-1][None]
-    return _forward_raw_batch(model, raw, last_est)[0]
+def predict(model: PredictorModel, windows) -> np.ndarray:
+    """Predict next-cycle states from input windows in one network call.
+
+    `windows` is one InputWindow, which gives shape (P,), or a sequence of
+    windows, which gives (B, P). The sequence is validated once, as a stack,
+    so its windows must share their shapes. Each row equals the one-window
+    prediction bit for bit, because the network's kernels are batch
+    invariant.
+    """
+    single = isinstance(windows, InputWindow)
+    batch = [windows] if single else list(windows)
+    if not batch:
+        raise ValueError("predict needs at least one window")
+    past = np.stack([w.past_estimates for w in batch])  # ValueError unless shapes agree
+    sensors = np.stack([w.sensor_blocks for w in batch])
+    context = np.stack([w.context for w in batch])
+    _check_windows(model, past, sensors, context)
+    out = _forward_raw_batch(model, _feature_matrix(past, sensors, context), past[:, -1])
+    return out[0] if single else out
 
 
 @dataclass
@@ -400,6 +420,10 @@ class TrainConfig:
     seed: int = 0
 
 
+# Windows per forward pass when train() evaluates prediction_var.
+_PREDICTION_VAR_CHUNK = 1024
+
+
 def _fit_norm_stats(raw: np.ndarray, increments: np.ndarray) -> NormStats:
     flat = raw.reshape(-1, raw.shape[-1])
     in_mean = flat.mean(axis=0)
@@ -466,10 +490,13 @@ def train(
         losses.append(mean_loss)
 
     # Residual spread in natural units, for use as prediction-time process
-    # noise. Evaluated on a subsample to keep this cheap on large sets.
+    # noise. Evaluated on a subsample to keep this cheap on large sets, in
+    # fixed chunks to bound the pass's memory; the batch-invariant kernels
+    # make the result independent of the chunk size.
     probe = min(n, 20_000)
     idx = np.random.default_rng(config.seed).choice(n, size=probe, replace=False)
-    pred = _forward_raw_batch(model, raw[idx], last[idx])
+    parts = [idx[at : at + _PREDICTION_VAR_CHUNK] for at in range(0, probe, _PREDICTION_VAR_CHUNK)]
+    pred = np.concatenate([_forward_raw_batch(model, raw[part], last[part]) for part in parts])
     model.prediction_var = np.var(pred - targets[idx], axis=0)
     return model, losses
 

@@ -151,9 +151,12 @@ class ProposedTracker(_KalmanTracker):
     Until the history buffer holds `delta` (estimate, sensor-block) pairs the
     prediction falls back to the identity rule with `process_noise` variance
     inflation, dead-reckoned by the sensor block's mean velocity when sensors
-    are in use, after which each path's belief is pushed through the
-    predictor. With use_imu=False the sensor entries of every window are
-    zeroed (the CSI-only variant).
+    are in use, after which every path's belief is pushed through the
+    predictor, all sigma-point windows in one call. With use_imu=False the
+    sensor entries of every window are zeroed (the CSI-only variant).
+
+    A `predict_fn` given in place of a model maps one window to a state; it
+    is lifted to the batched form with `filtering.per_window`.
     """
 
     def __init__(self, beliefs, codebook, gains, aods, known_aod, geom_rx, geom_tx,
@@ -164,7 +167,9 @@ class ProposedTracker(_KalmanTracker):
                          noise_var, process_noise, **kw)
         if model is None and predict_fn is None:
             raise ValueError("provide a predictor model or a predict_fn")
-        self.predict_fn = predict_fn if predict_fn is not None else partial(predict, model)
+        self.predict_fn = (
+            partial(predict, model) if predict_fn is None else filtering.per_window(predict_fn)
+        )
         self.delta = int(delta if delta is not None else model.delta)
         if block_width is None:
             block_width = model.k_samples * model.j_channels if model is not None else 0
@@ -195,16 +200,15 @@ class ProposedTracker(_KalmanTracker):
         if warm:
             est_hist = np.stack(list(self._estimates_hist))  # (delta, L)
             blocks = np.stack(list(self._blocks_hist))  # (delta, L, KJ)
-            predicted = []
-            for l, belief in enumerate(self.beliefs):
-                window = InputWindow(
-                    past_estimates=est_hist[:, l : l + 1],
-                    sensor_blocks=blocks[:, l],
-                )
-                prior = prediction_update(belief, window, self.predict_fn, jitter=self.jitter)
-                predicted.append(
-                    GaussianBelief(prior.mean, prior.cov + np.diag(self.prediction_noise))
-                )
+            windows = [
+                InputWindow(past_estimates=est_hist[:, l : l + 1], sensor_blocks=blocks[:, l])
+                for l in range(self.num_paths)
+            ]
+            priors = prediction_update(self.beliefs, windows, self.predict_fn, jitter=self.jitter)
+            predicted = [
+                GaussianBelief(prior.mean, prior.cov + np.diag(self.prediction_noise))
+                for prior in priors
+            ]
         else:
             shift = np.zeros(self.num_paths)
             if self.use_imu and self._steps > 0 and self.block_width:
@@ -250,7 +254,7 @@ class LmsTracker:
         )
         jac = _jacobian_from_angles(
             self.gains, self.est, self.aods, sounding, self.geom_rx, self.geom_tx
-        )[:, 1::2]
+        )
         residual = pilot.values - predicted
         self.est += self.step_size * (jac.conj().T @ residual).real
         return CycleRecord(self.est.copy(), sounding)

@@ -1,9 +1,12 @@
 """Sigma-point propagation and Kalman measurement updates."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack.arrays import PathState, assemble_channel
 from beamtrack.filtering import (
@@ -17,7 +20,7 @@ from beamtrack.filtering import (
     split_joint,
 )
 from beamtrack.measurement import PilotVector, SoundingConfig, receive
-from beamtrack.predictor import InputWindow
+from beamtrack.predictor import InputWindow, NormStats, build_model, predict
 
 
 def _random_psd(rng, n):
@@ -157,6 +160,44 @@ def test_prediction_update_only_moves_latest_entry():
     stacked = np.stack(seen)  # (2P+1, delta, 1)
     np.testing.assert_array_equal(stacked[:, :-1, 0], 0.1)
     assert np.ptp(stacked[:, -1, 0]) > 0  # sigma spread applied to the newest entry
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_paths=st.integers(1, 4),
+    delta=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_var=st.floats(-12.0, -2.0),
+)
+def test_batched_prediction_equals_one_path_at_a_time(num_paths, delta, seed, log_var):
+    # One predictor call for all paths' sigma windows must give every path
+    # the belief its own single-path update gives, bit for bit.
+    rng = np.random.default_rng(seed)
+    model = build_model(np.random.default_rng(seed), delta=delta)
+    dim = model.input_dim
+    # A unit target scale keeps the network's last bits in the prediction.
+    model.norm = NormStats(np.zeros(dim), np.full(dim, 0.5), np.zeros(1), np.ones(1))
+    beliefs = [
+        GaussianBelief([m], [[10.0**log_var * v]])
+        for m, v in zip(rng.uniform(-0.9, 0.9, num_paths), rng.uniform(0.5, 2.0, num_paths))
+    ]
+    windows = [
+        InputWindow(rng.uniform(-0.9, 0.9, (delta, 1)), rng.normal(0.0, 0.05, (delta, 8)))
+        for _ in range(num_paths)
+    ]
+    predict_fn = partial(predict, model)
+    batched = prediction_update(beliefs, windows, predict_fn)
+    assert len(batched) == num_paths
+    for got, belief, window in zip(batched, beliefs, windows):
+        single = prediction_update(belief, window, predict_fn)
+        assert np.array_equal(got.mean, single.mean)
+        assert np.array_equal(got.cov, single.cov)
+
+
+def test_prediction_update_needs_one_window_per_belief():
+    belief = GaussianBelief([0.1], [[0.01]])
+    with pytest.raises(ValueError, match="one window per belief"):
+        prediction_update([belief, belief], [_window(belief.mean)], lambda ws: None)
 
 
 def test_kalman_scalar_closed_form(rng):

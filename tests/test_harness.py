@@ -276,6 +276,16 @@ def test_run_sweep_calibrates_once_per_distinct_mobility(count_calls):
     assert [params.a_avg for params, _ in calls] == [0.1, 0.2]
 
 
+def test_plot_data_calibrates_once_per_distinct_mobility(tmp_path, monkeypatch, count_calls):
+    # The default axes hold 6 distinct (mobility, t_csi) points; all three
+    # sweeps pass through the base point (0.2pi, t_csi 160).
+    monkeypatch.setattr(harness, "calibrate_process_noise", lambda *a, **kw: 1e-5)
+    calls = count_calls(harness, "calibrate_process_noise")
+    plot_data(tmp_path, SimConfig(num_cycles=1), variants=("genie",), trials=1)
+    assert len(calls) == 6
+    assert len({(params, t_csi) for params, t_csi in calls}) == 6
+
+
 def test_calibrate_estimate_noise_calibrates_process_noise_once(count_calls):
     calls = count_calls(harness, "calibrate_process_noise")
     calibrate_estimate_noise(

@@ -122,6 +122,11 @@ def test_jacobian_matches_finite_differences(geom32, codebook64):
         snd = _random_sounding(rng, codebook64)
         jac = measurement_jacobian(paths, snd, geom32, geom32)
         assert jac.shape == (4, 6)
+        # The trackers' Jacobian is the arrival columns alone.
+        arrival = measurement._jacobian_from_angles(
+            *measurement._path_arrays(paths), snd, geom32, geom32
+        )
+        np.testing.assert_array_equal(arrival, jac[:, 1::2])
         fd = np.zeros_like(jac)
         for l, p in enumerate(paths):
             for col, (daod, daoa) in ((2 * l, (h, 0.0)), (2 * l + 1, (0.0, h))):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beamtrack import neural, predictor
 from beamtrack.predictor import (
     CheckpointError,
     Dataset,
@@ -186,6 +187,65 @@ def test_predict_window_checks(rng):
         predict(model, InputWindow(np.zeros((2, 1)), np.zeros((2, 8))))
     with pytest.raises(ValueError, match="sensor"):
         predict(model, InputWindow(np.zeros((3, 1)), np.zeros((3, 6))))
+
+
+def test_predict_accepts_a_sequence_of_windows(rng):
+    model = build_model(rng)
+    model.norm = NormStats(np.zeros(9), np.ones(9), np.zeros(1), np.ones(1))
+    windows = [InputWindow(np.full((3, 1), v), np.full((3, 8), v)) for v in (0.1, 0.2)]
+    assert predict(model, windows).shape == (2, 1)
+    assert predict(model, windows[:1]).shape == (1, 1)
+    with pytest.raises(ValueError, match="at least one window"):
+        predict(model, [])
+    with pytest.raises(ValueError, match="same shape"):
+        predict(model, [windows[0], InputWindow(np.zeros((2, 1)), np.zeros((2, 8)))])
+    with pytest.raises(ValueError, match="sensor"):
+        predict(model, [InputWindow(np.zeros((3, 1)), np.zeros((3, 6)))] * 2)
+
+
+def _two_lstm_model():
+    model = build_model(np.random.default_rng(5), lstm_layers=2)
+    dim = model.input_dim
+    model.norm = NormStats(np.zeros(dim), np.full(dim, 0.5), np.zeros(1), np.full(1, 0.01))
+    return model
+
+
+@pytest.mark.parametrize("which", ["reference", "two_lstm_layers"])
+def test_batched_inference_equals_one_window_calls(which):
+    # Batch invariance: a B-window call must reproduce B one-window calls bit
+    # for bit, whatever B. Plain GEMM over window rows breaks this, because
+    # BLAS picks its kernel by the row count.
+    model = load_checkpoint(REFERENCE_CHECKPOINT) if which == "reference" else _two_lstm_model()
+    rng = np.random.default_rng(17)
+    for b in (1, 3, 9, 48, 600):
+        est = rng.uniform(-1.0, 1.0, size=(b, model.delta, 1))
+        blocks = rng.normal(0.0, 0.05, size=(b, model.delta, 8))
+        xs = rng.normal(size=(b, model.delta, model.input_dim))
+        one_by_one = np.stack([neural.forward_stack(model.layers, x) for x in xs])
+        assert np.array_equal(neural.forward_stack(model.layers, xs), one_by_one), b
+        windows = [InputWindow(e, s) for e, s in zip(est, blocks)]
+        one_by_one = np.stack([predict(model, w) for w in windows])
+        assert np.array_equal(predict(model, windows), one_by_one), b
+
+
+@pytest.mark.parametrize("chunk", [predictor._PREDICTION_VAR_CHUNK, 7])
+def test_prediction_var_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # Targets a hair off the model's own predictions make prediction_var hang
+    # on the last bit of every prediction. The 2,500 probe windows split into
+    # chunks (1024 + 1024 + 452, or 357 x 7 + 1); the reference is one pass
+    # over all of them. With epochs=0 the weights stay as built.
+    assert 2_500 % chunk != 0
+    cfg = DatasetConfig(num_windows=2_500, cycles_per_episode=40)
+    ds = generate_dataset(cfg, _table(), np.random.default_rng(21))
+    model = build_model(np.random.default_rng(3))
+    model.norm = NormStats(np.zeros(9), np.full(9, 0.5), np.zeros(1), np.ones(1))
+    pred = predict(model, [InputWindow(x[:, :1], x[:, 1:]) for x in ds.inputs])
+    ds.targets = pred + np.random.default_rng(4).normal(0.0, 1e-12, pred.shape)
+    runs = []
+    for size in (chunk, len(ds)):
+        monkeypatch.setattr(predictor, "_PREDICTION_VAR_CHUNK", size)
+        runs.append(train(model, ds, TrainConfig(epochs=0))[0].prediction_var)
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_predict_decodes_increment(rng):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from beamtrack import filtering
+from beamtrack import filtering, neural
 from beamtrack.filtering import GaussianBelief
+from beamtrack.harness import SimConfig, run_episode
 from beamtrack.mobility import MobilityParams, generate_trajectory
+from beamtrack.predictor import NormStats, build_model
 from beamtrack.trackers import (
     EkfTracker,
     GenieTracker,
@@ -222,6 +224,18 @@ def test_proposed_with_perfect_oracle_keeps_lock(geom32, codebook64):
         rec = tracker.step(_channel([truth[t]], aods, gains, 15.0, rng, geom32))
         errs.append(abs(rec.estimates[0] - truth[t]))
     assert max(errs[2:]) < 0.01
+
+
+@pytest.mark.parametrize("num_paths", [1, 3])
+def test_proposed_episode_makes_one_predictor_call_per_warm_cycle(count_calls, num_paths):
+    model = build_model(np.random.default_rng(2021))
+    model.norm = NormStats(np.zeros(9), np.full(9, 0.5), np.zeros(1), np.full(1, 0.01))
+    calls = count_calls(neural, "forward_stack")
+    cfg = SimConfig(num_cycles=7, t_csi=40, num_paths=num_paths, seed=3)
+    run_episode(cfg, model=model, process_noise=1e-5)
+    # Cycles 0..delta-1 warm the history up; each later cycle makes one call
+    # carrying the 3 sigma-point windows of every path.
+    assert [xs.shape for _, xs in calls] == [(3 * num_paths, 3, 9)] * (7 - model.delta)
 
 
 def test_proposed_requires_a_predictor(geom32, codebook64):
