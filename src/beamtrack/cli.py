@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -79,15 +80,12 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
 
 
 def _sim_config(args: argparse.Namespace, variant: str = "ekf") -> harness.SimConfig:
+    """The SimConfig of the flags `_add_sim_args` defines; fields without a
+    flag keep their defaults."""
+    given = vars(args)
     return harness.SimConfig(
-        n_b=args.n_b, n_m=args.n_m, num_paths=args.num_paths, m_b=args.m_b,
-        m_m=args.m_m, codebook_size=args.codebook_size, t_csi=args.t_csi,
-        dt=args.dt, delta=args.delta, k_samples=args.k_samples, a_avg=args.a_avg,
-        drive_var=args.drive_var, init_velocity_std=args.init_velocity_std,
-        snr_db=args.snr_db, imu_snr_db=args.imu_snr_db, num_cycles=args.num_cycles,
-        seed=args.seed, variant=variant, checkpoint=args.checkpoint,
-        init_error_std=args.init_error_std, lms_step=args.lms_step,
-        ber_mode=args.ber_mode,
+        **{f.name: given[f.name] for f in fields(harness.SimConfig) if f.name in given},
+        variant=variant,
     )
 
 

@@ -97,35 +97,44 @@ class SigmaSet:
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric square root S with S @ S = mat, tolerant of PSD rank deficiency."""
-    sym = 0.5 * (mat + mat.T)
+    """Symmetric square root S with S @ S = mat, tolerant of PSD rank
+    deficiency. A (..., n, n) stack is rooted slice by slice in one eigh."""
+    sym = 0.5 * (mat + mat.swapaxes(-1, -2))
     eigval, eigvec = np.linalg.eigh(sym)
-    scale = max(abs(eigval[-1]), 1.0)
-    if eigval[0] < -1e-10 * scale:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {eigval[0]})")
+    scale = np.maximum(np.abs(eigval[..., -1]), 1.0)
+    lowest = eigval[..., 0]
+    if np.any(lowest < -1e-10 * scale):
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {lowest.min()})")
     root = np.sqrt(np.clip(eigval, 0.0, None))
-    return (eigvec * root) @ eigvec.T
+    return (eigvec * root[..., None, :]) @ eigvec.swapaxes(-1, -2)
+
+
+def _sigma_stack(means, covs, alpha, beta):
+    """Scaled sigma points of B beliefs, means (B, P) and covs (B, P, P):
+    points (B, 2P+1, P) and the mean and covariance weights they share."""
+    p = means.shape[1]
+    scale = alpha**2 * p  # = P + lam with lam = alpha^2 P - P
+    lam = scale - p
+    root = _psd_sqrt(scale * covs)
+
+    points = np.empty((means.shape[0], 2 * p + 1, p))
+    points[:, 0] = means
+    points[:, 1 : p + 1] = means[:, None] + root
+    points[:, p + 1 :] = means[:, None] - root
+
+    w_mean = np.full(2 * p + 1, 1.0 / (2.0 * scale))
+    w_mean[0] = lam / scale
+    w_cov = w_mean.copy()
+    w_cov[0] += 1.0 - alpha**2 + beta
+    return points, w_mean, w_cov
 
 
 def sigma_points(
     belief: GaussianBelief, alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA
 ) -> SigmaSet:
     """Scaled sigma set for the belief; reconstruction recovers mean and cov."""
-    p = belief.dim
-    scale = alpha**2 * p  # = P + lam with lam = alpha^2 P - P
-    lam = scale - p
-    root = _psd_sqrt(scale * belief.cov)
-
-    points = np.empty((2 * p + 1, p))
-    points[0] = belief.mean
-    points[1 : p + 1] = belief.mean + root
-    points[p + 1 :] = belief.mean - root
-
-    w_mean = np.full(2 * p + 1, 1.0 / (2.0 * scale))
-    w_mean[0] = lam / scale
-    w_cov = w_mean.copy()
-    w_cov[0] += 1.0 - alpha**2 + beta
-    return SigmaSet(points, w_mean, w_cov, alpha, beta)
+    points, w_mean, w_cov = _sigma_stack(belief.mean[None], belief.cov[None], alpha, beta)
+    return SigmaSet(points[0], w_mean, w_cov, alpha, beta)
 
 
 def per_window(predict_fn):
@@ -144,10 +153,11 @@ def prediction_update(
 ):
     """Unscented propagation of path beliefs through the predictor.
 
-    Batched form: `belief` and `window` are equal-length sequences, one entry
-    per path, and predict_fn maps the list of every path's sigma windows to
-    an (n, P) array of next-cycle states in one call, as predictor.predict
-    does. Returns the list of predicted beliefs.
+    Batched form: `belief` is a stacked pair (means (B, P), covs (B, P, P)),
+    one row per path, `window` a sequence of B windows, and predict_fn maps
+    the list of every path's sigma windows to an (n, P) array of next-cycle
+    states in one call, as predictor.predict does. Returns the predicted
+    (means, covs) pair.
 
     One path: `belief` is a GaussianBelief, `window` an InputWindow and
     predict_fn maps one window to a state. This is the batch of one, with
@@ -156,36 +166,35 @@ def prediction_update(
     Each sigma point replaces its window's most recent estimate entry; each
     path's propagated set is recombined with the standard weighted sums and
     a small diagonal jitter keeps the predicted covariance positive definite.
+    Every product is a stack of per-path products, so a path's prediction
+    does not depend on the other rows of the batch.
     """
     if isinstance(belief, GaussianBelief):
-        return prediction_update([belief], [window], per_window(predict_fn), jitter, alpha, beta)[0]
-    if len(belief) != len(window):
+        means, covs = prediction_update(
+            (belief.mean[None], belief.cov[None]), [window], per_window(predict_fn),
+            jitter, alpha, beta,
+        )
+        return GaussianBelief(means[0], covs[0])
+    means, covs = belief
+    if means.shape[0] != len(window):
         raise ValueError("need one window per belief")
-    sigmas = []
+    p = means.shape[1]
+    if any(w.state_dim != p for w in window):
+        raise ValueError("window state dimension does not match the belief")
+    points, w_mean, w_cov = _sigma_stack(means, covs, alpha, beta)
     perturbed = []
-    for b, w in zip(belief, window):
-        if w.state_dim != b.dim:
-            raise ValueError("window state dimension does not match the belief")
-        sigma = sigma_points(b, alpha=alpha, beta=beta)
-        sigmas.append(sigma)
-        for point in sigma.points:
+    for w, path_points in zip(window, points):
+        for point in path_points:
             estimates = w.past_estimates.copy()
             estimates[-1] = point
-            perturbed.append(InputWindow(estimates, w.sensor_blocks, w.context))
-    outputs = np.asarray(predict_fn(perturbed), dtype=np.float64)
+            perturbed.append(InputWindow(estimates, w.sensor_blocks))
+    rows = np.asarray(predict_fn(perturbed), dtype=np.float64).reshape(points.shape)
 
-    predicted = []
-    at = 0
-    for b, sigma in zip(belief, sigmas):
-        p = b.dim
-        rows = outputs[at : at + 2 * p + 1]
-        at += 2 * p + 1
-        mean = sigma.mean_weights @ rows
-        centered = rows - mean
-        cov = (sigma.cov_weights[:, None] * centered).T @ centered
-        cov = 0.5 * (cov + cov.T) + jitter * np.eye(p)
-        predicted.append(GaussianBelief(mean, cov))
-    return predicted
+    mean = w_mean @ rows
+    centered = rows - mean[:, None]
+    cov = (w_cov[:, None] * centered).swapaxes(-1, -2) @ centered
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2)) + jitter * np.eye(p)
+    return mean, cov
 
 
 def kalman_update(
@@ -266,26 +275,13 @@ def measurement_update(
     return GaussianBelief(mean, cov)
 
 
-def joint_belief(beliefs: list[GaussianBelief]) -> GaussianBelief:
-    """Stack independent per-path beliefs into one block-diagonal belief."""
-    dims = [b.dim for b in beliefs]
-    total = sum(dims)
-    mean = np.concatenate([b.mean for b in beliefs])
-    cov = np.zeros((total, total))
-    at = 0
-    for b in beliefs:
-        cov[at : at + b.dim, at : at + b.dim] = b.cov
-        at += b.dim
-    return GaussianBelief(mean, cov)
+def joint_belief(means: np.ndarray, variances: np.ndarray) -> GaussianBelief:
+    """Joint belief of independent per-path arrival angles: the stacked
+    means and a diagonal covariance."""
+    return GaussianBelief(means, np.diag(variances))
 
 
-def split_joint(belief: GaussianBelief, num_paths: int) -> list[GaussianBelief]:
-    """Per-path marginals of a joint belief (cross-path terms are dropped)."""
-    p = belief.dim // num_paths
-    if p * num_paths != belief.dim:
-        raise ValueError("joint dimension is not a multiple of the path count")
-    out = []
-    for l in range(num_paths):
-        sl = slice(l * p, (l + 1) * p)
-        out.append(GaussianBelief(belief.mean[sl].copy(), belief.cov[sl, sl].copy()))
-    return out
+def split_joint(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path marginals of a joint belief as (means, variances); the
+    cross-path terms are dropped."""
+    return belief.mean.copy(), np.diagonal(belief.cov).copy()

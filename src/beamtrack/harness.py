@@ -24,7 +24,6 @@ import numpy as np
 from scipy.special import erfc
 
 from .arrays import ArrayGeometry, make_codebook
-from .filtering import GaussianBelief
 from .mobility import MobilityParams, generate_trajectory, synthesize_imu
 from .predictor import (
     NoiseTable,
@@ -239,7 +238,8 @@ def _cycle_ber(
 def _build_tracker(
     config: SimConfig,
     model: PredictorModel | None,
-    beliefs: list[GaussianBelief],
+    means: np.ndarray,
+    variances: np.ndarray,
     codebook,
     gains,
     aods,
@@ -257,18 +257,18 @@ def _build_tracker(
         if model is None:
             raise ValueError(f"variant {config.variant!r} needs a predictor model")
         return ProposedTracker(
-            beliefs, noise_var=noise_var, process_noise=process_noise, model=model,
+            means, variances, noise_var=noise_var, process_noise=process_noise, model=model,
             use_imu=(config.variant == "proposed_csi_imu"),
             num_tx=config.m_b, num_rx=config.m_m, **common,
         )
     if config.variant == "ekf":
         return EkfTracker(
-            beliefs, noise_var=noise_var, process_noise=process_noise,
+            means, variances, noise_var=noise_var, process_noise=process_noise,
             num_tx=config.m_b, num_rx=config.m_m, **common,
         )
     if config.variant == "lms":
         return LmsTracker(
-            [b.mean[0] for b in beliefs], step_size=config.lms_step,
+            means, step_size=config.lms_step,
             num_tx=config.m_b, num_rx=config.m_m, **common,
         )
     return GenieTracker()
@@ -328,10 +328,9 @@ def run_episode(
 
     init_var = max(config.init_error_std**2, 1e-6)
     init_means = truth[:, 0] + init_rng.normal(0.0, config.init_error_std, size=num_paths)
-    beliefs = [GaussianBelief([m], [[init_var]]) for m in init_means]
     tracker = _build_tracker(
-        config, model, beliefs, codebook, gains, aods, known_aod,
-        geom_rx, geom_tx, noise_var, process_noise,
+        config, model, init_means, np.full(num_paths, init_var), codebook, gains, aods,
+        known_aod, geom_rx, geom_tx, noise_var, process_noise,
     )
 
     a_t = _steering_table(geom_tx, aods)  # departures are fixed for the episode

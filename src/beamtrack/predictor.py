@@ -3,19 +3,19 @@ checkpoint round-tripping.
 
 Each path is predicted independently with shared weights. The input window
 covers the last `delta` tracking cycles; the per-cycle feature vector is the
-previous state estimate followed by that cycle's inertial samples and an
-optional context vector. Inputs are standardized per channel. The network
-regresses the standardized one-cycle angle increment, so de-standardizing a
-prediction adds the window's most recent estimate back in; this keeps the
-regression target well scaled without changing the external contract
-(window in, absolute next-cycle angle out).
+previous state estimate followed by that cycle's inertial samples. Inputs
+are standardized per channel. The network regresses the standardized
+one-cycle angle increment, so de-standardizing a prediction adds the
+window's most recent estimate back in; this keeps the regression target well
+scaled without changing the external contract (window in, absolute
+next-cycle angle out).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,20 +70,16 @@ class InputWindow:
 
     past_estimates: np.ndarray  # (delta, state_dim)
     sensor_blocks: np.ndarray  # (delta, samples_per_cycle * channels)
-    context: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         self.past_estimates = np.asarray(self.past_estimates, dtype=np.float64)
         self.sensor_blocks = np.asarray(self.sensor_blocks, dtype=np.float64)
-        self.context = np.asarray(self.context, dtype=np.float64)
         if self.past_estimates.ndim != 2 or self.sensor_blocks.ndim != 2:
             raise ValueError("past_estimates and sensor_blocks must be 2-D")
         if self.past_estimates.shape[0] != self.sensor_blocks.shape[0]:
             raise ValueError("estimate and sensor histories must cover the same cycles")
         if self.past_estimates.shape[0] < 1:
             raise ValueError("window must cover at least one cycle")
-        if self.context.ndim != 1:
-            raise ValueError("context must be 1-D")
 
     @property
     def delta(self) -> int:
@@ -120,7 +116,6 @@ class PredictorModel:
     delta: int
     k_samples: int
     j_channels: int
-    context_dim: int
     norm: NormStats | None = None
     # Training-set residual variance per output channel, natural units.
     # Downstream filters add it to the predicted covariance so the belief
@@ -138,7 +133,7 @@ class PredictorModel:
 
     @property
     def input_dim(self) -> int:
-        return self.state_dim + self.k_samples * self.j_channels + self.context_dim
+        return self.state_dim + self.k_samples * self.j_channels
 
     @property
     def layers(self) -> list:
@@ -150,7 +145,6 @@ def build_model(
     delta: int = 3,
     k_samples: int = 4,
     j_channels: int = 2,
-    context_dim: int = 0,
     input_hidden: int = 16,
     lstm_hidden: int = 32,
     output_hidden: int = 32,
@@ -159,7 +153,7 @@ def build_model(
     """Fresh model with fan-in uniform initialization (forget bias at +1)."""
     if lstm_layers < 1:
         raise ValueError("lstm_layers must be >= 1")
-    input_dim = 1 + k_samples * j_channels + context_dim
+    input_dim = 1 + k_samples * j_channels
     input_fc = neural.init_fc(rng, input_hidden, input_dim, activation="tanh")
     lstms = []
     in_size = input_hidden
@@ -177,7 +171,6 @@ def build_model(
         delta=delta,
         k_samples=k_samples,
         j_channels=j_channels,
-        context_dim=context_dim,
     )
 
 
@@ -200,21 +193,18 @@ def model_fingerprint(model: PredictorModel) -> str:
     return sha.hexdigest()
 
 
-def _feature_matrix(past: np.ndarray, sensors: np.ndarray, context: np.ndarray) -> np.ndarray:
-    """[estimate, sensors, context] per cycle; any leading axes index windows."""
-    ctx = np.broadcast_to(context[..., None, :], sensors.shape[:-1] + context.shape[-1:])
-    return np.concatenate([past, sensors, ctx], axis=-1)
+def _feature_matrix(past: np.ndarray, sensors: np.ndarray) -> np.ndarray:
+    """[estimate, sensors] per cycle; any leading axes index windows."""
+    return np.concatenate([past, sensors], axis=-1)
 
 
 def window_matrix(window: InputWindow) -> np.ndarray:
-    """Raw (delta, D) feature matrix: [estimate, sensors, context] per cycle."""
-    return _feature_matrix(window.past_estimates, window.sensor_blocks, window.context)
+    """Raw (delta, D) feature matrix: [estimate, sensors] per cycle."""
+    return _feature_matrix(window.past_estimates, window.sensor_blocks)
 
 
-def _check_windows(
-    model: PredictorModel, past: np.ndarray, sensors: np.ndarray, context: np.ndarray
-) -> None:
-    """Validate stacked windows: past (B, delta, P), sensors (B, delta, KJ), context (B, C)."""
+def _check_windows(model: PredictorModel, past: np.ndarray, sensors: np.ndarray) -> None:
+    """Validate stacked windows: past (B, delta, P), sensors (B, delta, KJ)."""
     if past.shape[1] != model.delta:
         raise ValueError(f"window covers {past.shape[1]} cycles, model expects {model.delta}")
     if past.shape[2] != model.state_dim:
@@ -225,8 +215,6 @@ def _check_windows(
     expected = model.k_samples * model.j_channels
     if sensors.shape[2] != expected:
         raise ValueError(f"sensor blocks must have {expected} entries per cycle")
-    if context.shape[1] != model.context_dim:
-        raise ValueError(f"context must have {model.context_dim} entries")
 
 
 def _forward_raw_batch(model: PredictorModel, raw: np.ndarray, last_est: np.ndarray) -> np.ndarray:
@@ -254,9 +242,8 @@ def predict(model: PredictorModel, windows) -> np.ndarray:
         raise ValueError("predict needs at least one window")
     past = np.stack([w.past_estimates for w in batch])  # ValueError unless shapes agree
     sensors = np.stack([w.sensor_blocks for w in batch])
-    context = np.stack([w.context for w in batch])
-    _check_windows(model, past, sensors, context)
-    out = _forward_raw_batch(model, _feature_matrix(past, sensors, context), past[:, -1])
+    _check_windows(model, past, sensors)
+    out = _forward_raw_batch(model, _feature_matrix(past, sensors), past[:, -1])
     return out[0] if single else out
 
 
@@ -542,7 +529,7 @@ def save_checkpoint(model: PredictorModel, path) -> None:
         f"delta {model.delta}",
         f"k_samples {model.k_samples}",
         f"j_channels {model.j_channels}",
-        f"context_dim {model.context_dim}",
+        "context_dim 0",
         f"lstm_layers {len(model.lstms)}",
         f"output_fcs {len(model.output_fcs)}",
         f"input_activation {model.input_fc.activation}",
@@ -631,6 +618,8 @@ def load_checkpoint(path) -> PredictorModel:
         raise CheckpointError(f"checkpoint header is missing field {exc}") from exc
     if mode != "aoa_only":
         raise CheckpointError(f"unsupported mode {mode!r}: only 'aoa_only' models exist")
+    if context_dim != 0:
+        raise CheckpointError(f"unsupported context_dim {context_dim}: models take no context")
     if len(output_acts) != num_output_fcs:
         raise CheckpointError("output activation list does not match output_fcs")
 
@@ -659,7 +648,6 @@ def load_checkpoint(path) -> PredictorModel:
         delta=delta,
         k_samples=k_samples,
         j_channels=j_channels,
-        context_dim=context_dim,
         norm=norm,
         prediction_var=prediction_var,
     )

@@ -22,7 +22,7 @@ import numpy as np
 from . import filtering
 from .arrays import PathState, assemble_channel
 from .beamctl import nearest_beams, select_sounding
-from .filtering import GaussianBelief, joint_belief, prediction_update, split_joint
+from .filtering import joint_belief, prediction_update, split_joint
 from .measurement import PilotVector, SoundingConfig, receive, _jacobian_from_angles, _measurement_from_angles
 from .mobility import MobilityParams, generate_trajectory
 from .predictor import InputWindow, PredictorModel, predict
@@ -74,15 +74,21 @@ class CycleRecord:
 
 
 class _KalmanTracker:
-    """Shared plumbing for the trackers that run a Kalman measurement update."""
+    """Shared plumbing for the trackers that run a Kalman measurement update.
+
+    The tracked state is each path's marginal belief over its arrival angle,
+    held as two (L,) arrays, `means` and `variances`. The measurement update
+    is joint over the paths; its cross-path terms are dropped after it.
+    """
 
     # One shared function object on purpose: the proposed tracker and the EKF
     # baseline must not drift apart in their measurement handling.
     _measurement_update = staticmethod(filtering.measurement_update)
 
-    def __init__(self, beliefs, codebook, gains, aods, known_aod, geom_rx, geom_tx,
+    def __init__(self, means, variances, codebook, gains, aods, known_aod, geom_rx, geom_tx,
                  noise_var, process_noise, num_tx=2, num_rx=2):
-        self.beliefs = list(beliefs)
+        self.means = np.array(means, dtype=np.float64)
+        self.variances = np.array(variances, dtype=np.float64)
         self.codebook = codebook
         self.gains = np.asarray(gains, dtype=np.complex128)
         self.aods = np.asarray(aods, dtype=np.float64)
@@ -94,26 +100,23 @@ class _KalmanTracker:
         self.num_tx = num_tx
         self.num_rx = num_rx
         self._steps = 0
-        if len(self.beliefs) != self.gains.size:
-            raise ValueError("need one belief per path")
+        if self.means.shape != self.gains.shape or self.variances.shape != self.gains.shape:
+            raise ValueError("need one mean and one variance per path")
 
     @property
     def num_paths(self) -> int:
         return self.gains.size
 
-    def _identity_prediction(self, shift: np.ndarray) -> list[GaussianBelief]:
-        """Identity-dynamics prior: each path's mean moved by its `shift`, its
-        variance inflated by `process_noise`. No inflation is applied on the
-        very first step: the initial belief describes the state at that same
-        instant, before any motion has accrued."""
+    def _identity_prediction(self, shift) -> tuple[np.ndarray, np.ndarray]:
+        """Identity-dynamics prior (means, variances): each path's mean moved
+        by its `shift`, its variance inflated by `process_noise`. No inflation
+        is applied on the very first step: the initial belief describes the
+        state at that same instant, before any motion has accrued."""
         inflate = self.process_noise if self._steps > 0 else 0.0
-        return [
-            GaussianBelief(b.mean + shift[l], b.cov + inflate * np.eye(b.dim))
-            for l, b in enumerate(self.beliefs)
-        ]
+        return self.means + shift, self.variances + inflate
 
-    def _measure(self, predicted: list[GaussianBelief], channel: PilotChannel):
-        joint = joint_belief(predicted)
+    def _measure(self, means: np.ndarray, variances: np.ndarray, channel: PilotChannel):
+        joint = joint_belief(means, variances)
         selection = select_sounding(
             joint, self.codebook, self.gains, self.noise_var,
             self.geom_rx, self.geom_tx, known_aod=self.known_aod,
@@ -124,11 +127,11 @@ class _KalmanTracker:
         posterior = self._measurement_update(
             joint, pilot, sounding, self.gains, self.geom_rx, self.geom_tx, self.aods,
         )
-        self.beliefs = split_joint(posterior, self.num_paths)
+        self.means, self.variances = split_joint(posterior)
         return sounding
 
     def estimates(self) -> np.ndarray:
-        return np.array([b.mean[0] for b in self.beliefs])
+        return self.means.copy()
 
 
 class EkfTracker(_KalmanTracker):
@@ -139,8 +142,7 @@ class EkfTracker(_KalmanTracker):
     """
 
     def step(self, channel: PilotChannel, sensor_block=None) -> CycleRecord:
-        predicted = self._identity_prediction(np.zeros(self.num_paths))
-        sounding = self._measure(predicted, channel)
+        sounding = self._measure(*self._identity_prediction(0.0), channel)
         self._steps += 1
         return CycleRecord(self.estimates(), sounding)
 
@@ -159,14 +161,16 @@ class ProposedTracker(_KalmanTracker):
     is lifted to the batched form with `filtering.per_window`.
     """
 
-    def __init__(self, beliefs, codebook, gains, aods, known_aod, geom_rx, geom_tx,
+    def __init__(self, means, variances, codebook, gains, aods, known_aod, geom_rx, geom_tx,
                  noise_var, process_noise, model: PredictorModel | None = None,
                  predict_fn=None, delta=None, use_imu=True, block_width=None,
                  prediction_noise=None, jitter=filtering.DEFAULT_JITTER, **kw):
-        super().__init__(beliefs, codebook, gains, aods, known_aod, geom_rx, geom_tx,
+        super().__init__(means, variances, codebook, gains, aods, known_aod, geom_rx, geom_tx,
                          noise_var, process_noise, **kw)
         if model is None and predict_fn is None:
             raise ValueError("provide a predictor model or a predict_fn")
+        if delta is None and model is None:
+            raise ValueError("a predict_fn needs delta, the number of cycles its windows cover")
         self.predict_fn = (
             partial(predict, model) if predict_fn is None else filtering.per_window(predict_fn)
         )
@@ -176,15 +180,12 @@ class ProposedTracker(_KalmanTracker):
         self.block_width = int(block_width)
         self.use_imu = use_imu
         self.jitter = jitter
-        dim = self.beliefs[0].dim
         if prediction_noise is None:
             if model is not None and model.prediction_var is not None:
-                prediction_noise = np.asarray(model.prediction_var, dtype=np.float64)
+                prediction_noise = model.prediction_var
             else:
-                prediction_noise = np.zeros(dim)
-        self.prediction_noise = np.broadcast_to(
-            np.asarray(prediction_noise, dtype=np.float64), (dim,)
-        ).copy()
+                prediction_noise = 0.0
+        self.prediction_noise = float(np.asarray(prediction_noise, dtype=np.float64).item())
         self._estimates_hist: deque = deque(maxlen=self.delta)
         self._blocks_hist: deque = deque(maxlen=self.delta)
 
@@ -204,18 +205,18 @@ class ProposedTracker(_KalmanTracker):
                 InputWindow(past_estimates=est_hist[:, l : l + 1], sensor_blocks=blocks[:, l])
                 for l in range(self.num_paths)
             ]
-            priors = prediction_update(self.beliefs, windows, self.predict_fn, jitter=self.jitter)
-            predicted = [
-                GaussianBelief(prior.mean, prior.cov + np.diag(self.prediction_noise))
-                for prior in priors
-            ]
+            means, covs = prediction_update(
+                (self.means[:, None], self.variances[:, None, None]), windows, self.predict_fn,
+                jitter=self.jitter,
+            )
+            predicted = means[:, 0], covs[:, 0, 0] + self.prediction_noise
         else:
-            shift = np.zeros(self.num_paths)
+            shift = 0.0
             if self.use_imu and self._steps > 0 and self.block_width:
                 k = self.block_width // 2
                 shift = sensor_block[:, :k].mean(axis=1)  # per-cycle angle units
             predicted = self._identity_prediction(shift)
-        sounding = self._measure(predicted, channel)
+        sounding = self._measure(*predicted, channel)
         self._steps += 1
         self._estimates_hist.append(self.estimates())
         return CycleRecord(self.estimates(), sounding, used_predictor=warm)

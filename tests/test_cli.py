@@ -1,5 +1,6 @@
 """Command-line entry points, argument plumbing, and config files."""
 
+import argparse
 import csv
 import json
 import math
@@ -13,6 +14,7 @@ from beamtrack.cli import (
     _float_list,
     _inject_config,
     _load_config_file,
+    _sim_config,
     build_parser,
     main,
 )
@@ -72,6 +74,28 @@ def test_config_injection_explicit_flags_win(tmp_path):
     args = parser.parse_args(override)
     assert args.snr_db == 12.0  # typed flag beats the file
     assert args.num_cycles == 4  # untouched file entry still applies
+
+
+# The arguments each subcommand that takes the sim flags requires.
+_SIM_SUBCOMMANDS = {
+    "calibrate-noise": ["--out", "table.json"],
+    "evaluate": [],
+    "sweep": ["--axis", "snr_db", "--values", "9", "--out", "sweep.csv"],
+    "plot-data": ["--out-dir", "figs"],
+}
+
+
+def test_sim_flag_defaults_give_the_default_sim_config():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    with_sim_flags = {
+        name for name, p in sub.choices.items() if "--n-b" in p._option_string_actions
+    }
+    assert with_sim_flags == set(_SIM_SUBCOMMANDS)
+    default = harness.SimConfig()
+    for command, required in _SIM_SUBCOMMANDS.items():
+        args = parser.parse_args([command, *required])
+        assert _sim_config(args, variant=default.variant) == default, command
 
 
 def test_cli_requires_a_command():

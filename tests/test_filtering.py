@@ -76,6 +76,9 @@ def test_psd_sqrt_round_trip(rng):
         root = _psd_sqrt(mat)
         np.testing.assert_allclose(root @ root, mat, atol=1e-10)
         np.testing.assert_allclose(root, root.T, atol=1e-12)
+        roots = _psd_sqrt(np.stack([mat, 2.0 * mat]))
+        np.testing.assert_array_equal(roots[0], root)
+        np.testing.assert_allclose(roots[1] @ roots[1], 2.0 * mat, atol=1e-10)
 
 
 def test_psd_sqrt_rank_deficient_ok():
@@ -87,6 +90,8 @@ def test_psd_sqrt_rank_deficient_ok():
 def test_psd_sqrt_indefinite_raises():
     with pytest.raises(ValueError):
         _psd_sqrt(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="-1"):
+        _psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
 
 
 def test_sigma_weights_sum_to_one():
@@ -162,42 +167,50 @@ def test_prediction_update_only_moves_latest_entry():
     assert np.ptp(stacked[:, -1, 0]) > 0  # sigma spread applied to the newest entry
 
 
-@settings(max_examples=25, deadline=None)
+def _affine(a, b):
+    return lambda window: a @ window.past_estimates[-1] + b
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    num_paths=st.integers(1, 4),
+    case=st.sampled_from([(1, "affine"), (2, "affine"), (4, "affine"), (1, "lstm")]),
+    num_paths=st.integers(1, 5),
     delta=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
     log_var=st.floats(-12.0, -2.0),
 )
-def test_batched_prediction_equals_one_path_at_a_time(num_paths, delta, seed, log_var):
-    # One predictor call for all paths' sigma windows must give every path
+def test_batched_prediction_equals_one_path_at_a_time(case, num_paths, delta, seed, log_var):
+    # One stacked update for every path's sigma points must give each path
     # the belief its own single-path update gives, bit for bit.
+    dim, kind = case
     rng = np.random.default_rng(seed)
-    model = build_model(np.random.default_rng(seed), delta=delta)
-    dim = model.input_dim
-    # A unit target scale keeps the network's last bits in the prediction.
-    model.norm = NormStats(np.zeros(dim), np.full(dim, 0.5), np.zeros(1), np.ones(1))
-    beliefs = [
-        GaussianBelief([m], [[10.0**log_var * v]])
-        for m, v in zip(rng.uniform(-0.9, 0.9, num_paths), rng.uniform(0.5, 2.0, num_paths))
-    ]
+    means = rng.uniform(-0.9, 0.9, (num_paths, dim))
+    covs = np.stack([10.0**log_var * _random_psd(rng, dim) for _ in range(num_paths)])
     windows = [
-        InputWindow(rng.uniform(-0.9, 0.9, (delta, 1)), rng.normal(0.0, 0.05, (delta, 8)))
+        InputWindow(rng.uniform(-0.9, 0.9, (delta, dim)), rng.normal(0.0, 0.05, (delta, 8)))
         for _ in range(num_paths)
     ]
-    predict_fn = partial(predict, model)
-    batched = prediction_update(beliefs, windows, predict_fn)
-    assert len(batched) == num_paths
-    for got, belief, window in zip(batched, beliefs, windows):
-        single = prediction_update(belief, window, predict_fn)
-        assert np.array_equal(got.mean, single.mean)
-        assert np.array_equal(got.cov, single.cov)
+    if kind == "lstm":
+        model = build_model(np.random.default_rng(seed), delta=delta)
+        d = model.input_dim
+        # A unit target scale keeps the network's last bits in the prediction.
+        model.norm = NormStats(np.zeros(d), np.full(d, 0.5), np.zeros(1), np.ones(1))
+        one = batched = partial(predict, model)
+    else:
+        one = _affine(rng.normal(size=(dim, dim)), rng.normal(size=dim))
+        batched = lambda ws: np.array([one(w) for w in ws])  # noqa: E731
+    got_means, got_covs = prediction_update((means, covs), windows, batched)
+    assert got_means.shape == (num_paths, dim) and got_covs.shape == (num_paths, dim, dim)
+    for l in range(num_paths):
+        single = prediction_update(GaussianBelief(means[l], covs[l]), windows[l], one)
+        assert np.array_equal(got_means[l], single.mean)
+        assert np.array_equal(got_covs[l], single.cov)
 
 
 def test_prediction_update_needs_one_window_per_belief():
-    belief = GaussianBelief([0.1], [[0.01]])
+    stacked = (np.full((2, 1), 0.1), np.full((2, 1, 1), 0.01))
     with pytest.raises(ValueError, match="one window per belief"):
-        prediction_update([belief, belief], [_window(belief.mean)], lambda ws: None)
+        prediction_update(stacked, [_window(0.1)], lambda ws: None)
 
 
 def test_kalman_scalar_closed_form(rng):
@@ -271,12 +284,17 @@ def test_measurement_update_validation(geom32, rng):
 
 
 def test_joint_split_round_trip(rng):
-    parts = [GaussianBelief(rng.normal(size=1), _random_psd(rng, 1)) for _ in range(3)]
-    joint = joint_belief(parts)
+    means = rng.normal(size=3)
+    variances = rng.uniform(0.1, 2.0, size=3)
+    joint = joint_belief(means, variances)
     assert joint.dim == 3
-    back = split_joint(joint, 3)
-    for a, b in zip(parts, back):
-        np.testing.assert_array_equal(a.mean, b.mean)
-        np.testing.assert_array_equal(a.cov, b.cov)
-    with pytest.raises(ValueError):
-        split_joint(joint, 2)
+    np.testing.assert_array_equal(joint.cov, np.diag(variances))
+    back_means, back_variances = split_joint(joint)
+    np.testing.assert_array_equal(back_means, means)
+    np.testing.assert_array_equal(back_variances, variances)
+    # A measurement update couples the paths; the marginals drop those terms.
+    cov = _random_psd(rng, 3)
+    assert np.count_nonzero(cov - np.diag(np.diag(cov))) == 6
+    back_means, back_variances = split_joint(GaussianBelief(means, cov))
+    np.testing.assert_array_equal(back_means, means)
+    np.testing.assert_array_equal(back_variances, np.diag(cov))

@@ -46,12 +46,9 @@ def test_window_matrix_layout():
     window = InputWindow(
         past_estimates=[[0.1], [0.2], [0.3]],
         sensor_blocks=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
-        context=[9.0],
     )
     mat = window_matrix(window)
-    np.testing.assert_allclose(
-        mat, [[0.1, 1.0, 2.0, 9.0], [0.2, 3.0, 4.0, 9.0], [0.3, 5.0, 6.0, 9.0]]
-    )
+    np.testing.assert_allclose(mat, [[0.1, 1.0, 2.0], [0.2, 3.0, 4.0], [0.3, 5.0, 6.0]])
     assert window.delta == 3 and window.state_dim == 1
 
 
@@ -317,6 +314,17 @@ def test_checkpoint_rejects_other_modes(tmp_path):
     path = tmp_path / "full.ckpt"
     path.write_text(text.replace("\nmode aoa_only\n", "\nmode full\n", 1))
     with pytest.raises(CheckpointError, match="mode 'full'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_context_input(tmp_path):
+    # Format v1 keeps its context_dim header field, and models take no
+    # context input: any other value than 0 is a file this code cannot run.
+    text = REFERENCE_CHECKPOINT.read_text()
+    assert "\ncontext_dim 0\n" in text
+    path = tmp_path / "context.ckpt"
+    path.write_text(text.replace("\ncontext_dim 0\n", "\ncontext_dim 2\n", 1))
+    with pytest.raises(CheckpointError, match="context_dim"):
         load_checkpoint(path)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from beamtrack import filtering, neural
-from beamtrack.filtering import GaussianBelief
 from beamtrack.harness import SimConfig, run_episode
 from beamtrack.mobility import MobilityParams, generate_trajectory
 from beamtrack.predictor import NormStats, build_model
@@ -20,10 +19,6 @@ from beamtrack.trackers import (
 
 def _channel(aoas, aods, gains, snr_db, rng, geom):
     return PilotChannel(gains, aoas, aods, snr_db, rng, geom, geom)
-
-
-def _belief(mean, var):
-    return GaussianBelief([mean], [[var]])
 
 
 def test_trackers_share_one_measurement_update():
@@ -64,7 +59,7 @@ def test_ekf_converges_on_static_path(geom32, codebook64):
     # A small process noise keeps the filter relinearizing, so the static
     # truth is approached Newton-style over a few cycles.
     tracker = EkfTracker(
-        [_belief(0.29, 1e-4)], codebook64, gains, aods, known_aod=-0.4,
+        [0.29], [1e-4], codebook64, gains, aods, known_aod=-0.4,
         geom_rx=geom32, geom_tx=geom32, noise_var=1e-8, process_noise=1e-6,
     )
     for _ in range(5):
@@ -86,7 +81,7 @@ def test_ekf_first_cycle_skips_inflation(geom32, codebook64):
     aods = np.array([0.1])
     truth = 0.3
     tracker = EkfTracker(
-        [_belief(truth - 0.005, 1e-12)], codebook64, gains, aods, known_aod=0.1,
+        [truth - 0.005], [1e-12], codebook64, gains, aods, known_aod=0.1,
         geom_rx=geom32, geom_tx=geom32, noise_var=1e-6, process_noise=100.0,
     )
     rec0 = tracker.step(_channel([truth], aods, gains, 60.0, rng, geom32))
@@ -100,7 +95,7 @@ def test_proposed_warmup_schedule(geom32, codebook64):
     gains = np.array([1.0 + 0j])
     aods = np.array([-0.2])
     tracker = ProposedTracker(
-        [_belief(0.1, 1e-4)], codebook64, gains, aods, known_aod=-0.2,
+        [0.1], [1e-4], codebook64, gains, aods, known_aod=-0.2,
         geom_rx=geom32, geom_tx=geom32, noise_var=1e-3, process_noise=1e-6,
         predict_fn=lambda w: w.past_estimates[-1], delta=3, block_width=8,
     )
@@ -124,7 +119,7 @@ def test_proposed_warmup_dead_reckons_from_sensors(geom32, codebook64):
     for use_imu in (True, False):
         rng = np.random.default_rng(31)
         tracker = ProposedTracker(
-            [_belief(0.2, 1e-9)], codebook64, gains, aods, known_aod=0.0,
+            [0.2], [1e-9], codebook64, gains, aods, known_aod=0.0,
             geom_rx=geom32, geom_tx=geom32, noise_var=1e-2, process_noise=0.0,
             predict_fn=lambda w: w.past_estimates[-1], delta=10, block_width=8,
             use_imu=use_imu,
@@ -150,7 +145,7 @@ def test_proposed_csi_only_blanks_sensor_blocks(geom32, codebook64):
     gains = np.array([1.0 + 0j])
     aods = np.array([0.2])
     tracker = ProposedTracker(
-        [_belief(0.0, 1e-4)], codebook64, gains, aods, known_aod=0.2,
+        [0.0], [1e-4], codebook64, gains, aods, known_aod=0.2,
         geom_rx=geom32, geom_tx=geom32, noise_var=1e-3, process_noise=1e-6,
         predict_fn=spy, delta=1, block_width=8, use_imu=False,
     )
@@ -173,7 +168,7 @@ def test_proposed_passes_sensor_blocks_through(geom32, codebook64):
     gains = np.array([1.0 + 0j])
     aods = np.array([0.2])
     tracker = ProposedTracker(
-        [_belief(0.0, 1e-4)], codebook64, gains, aods, known_aod=0.2,
+        [0.0], [1e-4], codebook64, gains, aods, known_aod=0.2,
         geom_rx=geom32, geom_tx=geom32, noise_var=1e-3, process_noise=1e-6,
         predict_fn=spy, delta=1, block_width=8, use_imu=True,
     )
@@ -192,14 +187,14 @@ def test_proposed_prediction_noise_widens_prior(geom32, codebook64):
     covs = {}
     for pn in (0.0, 1e-2):
         tracker = ProposedTracker(
-            [_belief(0.3, 1e-6)], codebook64, gains, aods, known_aod=0.0,
+            [0.3], [1e-6], codebook64, gains, aods, known_aod=0.0,
             geom_rx=geom32, geom_tx=geom32, noise_var=1.0, process_noise=0.0,
             predict_fn=lambda w: w.past_estimates[-1], delta=1, block_width=8,
             prediction_noise=pn,
         )
         tracker.step(_channel([0.3], aods, gains, 0.0, rng, geom32))
         tracker.step(_channel([0.3], aods, gains, 0.0, rng, geom32))
-        covs[pn] = tracker.beliefs[0].cov[0, 0]
+        covs[pn] = tracker.variances[0]
     assert covs[1e-2] > 10 * covs[0.0]
 
 
@@ -214,7 +209,7 @@ def test_proposed_with_perfect_oracle_keeps_lock(geom32, codebook64):
         return np.array([current["value"]])
 
     tracker = ProposedTracker(
-        [_belief(truth[0], 1e-6)], codebook64, gains, aods, known_aod=-0.1,
+        [truth[0]], [1e-6], codebook64, gains, aods, known_aod=-0.1,
         geom_rx=geom32, geom_tx=geom32, noise_var=10 ** (-1.5), process_noise=1e-5,
         predict_fn=oracle, delta=2, block_width=8,
     )
@@ -241,9 +236,20 @@ def test_proposed_episode_makes_one_predictor_call_per_warm_cycle(count_calls, n
 def test_proposed_requires_a_predictor(geom32, codebook64):
     with pytest.raises(ValueError, match="predict"):
         ProposedTracker(
-            [_belief(0.0, 1e-4)], codebook64, np.ones(1, dtype=complex),
+            [0.0], [1e-4], codebook64, np.ones(1, dtype=complex),
             np.zeros(1), known_aod=0.0, geom_rx=geom32, geom_tx=geom32,
             noise_var=1e-3, process_noise=1e-6,
+        )
+
+
+def test_proposed_predict_fn_requires_delta(geom32, codebook64):
+    # A bare predict_fn carries no window length, so the tracker cannot
+    # borrow one from a model.
+    with pytest.raises(ValueError, match="delta"):
+        ProposedTracker(
+            [0.0], [1e-4], codebook64, np.ones(1, dtype=complex),
+            np.zeros(1), known_aod=0.0, geom_rx=geom32, geom_tx=geom32,
+            noise_var=1e-3, process_noise=1e-6, predict_fn=lambda w: w.past_estimates[-1],
         )
 
 
@@ -272,9 +278,10 @@ def test_genie_reads_truth_without_aliasing(geom32):
 
 
 def test_belief_count_must_match_paths(geom32, codebook64):
-    with pytest.raises(ValueError, match="one belief per path"):
-        EkfTracker(
-            [_belief(0.0, 1e-4)], codebook64, np.ones(2, dtype=complex),
-            np.zeros(2), known_aod=0.0, geom_rx=geom32, geom_tx=geom32,
-            noise_var=1e-3, process_noise=1e-6,
-        )
+    for means, variances in (([0.0], [1e-4, 1e-4]), ([0.0, 0.1], [1e-4])):
+        with pytest.raises(ValueError, match="one mean and one variance per path"):
+            EkfTracker(
+                means, variances, codebook64, np.ones(2, dtype=complex),
+                np.zeros(2), known_aod=0.0, geom_rx=geom32, geom_tx=geom32,
+                noise_var=1e-3, process_noise=1e-6,
+            )
