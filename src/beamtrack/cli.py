@@ -62,7 +62,6 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--codebook-size", type=int, default=d.codebook_size)
     p.add_argument("--t-csi", type=int, default=d.t_csi, help="slots per tracking cycle")
     p.add_argument("--dt", type=float, default=d.dt, help="slot duration in seconds")
-    p.add_argument("--delta", type=int, default=d.delta, help="predictor window length")
     p.add_argument("--k-samples", type=int, default=d.k_samples)
     p.add_argument("--drive-var", type=float, default=d.drive_var,
                    help="velocity drive variance (default: mobility model value)")

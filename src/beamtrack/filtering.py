@@ -92,8 +92,6 @@ class SigmaSet:
     points: np.ndarray  # (2P+1, P)
     mean_weights: np.ndarray
     cov_weights: np.ndarray
-    alpha: float
-    beta: float
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -134,7 +132,7 @@ def sigma_points(
 ) -> SigmaSet:
     """Scaled sigma set for the belief; reconstruction recovers mean and cov."""
     points, w_mean, w_cov = _sigma_stack(belief.mean[None], belief.cov[None], alpha, beta)
-    return SigmaSet(points[0], w_mean, w_cov, alpha, beta)
+    return SigmaSet(points[0], w_mean, w_cov)
 
 
 def per_window(predict_fn):

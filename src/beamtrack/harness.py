@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.special import erfc
@@ -75,7 +75,6 @@ class SimConfig:
     codebook_size: int = 64
     t_csi: int = 160
     dt: float = 125e-6
-    delta: int = 3
     k_samples: int = 4
     a_avg: float = 0.2 * np.pi
     drive_var: float | None = None  # None: mobility model default
@@ -391,7 +390,6 @@ def run_sweep(
     master_seed: int = 0,
     models: dict[str, PredictorModel] | None = None,
     out_path=None,
-    episodes_hook=None,
     process_noises: dict | None = None,
 ) -> list[dict]:
     """Grid of episodes over one config axis, with per-trial and mean rows.
@@ -438,8 +436,6 @@ def run_sweep(
                     row["status"] = "ok"
                     ok_nmse.append(result.mean_nmse_db)
                     ok_ber.append(result.mean_ber)
-                    if episodes_hook is not None:
-                        episodes_hook(cfg, result)
                 except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
                     row["mean_nmse_db"] = ""
                     row["mean_ber"] = ""

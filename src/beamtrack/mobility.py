@@ -19,7 +19,7 @@ additive Gaussian noise scaled to the per-channel signal power of the episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,17 +64,15 @@ class MobilityParams:
 
 @dataclass
 class Trajectory:
-    """Per-slot angle and angular-velocity tracks for each path."""
+    """Per-slot angle track for each path; sensors differentiate it."""
 
     aoa: np.ndarray  # (num_paths, num_slots)
-    velocity: np.ndarray  # (num_paths, num_slots)
     dt: float
 
     def __post_init__(self):
         self.aoa = np.asarray(self.aoa, dtype=np.float64)
-        self.velocity = np.asarray(self.velocity, dtype=np.float64)
-        if self.aoa.shape != self.velocity.shape or self.aoa.ndim != 2:
-            raise ValueError("aoa and velocity must share a (paths, slots) shape")
+        if self.aoa.ndim != 2:
+            raise ValueError("aoa must have a (paths, slots) shape")
 
     @property
     def num_paths(self) -> int:
@@ -128,7 +126,6 @@ def generate_trajectory(
 
     drive_std = np.sqrt(params.drive_var)
     aoa = np.empty((num_paths, num_slots))
-    velocity = np.empty((num_paths, num_slots))
     pull = (1.0 - params.rho) * params.a_avg
     rho, dt = params.rho, params.dt
 
@@ -144,8 +141,7 @@ def generate_trajectory(
             for w in drive[n:m].tolist():
                 v = pull + rho * v + w
                 append(v)
-            vel = np.array(vs)
-            ang = vel * dt
+            ang = np.array(vs) * dt
             ang[0] += th
             np.cumsum(ang, out=ang)
             outside = np.abs(ang) > 1.0
@@ -155,12 +151,11 @@ def generate_trajectory(
             while th > 1.0 or th < -1.0:
                 th = 2.0 - th if th > 1.0 else -2.0 - th
                 v = -v
-            ang[end - 1], vel[end - 1] = th, v
+            ang[end - 1] = th
             aoa[l, n : n + end] = ang[:end]
-            velocity[l, n : n + end] = vel[:end]
             n += end
             size = _FIRST_CHUNK if bounced else min(2 * size, _MAX_CHUNK)
-    return Trajectory(aoa, velocity, params.dt)
+    return Trajectory(aoa, params.dt)
 
 
 def synthesize_imu(

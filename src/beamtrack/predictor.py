@@ -286,8 +286,7 @@ class DatasetConfig:
     independently, so one model generalizes across the evaluation sweeps.
     """
 
-    num_windows: int | None = 100_000
-    num_episodes: int | None = None  # overrides num_windows when set
+    num_windows: int = 100_000
     cycles_per_episode: int = 200
     num_paths: int = 3
     delta: int = 3
@@ -343,15 +342,7 @@ def generate_dataset(
     cycles = cfg.cycles_per_episode
     if cycles <= delta:
         raise ValueError("cycles_per_episode must exceed delta")
-    per_episode = cfg.num_paths * (cycles - delta)
-    if cfg.num_episodes is not None:
-        episodes = cfg.num_episodes
-        limit = episodes * per_episode
-    elif cfg.num_windows is not None:
-        episodes = -(-cfg.num_windows // per_episode)
-        limit = cfg.num_windows
-    else:
-        raise ValueError("set num_windows or num_episodes")
+    episodes = -(-cfg.num_windows // (cfg.num_paths * (cycles - delta)))
 
     j_channels = 2
     dim = 1 + k * j_channels
@@ -381,9 +372,9 @@ def generate_dataset(
         chunks_last.append(est[:, delta - 1 : cycles - 1].reshape(-1, 1))
         chunks_y.append(truth[:, delta:].reshape(-1, 1))
 
-    inputs = np.concatenate(chunks_x)[:limit]
-    last = np.concatenate(chunks_last)[:limit]
-    targets = np.concatenate(chunks_y)[:limit]
+    inputs = np.concatenate(chunks_x)[: cfg.num_windows]
+    last = np.concatenate(chunks_last)[: cfg.num_windows]
+    targets = np.concatenate(chunks_y)[: cfg.num_windows]
     meta = {
         "state_dim": 1,
         "delta": delta,
@@ -569,30 +560,45 @@ def _parse_checkpoint(path) -> tuple[dict, dict]:
             k += 1
             continue
         if line.startswith("tensor "):
-            parts = line.split()
-            name, ndim = parts[1], int(parts[2])
-            shape = tuple(int(s) for s in parts[3 : 3 + ndim])
-            rows = 1 if ndim == 1 else shape[0]
-            values = []
-            for _ in range(rows):
-                k += 1
-                if k >= len(lines):
-                    raise CheckpointError(f"tensor '{name}' is truncated")
-                values.append([float(v) for v in lines[k].split()])
+            name, *dims = line.split()[1:]
             try:
-                arr = np.array(values, dtype=np.float64).reshape(shape)
+                ndim, *shape = map(int, dims)  # ValueError without ndim too
+                if ndim not in (1, 2) or len(shape) != ndim or min(shape) < 0:
+                    raise ValueError
+            except ValueError:
+                raise CheckpointError(f"tensor '{name}' has a malformed header {line!r}") from None
+            rows = 1 if ndim == 1 else shape[0]
+            if k + rows >= len(lines):
+                raise CheckpointError(f"tensor '{name}' is truncated")
+            try:
+                values = [[float(v) for v in lines[k + r].split()] for r in range(1, rows + 1)]
+                tensors[name] = np.array(values, dtype=np.float64).reshape(shape)
             except ValueError as exc:
                 raise CheckpointError(f"tensor '{name}' is malformed: {exc}") from exc
-            expected = shape if ndim > 1 else (shape[0],)
-            if arr.shape != expected:
-                raise CheckpointError(f"tensor '{name}' has shape {arr.shape}, expected {expected}")
-            tensors[name] = arr
-            k += 1
+            k += rows + 1
         else:
             key, _, value = line.partition(" ")
             meta[key] = value
             k += 1
     return meta, tensors
+
+
+def _positive(value: int) -> bool:
+    return value >= 1
+
+
+def _header(meta: dict, key: str, parse=int, valid=_positive):
+    """meta[key] parsed; a CheckpointError naming the field when it is
+    missing, does not parse, or fails `valid` (None accepts any value)."""
+    if key not in meta:
+        raise CheckpointError(f"checkpoint header is missing field '{key}'")
+    try:
+        value = parse(meta[key])
+    except ValueError:
+        raise CheckpointError(f"header field '{key}' is malformed: {meta[key]!r}") from None
+    if valid is not None and not valid(value):
+        raise CheckpointError(f"header field '{key}' has unsupported value {meta[key]!r}")
+    return value
 
 
 def load_checkpoint(path) -> PredictorModel:
@@ -604,18 +610,16 @@ def load_checkpoint(path) -> PredictorModel:
             raise CheckpointError(f"checkpoint is missing tensor '{name}'")
         return tensors[name]
 
-    try:
-        mode = meta["mode"]
-        delta = int(meta["delta"])
-        k_samples = int(meta["k_samples"])
-        j_channels = int(meta["j_channels"])
-        context_dim = int(meta["context_dim"])
-        lstm_layers = int(meta["lstm_layers"])
-        num_output_fcs = int(meta["output_fcs"])
-        input_act = meta["input_activation"]
-        output_acts = meta["output_activations"].split(",")
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint header is missing field {exc}") from exc
+    known = set(neural._ACTIVATIONS)
+    mode = _header(meta, "mode", str, None)
+    delta = _header(meta, "delta")
+    k_samples = _header(meta, "k_samples")
+    j_channels = _header(meta, "j_channels")
+    context_dim = _header(meta, "context_dim", valid=None)
+    lstm_layers = _header(meta, "lstm_layers")
+    num_output_fcs = _header(meta, "output_fcs")
+    input_act = _header(meta, "input_activation", str, known.__contains__)
+    output_acts = _header(meta, "output_activations", lambda s: s.split(","), known.issuperset)
     if mode != "aoa_only":
         raise CheckpointError(f"unsupported mode {mode!r}: only 'aoa_only' models exist")
     if context_dim != 0:

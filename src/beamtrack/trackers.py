@@ -164,7 +164,7 @@ class ProposedTracker(_KalmanTracker):
     def __init__(self, means, variances, codebook, gains, aods, known_aod, geom_rx, geom_tx,
                  noise_var, process_noise, model: PredictorModel | None = None,
                  predict_fn=None, delta=None, use_imu=True, block_width=None,
-                 prediction_noise=None, jitter=filtering.DEFAULT_JITTER, **kw):
+                 prediction_noise=None, **kw):
         super().__init__(means, variances, codebook, gains, aods, known_aod, geom_rx, geom_tx,
                          noise_var, process_noise, **kw)
         if model is None and predict_fn is None:
@@ -179,7 +179,6 @@ class ProposedTracker(_KalmanTracker):
             block_width = model.k_samples * model.j_channels if model is not None else 0
         self.block_width = int(block_width)
         self.use_imu = use_imu
-        self.jitter = jitter
         if prediction_noise is None:
             if model is not None and model.prediction_var is not None:
                 prediction_noise = model.prediction_var
@@ -206,8 +205,7 @@ class ProposedTracker(_KalmanTracker):
                 for l in range(self.num_paths)
             ]
             means, covs = prediction_update(
-                (self.means[:, None], self.variances[:, None, None]), windows, self.predict_fn,
-                jitter=self.jitter,
+                (self.means[:, None], self.variances[:, None, None]), windows, self.predict_fn
             )
             predicted = means[:, 0], covs[:, 0, 0] + self.prediction_noise
         else:

@@ -98,6 +98,35 @@ def test_sim_flag_defaults_give_the_default_sim_config():
         assert _sim_config(args, variant=default.variant) == default, command
 
 
+@pytest.mark.parametrize("command", sorted(_SIM_SUBCOMMANDS))
+def test_sim_subcommands_reject_delta(command, tmp_path, monkeypatch, capsys):
+    # The window length belongs to the model; only generate-data takes --delta.
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *_SIM_SUBCOMMANDS[command], "--num-cycles", "2", "--t-csi", "40"]
+    with pytest.raises(SystemExit) as flag:
+        main([*argv, "--delta", "9"])
+    assert flag.value.code == 2
+    assert "--delta" in capsys.readouterr().err
+    (tmp_path / "run.cfg").write_text("delta = 9\n")
+    with pytest.raises(SystemExit) as from_file:
+        main(["--config", "run.cfg", *argv])
+    assert from_file.value.code == 2
+
+
+def test_cli_generate_data_delta_sets_the_window_length(tmp_path, capsys):
+    table_path = tmp_path / "noise.json"
+    table_path.write_text(NoiseTable(snr_db=[0.0], estimate_std=[0.01]).to_json())
+    data_path = tmp_path / "train.npz"
+    rc = main([
+        "generate-data", "--noise-table", str(table_path), "--num-windows", "50",
+        "--cycles-per-episode", "20", "--delta", "4", "--seed", "1", "--out", str(data_path),
+    ])
+    assert rc == 0
+    data = predictor.Dataset.load(data_path)
+    assert data.inputs.shape == (50, 4, 9)
+    assert data.meta["delta"] == 4
+
+
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit):
         main([])

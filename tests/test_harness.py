@@ -216,16 +216,6 @@ def test_run_sweep_rejects_unknown_axis():
         run_sweep(_tiny_config(), "bandwidth", [1], ("genie",), trials=1)
 
 
-def test_run_sweep_episodes_hook_sees_every_success():
-    seen = []
-    run_sweep(
-        _tiny_config(num_cycles=2), "snr_db", [9.0], ("genie",), trials=3,
-        episodes_hook=lambda cfg, result: seen.append((cfg.seed, result.mean_nmse_db)),
-    )
-    assert len(seen) == 3
-    assert len({s for s, _ in seen}) == 3
-
-
 def test_calibrate_estimate_noise_grid():
     cfg = _tiny_config(num_cycles=12)
     table = calibrate_estimate_noise(

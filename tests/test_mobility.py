@@ -26,7 +26,6 @@ def per_slot_trajectory(params, num_paths, num_slots, rng, init_aoa=None, init_v
 
     drive = rng.normal(0.0, np.sqrt(params.drive_var), size=(num_paths, num_slots))
     aoa = np.empty((num_paths, num_slots))
-    velocity = np.empty((num_paths, num_slots))
     pull = (1.0 - params.rho) * params.a_avg
     rho, dt = params.rho, params.dt
     for l in range(num_paths):
@@ -40,15 +39,13 @@ def per_slot_trajectory(params, num_paths, num_slots, rng, init_aoa=None, init_v
                 th = 2.0 - th if th > 1.0 else -2.0 - th
                 v = -v
             aoa[l, n] = th
-            velocity[l, n] = v
-    return Trajectory(aoa, velocity, params.dt)
+    return Trajectory(aoa, params.dt)
 
 
 def _assert_matches_per_slot(params, num_paths, num_slots, seed, **init):
     fast = generate_trajectory(params, num_paths, num_slots, np.random.default_rng(seed), **init)
     slow = per_slot_trajectory(params, num_paths, num_slots, np.random.default_rng(seed), **init)
     assert np.array_equal(fast.aoa, slow.aoa)
-    assert np.array_equal(fast.velocity, slow.velocity)
 
 
 def _chunk_boundaries():
@@ -84,7 +81,6 @@ def test_recursion_replayed_by_hand():
     for n in range(50):
         v = pull + 0.8 * v + w[n]
         th += 1e-5 * v
-        assert traj.velocity[0, n] == v
         assert traj.aoa[0, n] == th
 
 
@@ -97,8 +93,6 @@ def test_reflection_hand_case():
     )
     expect = [0.8, 0.9, 0.6, 0.3, 0.0, -0.3, -0.6, -0.9, -0.8, -0.5]
     np.testing.assert_allclose(traj.aoa[0], expect, atol=1e-6)
-    signs = np.sign(traj.velocity[0])
-    np.testing.assert_array_equal(signs, [1, -1, -1, -1, -1, -1, -1, -1, 1, 1])
 
 
 def test_angles_stay_in_range_under_fast_drift():
@@ -110,12 +104,14 @@ def test_angles_stay_in_range_under_fast_drift():
 def test_velocity_stationary_statistics():
     # Var = drive_var / (1 - rho^2); pick a short memory so the estimate
     # converges, and a_avg = 0 so boundary reflections keep the law symmetric.
+    # The velocity is read back as the angle's increment per slot over dt; at
+    # this dt no reflection occurs.
     rho = 0.9
     params = MobilityParams(a_avg=0.0, rho=rho, drive_var=0.2 * (1 - rho**2), dt=1e-7)
     traj = generate_trajectory(
         params, 4, 60_000, np.random.default_rng(7), init_aoa=0.0, init_velocity=0.0
     )
-    v = traj.velocity[:, 2000:]
+    v = (np.diff(traj.aoa, axis=1) / params.dt)[:, 2000:]
     assert v.var() == pytest.approx(0.2, rel=0.05)
     assert abs(v.mean()) < 0.02
     lag1 = np.mean(v[:, 1:] * v[:, :-1]) / v.var()
@@ -128,7 +124,8 @@ def test_velocity_mean_tracks_a_avg():
     traj = generate_trajectory(
         params, 2, 30_000, np.random.default_rng(9), init_aoa=0.0, init_velocity=0.5
     )
-    assert traj.velocity.mean() == pytest.approx(0.5, rel=0.02)
+    v = np.diff(traj.aoa, axis=1) / params.dt
+    assert v.mean() == pytest.approx(0.5, rel=0.02)
 
 
 def test_trajectory_determinism():
@@ -136,7 +133,6 @@ def test_trajectory_determinism():
     a = generate_trajectory(params, 3, 5000, np.random.default_rng(123))
     b = generate_trajectory(params, 3, 5000, np.random.default_rng(123))
     np.testing.assert_array_equal(a.aoa, b.aoa)
-    np.testing.assert_array_equal(a.velocity, b.velocity)
 
 
 def test_generate_trajectory_validation():
@@ -152,7 +148,7 @@ def test_imu_hand_oracle_quadratic_track():
     # for n >= 1 (edge-copied at n = 0) and a(n) = 2c for n >= 2.
     c = 0.001
     n = np.arange(8, dtype=np.float64)
-    traj = Trajectory(aoa=(c * n**2)[None, :], velocity=np.zeros((1, 8)), dt=1.0)
+    traj = Trajectory(aoa=(c * n**2)[None, :], dt=1.0)
     block = synthesize_imu(traj, 2, 4, np.inf, np.random.default_rng(0))
     assert block.shape == (1, 2, 4)
     np.testing.assert_allclose(block[0, 0], [c, 5 * c, 0.0, 2 * c], atol=1e-15)
@@ -162,7 +158,7 @@ def test_imu_hand_oracle_quadratic_track():
 def test_imu_end_alignment_single_sample():
     # K = 1 keeps only the cycle's final slot.
     aoa = np.arange(12, dtype=np.float64)[None, :] ** 2
-    traj = Trajectory(aoa=aoa, velocity=np.zeros((1, 12)), dt=1.0)
+    traj = Trajectory(aoa=aoa, dt=1.0)
     block = synthesize_imu(traj, 1, 4, np.inf, np.random.default_rng(0))
     vel_full = np.empty(12)
     vel_full[1:] = np.diff(aoa[0])

@@ -328,6 +328,41 @@ def test_checkpoint_rejects_a_context_input(tmp_path):
         load_checkpoint(path)
 
 
+# Each case edits one line of the reference checkpoint: (old, new, the
+# field or tensor the CheckpointError must name).
+_MALFORMED = {
+    "tensor without shape": ("tensor input_fc.weights 2 16 9", "tensor input_fc.weights 0",
+                             "input_fc.weights"),
+    "tensor without ndim": ("tensor input_fc.weights 2 16 9", "tensor input_fc.weights",
+                            "input_fc.weights"),
+    "ndim not an integer": ("tensor input_fc.weights 2 16 9", "tensor input_fc.weights two 16 9",
+                            "input_fc.weights"),
+    "shape not an integer": ("tensor input_fc.bias 1 16", "tensor input_fc.bias 1 16.5",
+                             "input_fc.bias"),
+    "negative shape": ("tensor input_fc.weights 2 16 9", "tensor input_fc.weights 2 -16 9",
+                       "input_fc.weights"),
+    "value not a float": ("\n0.00383908869655331 ", "\nzero ", "input_fc.weights"),
+    "delta not an integer": ("\ndelta 3\n", "\ndelta three\n", "delta"),
+    "delta zero": ("\ndelta 3\n", "\ndelta 0\n", "delta"),
+    "unknown input activation": ("\ninput_activation tanh\n", "\ninput_activation swish\n",
+                                 "input_activation"),
+    "unknown output activation": ("\noutput_activations tanh,identity\n",
+                                  "\noutput_activations tanh,swish\n", "output_activations"),
+    "no lstm layer": ("\nlstm_layers 1\n", "\nlstm_layers 0\n", "lstm_layers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_checkpoint_raises_checkpoint_error_naming_the_field(tmp_path, case):
+    old, new, name = _MALFORMED[case]
+    text = REFERENCE_CHECKPOINT.read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "bad.ckpt"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(CheckpointError, match=name):
+        load_checkpoint(path)
+
+
 def _params(model):
     from beamtrack.neural import layer_param_dict
 
