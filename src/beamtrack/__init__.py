@@ -36,6 +36,7 @@ from .harness import (
     normalized_mse,
     qfunc,
     run_episode,
+    run_episodes,
     run_sweep,
 )
 from .measurement import (
@@ -77,7 +78,7 @@ __all__ = [
     "select_sounding", "GaussianBelief", "kalman_update", "measurement_update",
     "prediction_update", "sigma_points", "EpisodeResult", "SimConfig",
     "calibrate_estimate_noise", "normalized_mse", "qfunc", "run_episode",
-    "run_sweep", "PilotVector", "SoundingConfig", "measurement_jacobian",
+    "run_episodes", "run_sweep", "PilotVector", "SoundingConfig", "measurement_jacobian",
     "predicted_measurement", "predicted_measurement_closed_form", "receive",
     "sounding_matrices", "MobilityParams", "Trajectory", "generate_trajectory",
     "synthesize_imu", "Dataset", "DatasetConfig", "NoiseTable", "PredictorModel",

@@ -80,35 +80,50 @@ class Codebook:
         return self.angles[idx]
 
 
-def steering_vector(geom: ArrayGeometry, theta: float) -> np.ndarray:
+def steering_vector(geom: ArrayGeometry, theta) -> np.ndarray:
     """Unit-norm array response at sine-angle theta.
 
     Element k carries (1/sqrt(N)) * exp(j * 2*pi*(d/lambda) * k * theta),
-    k = 0..N-1, so the vector has Euclidean norm 1 for any theta.
+    k = 0..N-1, so the vector has Euclidean norm 1 for any theta. An array of
+    angles (..., M) gives its vectors as the columns of an (..., N, M) array.
     """
-    if not abs(theta) <= 1.0:
+    theta = np.asarray(theta, dtype=np.float64)
+    if not np.all(np.abs(theta) <= 1.0):
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
     n = geom.num_elements
-    phase = geom.spatial_freq * theta * np.arange(n)
+    k = np.arange(n)
+    if theta.ndim:
+        theta, k = theta[..., None, :], k[:, None]
+    phase = geom.spatial_freq * theta * k
     return np.exp(1j * phase) / np.sqrt(n)
 
 
-def assemble_channel(
-    paths: list[PathState],
-    geom_rx: ArrayGeometry,
-    geom_tx: ArrayGeometry,
-) -> np.ndarray:
+def _path_arrays(paths: list[PathState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    gains = np.array([p.gain for p in paths], dtype=np.complex128)
+    aoas = np.array([p.aoa for p in paths], dtype=np.float64)
+    aods = np.array([p.aod for p in paths], dtype=np.float64)
+    return gains, aoas, aods
+
+
+def assemble_channel(paths, geom_rx: ArrayGeometry, geom_tx: ArrayGeometry) -> np.ndarray:
     """Sum of per-path rank-one terms gain * a_rx(aoa) * a_tx(aod)^H.
 
-    Returns the (N_rx, N_tx) complex channel matrix.
+    `paths` is a list of PathState, or a (gains, aoas, aods) triple of
+    (..., L) arrays for a stack of channels. Returns the (..., N_rx, N_tx)
+    complex channel matrices.
     """
-    if not paths:
-        raise ValueError("need at least one path")
-    h = np.zeros((geom_rx.num_elements, geom_tx.num_elements), dtype=np.complex128)
-    for p in paths:
-        a_rx = steering_vector(geom_rx, p.aoa)
-        a_tx = steering_vector(geom_tx, p.aod)
-        h += p.gain * np.outer(a_rx, a_tx.conj())
+    if not isinstance(paths, tuple):
+        if not paths:
+            raise ValueError("need at least one path")
+        paths = _path_arrays(paths)
+    gains, aoas, aods = paths
+    gains = np.asarray(gains, dtype=np.complex128)
+    a_rx = steering_vector(geom_rx, aoas)  # (..., N_rx, L)
+    a_tx = steering_vector(geom_tx, aods).conj()
+    shape = gains.shape[:-1] + (geom_rx.num_elements, geom_tx.num_elements)
+    h = np.zeros(shape, dtype=np.complex128)
+    for l in range(gains.shape[-1]):
+        h += gains[..., l, None, None] * (a_rx[..., :, l, None] * a_tx[..., None, :, l])
     return h
 
 

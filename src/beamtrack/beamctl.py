@@ -42,11 +42,12 @@ _MIN_NOISE_VAR = 1e-12
 
 @dataclass
 class BeamSelection:
-    """Chosen codebook indices for one sounding round and their score."""
+    """Chosen codebook indices for one sounding round and their score; a
+    batch of rounds stacks them along leading axes."""
 
     tx_indices: np.ndarray
     rx_indices: np.ndarray
-    objective_value: float
+    objective_value: float | np.ndarray
 
     def to_sounding(self, codebook: Codebook) -> SoundingConfig:
         return SoundingConfig(
@@ -55,16 +56,18 @@ class BeamSelection:
         )
 
 
-def nearest_beams(angle: float, codebook: Codebook, m: int) -> np.ndarray:
+def nearest_beams(angle, codebook: Codebook, m: int) -> np.ndarray:
     """Indices of the m codebook entries closest to `angle`, ascending.
 
-    Distance ties resolve toward the smaller index.
+    Distance ties resolve toward the smaller index. An array of angles
+    (...) gives one index set per angle, (..., m).
     """
     n = len(codebook)
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
-    order = np.argsort(np.abs(codebook.angles - angle), kind="stable")
-    return np.sort(order[:m])
+    distance = np.abs(codebook.angles - np.asarray(angle, dtype=np.float64)[..., None])
+    order = np.argsort(distance, axis=-1, kind="stable")
+    return np.sort(order[..., :m], axis=-1)
 
 
 def crlb_objective(
@@ -145,48 +148,55 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rx_pair_scores(
-    belief: GaussianBelief,
+    means: np.ndarray,
+    variances: np.ndarray,
     tx_angles: np.ndarray,
     codebook: Codebook,
     gains: np.ndarray,
-    noise_var: float,
+    noise_var,
     geom_rx,
     geom_tx,
     aods: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective for every unordered receive-beam pair.
+    """Objective for every unordered receive-beam pair, (..., n_pairs).
 
     The information matrix separates per pair: with transmit factors
     t[l, i] and receive derivative factors d[l, j], Re(O^H O)[l, l'] is the
     elementwise product of sum_i conj(t) t and sum_{j in pair} conj(d) d,
-    so all pairs are scored with one batched Cholesky trace of J^-1.
+    so all pairs are scored with one batched Cholesky trace of J^-1. The
+    prior is diagonal, so its inverse is 1 / variances, and only the lower
+    triangle that the Cholesky trace reads is formed.
     """
-    num_paths = gains.size
     probe = SoundingConfig(tx_angles=tx_angles, rx_angles=codebook.angles)
     scale, gt, _, dgr = _measurement_factors(
-        gains, belief.mean, aods, probe, geom_rx, geom_tx, with_derivatives=True
+        gains, means, aods, probe, geom_rx, geom_tx, with_derivatives=True
     )
-    t = scale[:, None] * gt  # (L, M_b)
-    t_mat = t.conj() @ t.T  # (L, L): sum over tx beams
-    d_mat = np.einsum("lj,mj->jlm", dgr.conj(), dgr)  # (n_beams, L, L)
+    t = scale[..., None] * gt  # (..., L, M_b)
+    t_mat = t.conj() @ t.swapaxes(-1, -2)  # (..., L, L): sum over tx beams
+    d_mat = np.einsum("...lj,...mj->lm...j", dgr.conj(), dgr)  # (L, L, ..., n_beams)
 
     j1, j2 = _pair_indices(len(codebook))
-    pair_info = d_mat[j1] + d_mat[j2]  # (n_pairs, L, L)
-    noise = max(noise_var, _MIN_NOISE_VAR)
-    info = np.linalg.inv(belief.cov)[None] + (2.0 / noise) * (t_mat[None] * pair_info).real
-    traces = spd_inverse_trace(info)
-    return j1, j2, traces
+    weight = (2.0 / np.maximum(noise_var, _MIN_NOISE_VAR))[..., None]
+    num_paths = means.shape[-1]
+    # Entry-major, so that each entry the Cholesky trace reads is contiguous.
+    info = np.empty((num_paths, num_paths) + means.shape[:-1] + (j1.size,))
+    for i in range(num_paths):
+        for m in range(i + 1):
+            pair_info = np.take(d_mat[i, m], j1, -1) + np.take(d_mat[i, m], j2, -1)
+            info[i, m] = weight * (t_mat[..., i, m, None] * pair_info).real
+        info[i, i] += 1.0 / variances[..., i, None]
+    return j1, j2, spd_inverse_trace(np.moveaxis(info, (0, 1), (-2, -1)))
 
 
 def select_sounding(
     belief: GaussianBelief,
     codebook: Codebook,
     gains: np.ndarray,
-    noise_var: float,
+    noise_var,
     geom_rx,
     geom_tx,
     mode: str = "aoa_only",
-    known_aod: float | None = None,
+    known_aod=None,
     aods: np.ndarray | None = None,
     num_tx: int = 2,
     num_rx: int = 2,
@@ -198,24 +208,42 @@ def select_sounding(
     `num_rx`-subsets of the codebook (vectorized for pairs). `aods` defaults
     to `known_aod` for every path. `mode` accepts only "aoa_only", the one
     tracked state. Objective ties resolve toward the lexicographically
-    smallest index tuple.
+    smallest index tuple. The belief's covariance must be diagonal, as every
+    tracker's prior is.
+
+    A batch of episodes stacks the belief (..., L) and gives gains, aods,
+    noise_var and known_aod the same leading axes; the indices and scores
+    of the selection then carry them too.
     """
     if mode != "aoa_only":
         raise ValueError(f"unknown mode {mode!r}: only 'aoa_only' is tracked")
     if known_aod is None:
         raise ValueError("select_sounding needs known_aod for the transmit side")
+    variances = np.diagonal(belief.cov, axis1=-2, axis2=-1)
+    if np.count_nonzero(belief.cov) > np.count_nonzero(variances):
+        raise ValueError("select_sounding needs a diagonal prior covariance")
     gains = np.asarray(gains, dtype=np.complex128)
     if aods is None:
-        aods = np.full(gains.size, known_aod, dtype=np.float64)
+        aods = np.broadcast_to(np.asarray(known_aod, dtype=np.float64)[..., None], gains.shape)
     tx_idx = nearest_beams(known_aod, codebook, num_tx)
     tx_angles = codebook.angles[tx_idx]
     if num_rx == 2:
         j1, j2, scores = _rx_pair_scores(
-            belief, tx_angles, codebook, gains, noise_var, geom_rx, geom_tx, aods
+            belief.mean, variances, tx_angles, codebook, gains, noise_var, geom_rx, geom_tx, aods
         )
-        best = int(np.argmin(scores))
-        rx_idx = np.array([j1[best], j2[best]])
-        return BeamSelection(tx_idx, rx_idx, float(scores[best]))
+        best = np.argmin(scores, axis=-1)
+        return BeamSelection(tx_idx, np.stack([j1[best], j2[best]], axis=-1), scores.min(axis=-1))
+    if belief.mean.ndim > 1:  # the exhaustive search takes one episode at a time
+        picks = [
+            select_sounding(
+                GaussianBelief(belief.mean[k], belief.cov[k]), codebook, gains[k],
+                np.asarray(noise_var)[k], geom_rx, geom_tx, known_aod=np.asarray(known_aod)[k],
+                aods=aods[k], num_tx=num_tx, num_rx=num_rx,
+            )
+            for k in range(len(belief.mean))
+        ]
+        fields = zip(*((p.tx_indices, p.rx_indices, p.objective_value) for p in picks))
+        return BeamSelection(*map(np.stack, fields))
     best_idx, best_val = None, np.inf
     for combo in itertools.combinations(range(len(codebook)), num_rx):
         sounding = SoundingConfig(tx_angles=tx_angles, rx_angles=codebook.angles[list(combo)])

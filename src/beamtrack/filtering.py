@@ -57,8 +57,9 @@ _SYM_ATOL = 1e-10
 
 def _is_symmetric(cov: np.ndarray) -> bool:
     """np.allclose(cov, cov.T, rtol=_SYM_RTOL, atol=_SYM_ATOL) without its
-    wrapper: NaN fails, and an inf passes only against an equal inf."""
-    cov_t = cov.T
+    wrapper, over every matrix of a (..., d, d) stack: NaN fails, and an inf
+    passes only against an equal inf."""
+    cov_t = cov.swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):
         close = (np.abs(cov - cov_t) <= _SYM_ATOL + _SYM_RTOL * np.abs(cov_t)) & np.isfinite(cov_t)
     return bool(np.all(close | (cov == cov_t)))
@@ -66,7 +67,10 @@ def _is_symmetric(cov: np.ndarray) -> bool:
 
 @dataclass
 class GaussianBelief:
-    """Mean and covariance of a real-valued state."""
+    """Mean and covariance of a real-valued state.
+
+    A batch of beliefs stacks the means (..., d) and covariances (..., d, d).
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -74,15 +78,15 @@ class GaussianBelief:
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
         self.cov = np.atleast_2d(np.asarray(self.cov, dtype=np.float64))
-        d = self.mean.size
-        if self.cov.shape != (d, d):
-            raise ValueError(f"covariance must be ({d}, {d}), got {self.cov.shape}")
+        d = self.mean.shape[-1]
+        if self.cov.shape != self.mean.shape + (d,):
+            raise ValueError(f"covariance must be {self.mean.shape + (d,)}, got {self.cov.shape}")
         if d > 1 and not _is_symmetric(self.cov):
             raise ValueError("covariance must be symmetric")
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
 
 
 @dataclass
@@ -209,31 +213,40 @@ def kalman_update(
     mean + K (observed - predicted) and (I - K J) P, re-symmetrized. Returns
     (mean, cov, regularized); an ill-conditioned innovation covariance is
     ridge-regularized and flagged (with a warning).
+
+    Stacked updates carry leading batch axes on every argument (noise_var
+    one per update) and return one flag per update; each update uses only
+    its own slice of the stack.
     """
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(cov, dtype=np.float64)
     observed = np.asarray(observed, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     jac = np.asarray(jac, dtype=np.float64)
+    jac_t = jac.swapaxes(-1, -2)
 
-    m = observed.size
-    innovation_cov = jac @ cov @ jac.T + noise_var * np.eye(m)
-    regularized = False
+    m = observed.shape[-1]
+    noise = np.asarray(noise_var, dtype=np.float64)[..., None, None]
+    innovation_cov = jac @ cov @ jac_t + noise * np.eye(m)
     cond = np.linalg.cond(innovation_cov)
-    if not np.isfinite(cond) or cond > 1e12:
-        ridge = 1e-12 * max(1.0, float(np.trace(innovation_cov)) / m)
-        innovation_cov = innovation_cov + ridge * np.eye(m)
-        regularized = True
+    regularized = ~np.isfinite(cond) | (cond > 1e12)
+    if np.any(regularized):
+        ridge = 1e-12 * np.maximum(1.0, np.trace(innovation_cov, axis1=-2, axis2=-1) / m)
+        innovation_cov = np.where(
+            regularized[..., None, None], innovation_cov + ridge[..., None, None] * np.eye(m),
+            innovation_cov,
+        )
+        worst = np.argmax(np.where(regularized, cond, 0.0))
         warnings.warn(
-            f"innovation covariance is ill-conditioned (cond {cond:.3g}); "
-            f"applying ridge {ridge:.3g}",
+            f"innovation covariance is ill-conditioned (cond {np.ravel(cond)[worst]:.3g}); "
+            f"applying ridge {np.ravel(ridge)[worst]:.3g}",
             RuntimeWarning,
             stacklevel=2,
         )
-    gain = cov @ jac.T @ np.linalg.inv(innovation_cov)
-    new_mean = mean + gain @ (observed - predicted)
-    new_cov = (np.eye(mean.size) - gain @ jac) @ cov
-    new_cov = 0.5 * (new_cov + new_cov.T)
+    gain = cov @ jac_t @ np.linalg.inv(innovation_cov)
+    new_mean = mean + (gain @ (observed - predicted)[..., None])[..., 0]
+    new_cov = (np.eye(mean.shape[-1]) - gain @ jac) @ cov
+    new_cov = 0.5 * (new_cov + new_cov.swapaxes(-1, -2))
     return new_mean, new_cov, regularized
 
 
@@ -251,12 +264,13 @@ def measurement_update(
     The belief stacks one arrival angle per path and `aods` holds the known
     departure angles. The complex pilot vector and Jacobian are real-stacked
     (real parts then imaginary parts) with per-component noise variance
-    pilot.noise_var / 2.
+    pilot.noise_var / 2. A batch of episodes gives every argument the same
+    leading axes, and each episode is updated from its own round.
     """
     gains = np.asarray(gains, dtype=np.complex128)
-    if belief.dim != gains.size:
+    if belief.dim != gains.shape[-1]:
         raise ValueError("belief must stack one arrival angle per path")
-    if pilot.values.size != sounding.num_pilots:
+    if pilot.values.shape[-1] != sounding.num_pilots:
         raise ValueError("pilot length does not match the sounding configuration")
     aoas = belief.mean
     aods = np.asarray(aods, dtype=np.float64)
@@ -264,9 +278,9 @@ def measurement_update(
     predicted = _measurement_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
     jac = _jacobian_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
 
-    observed = np.concatenate([pilot.values.real, pilot.values.imag])
-    predicted_r = np.concatenate([predicted.real, predicted.imag])
-    jac_r = np.vstack([jac.real, jac.imag])
+    observed = np.concatenate([pilot.values.real, pilot.values.imag], axis=-1)
+    predicted_r = np.concatenate([predicted.real, predicted.imag], axis=-1)
+    jac_r = np.concatenate([jac.real, jac.imag], axis=-2)
     mean, cov, _ = kalman_update(
         belief.mean, belief.cov, observed, predicted_r, jac_r, pilot.noise_var / 2.0
     )
@@ -275,11 +289,15 @@ def measurement_update(
 
 def joint_belief(means: np.ndarray, variances: np.ndarray) -> GaussianBelief:
     """Joint belief of independent per-path arrival angles: the stacked
-    means and a diagonal covariance."""
-    return GaussianBelief(means, np.diag(variances))
+    means and a diagonal covariance, per episode of any leading axes."""
+    variances = np.asarray(variances, dtype=np.float64)
+    cov = np.zeros(variances.shape + variances.shape[-1:])
+    diagonal = np.arange(variances.shape[-1])
+    cov[..., diagonal, diagonal] = variances
+    return GaussianBelief(means, cov)
 
 
 def split_joint(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
     """Per-path marginals of a joint belief as (means, variances); the
     cross-path terms are dropped."""
-    return belief.mean.copy(), np.diagonal(belief.cov).copy()
+    return belief.mean.copy(), np.diagonal(belief.cov, axis1=-2, axis2=-1).copy()

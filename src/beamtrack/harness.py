@@ -49,6 +49,7 @@ __all__ = [
     "normalized_mse",
     "bit_error_rate_mc",
     "run_episode",
+    "run_episodes",
     "run_sweep",
     "calibrate_estimate_noise",
     "plot_data",
@@ -140,16 +141,28 @@ def qfunc(x) -> np.ndarray:
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
 
 
-def normalized_mse(h_true: np.ndarray, h_est: np.ndarray) -> float:
-    """10*log10(||H - Hhat||_F^2 / ||H||_F^2), floored at -100 dB."""
-    denom = float(np.linalg.norm(h_true) ** 2)
-    if denom == 0.0:
+def _squared_norm(h: np.ndarray) -> np.ndarray:
+    """||h||_F^2 over the last two axes, rounded as np.linalg.norm(h) ** 2
+    rounds it for one matrix: BLAS dots of the real and imaginary parts, a
+    square root, then libm's pow, which differs from x * x in the last bit
+    for some x."""
+    flat = h.reshape(h.shape[:-2] + (1, -1))
+    dots = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
+    norms = np.sqrt(dots[..., 0, 0])
+    return np.array([norm**2 for norm in norms.ravel().tolist()]).reshape(norms.shape)
+
+
+def normalized_mse(h_true: np.ndarray, h_est: np.ndarray):
+    """10*log10(||H - Hhat||_F^2 / ||H||_F^2), floored at -100 dB, per matrix
+    of (..., N_rx, N_tx) stacks."""
+    denom = _squared_norm(h_true)
+    if np.any(denom == 0.0):
         raise ValueError("true channel has zero norm")
-    ratio = float(np.linalg.norm(h_true - h_est) ** 2) / denom
+    ratio = _squared_norm(h_true - h_est) / denom
     floor = 10.0 ** (NMSE_FLOOR_DB / 10.0)
-    if ratio <= floor:
-        return NMSE_FLOOR_DB
-    return 10.0 * np.log10(ratio)
+    with np.errstate(divide="ignore"):
+        nmse_db = 10.0 * np.log10(ratio)
+    return np.where(ratio <= floor, NMSE_FLOOR_DB, nmse_db)[()]
 
 
 def bit_error_rate_mc(
@@ -170,32 +183,40 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, tag)))
 
 
+def _noise_var(snr_db: float) -> float:
+    return float(10.0 ** (-snr_db / 10.0))
+
+
 def _steering_table(geom: ArrayGeometry, thetas: np.ndarray) -> np.ndarray:
-    """Columns of steering vectors for raw (unvalidated) angles."""
+    """Columns of steering vectors for raw (unvalidated) angles (..., L):
+    (..., N, L)."""
     k = np.arange(geom.num_elements)[:, None]
-    return np.exp(1j * geom.spatial_freq * k * np.asarray(thetas)[None, :]) / np.sqrt(
+    return np.exp(1j * geom.spatial_freq * k * np.asarray(thetas)[..., None, :]) / np.sqrt(
         geom.num_elements
     )
 
 
 def _channel_from_angles(gains, aoas, geom_rx, a_t) -> np.ndarray:
-    """A_r(aoas) diag(gains) A_t^H for the episode's transmit steering table A_t."""
+    """A_r(aoas) diag(gains) A_t^H for the episode's transmit steering table
+    A_t; aoas (..., L) gives one channel per row, (..., N_rx, N_tx)."""
     a_r = _steering_table(geom_rx, aoas)
-    return (a_r * np.asarray(gains)) @ a_t.conj().T
+    return (a_r * np.asarray(gains)) @ a_t.conj().swapaxes(-1, -2)
 
 
 def _rx_gains(w: np.ndarray, geom_rx: ArrayGeometry, thetas: np.ndarray) -> np.ndarray:
-    """w^H a(theta) elementwise over thetas.
+    """w^H a(theta) elementwise over thetas (..., L, slots), one combiner
+    w (..., N) per leading index.
 
     With z = exp(j kappa theta), w^H a(theta) = sum_k conj(w_k) z^k / sqrt(N),
     evaluated by Horner's rule: one exponential per angle instead of N.
     """
     z = np.exp(1j * geom_rx.spatial_freq * np.asarray(thetas))
-    coeffs = w.conj()
-    acc = np.full(z.shape, coeffs[-1])
-    for coeff in coeffs[-2::-1]:
+    coeffs = w.conj()[..., None, None, :]
+    acc = np.empty(z.shape, dtype=np.complex128)
+    acc[...] = coeffs[..., -1]
+    for k in range(geom_rx.num_elements - 2, -1, -1):
         acc *= z
-        acc += coeff
+        acc += coeffs[..., k]
     return acc / np.sqrt(geom_rx.num_elements)
 
 
@@ -208,7 +229,7 @@ def _cycle_ber(
     noise_var: float,
     geom_rx: ArrayGeometry,
     ber_rng: np.random.Generator,
-) -> float:
+):
     """Mean BER over one cycle with the estimate's top singular pair.
 
     The estimate h_est = A_r diag(gains) A_t^H has rank at most L. With thin
@@ -216,22 +237,27 @@ def _cycle_ber(
     episode), h_est = Q_r (R_r diag(gains) R_t^H) Q_t^H, so its top singular
     pair comes from the SVD of the L x L core: w = Q_r u and f = Q_t v.
     The transmit gains A_t^H f reduce to R_t^H v.
+
+    Cycles of one episode stack along leading axes, est_aoas (..., L) and
+    aoa_slots (..., L, slots); Monte Carlo draws follow them in order.
     """
     q_r, r_r = np.linalg.qr(_steering_table(geom_rx, est_aoas))
-    u, _, vh = np.linalg.svd((r_r * gains) @ tx_r.conj().T)
-    w = q_r @ u[:, 0]
-    tx_gain = tx_r.conj().T @ vh[0].conj()  # (L,): a_t(aod_l)^H f
-    rx = _rx_gains(w, geom_rx, aoa_slots)  # (L, slots)
-    g = (gains * tx_gain) @ rx
+    tx_h = tx_r.conj().swapaxes(-1, -2)
+    u, _, vh = np.linalg.svd((r_r * gains) @ tx_h)
+    w = (q_r @ u[..., :, :1])[..., 0]
+    tx_gain = (tx_h @ vh[..., 0, :].conj()[..., None])[..., 0]  # (..., L): a_t(aod_l)^H f
+    rx = _rx_gains(w, geom_rx, aoa_slots)  # (..., L, slots)
+    g = ((gains * tx_gain)[..., None, :] @ rx)[..., 0, :]
     if noise_var == 0.0:
-        return 0.0
+        return np.zeros(g.shape[:-1])[()]
     if config.ber_mode == "analytic":
-        return float(np.mean(qfunc(np.sqrt(2.0 * np.abs(g) ** 2 / noise_var))))
+        return np.mean(qfunc(np.sqrt(2.0 * np.abs(g) ** 2 / noise_var)), axis=-1)[()]
     errs = [
-        bit_error_rate_mc(float(np.abs(gv)), noise_var, config.mc_bits_per_slot, ber_rng)
-        for gv in g
+        [bit_error_rate_mc(float(np.abs(gv)), noise_var, config.mc_bits_per_slot, ber_rng)
+         for gv in cycle]
+        for cycle in g.reshape(-1, g.shape[-1])
     ]
-    return float(np.mean(errs))
+    return np.mean(errs, axis=-1).reshape(g.shape[:-1])[()]
 
 
 def _build_tracker(
@@ -273,36 +299,26 @@ def _build_tracker(
     return GenieTracker()
 
 
-def run_episode(
-    config: SimConfig,
-    model: PredictorModel | None = None,
-    process_noise: float | None = None,
-) -> EpisodeResult:
-    """Simulate one tracking episode and score it per cycle.
+@dataclass
+class _Episode:
+    """One episode's draws: the path geometry, its truth and its streams."""
 
-    The episode draws path gains (unit modulus, random phase), a departure
-    cluster (per-path departure angles inside a narrow window around a common
-    center, which the trackers know), and a mobility trajectory. Tracker
-    beliefs start from the true angles perturbed by init_error_std.
-    """
-    proposed = config.variant.startswith("proposed")
-    if model is None and proposed:
-        if config.checkpoint is None:
-            raise ValueError("proposed variants need a model or a checkpoint path")
-        model = load_checkpoint(config.checkpoint)
-    digest = config.digest(model_fingerprint(model) if proposed else None)
+    gains: np.ndarray  # (L,) unit-modulus path gains
+    known_aod: float  # departure cluster centre, known to the trackers
+    aods: np.ndarray  # (L,)
+    aoa: np.ndarray  # (L, num_cycles * t_csi) true arrival angle per slot
+    blocks: np.ndarray  # (L, num_cycles, 2 * k_samples) scaled sensor blocks
+    init_means: np.ndarray  # (L,) trackers' initial estimates
+    pilot_rng: np.random.Generator
+    ber_rng: np.random.Generator
 
-    geom_rx = ArrayGeometry(config.n_m)
-    geom_tx = ArrayGeometry(config.n_b)
-    codebook = make_codebook(config.codebook_size)
-    params = config.mobility_params()
 
-    traj_rng = _stream(config.seed, _TRAJ)
-    pilot_rng = _stream(config.seed, _PILOT)
-    imu_rng = _stream(config.seed, _IMU)
+def _draw_episode(config: SimConfig, params: MobilityParams) -> _Episode:
+    """Path gains (unit modulus, random phase), a departure cluster (per-path
+    departure angles inside a narrow window around a common center, which
+    the trackers know), a mobility trajectory with its sensor blocks, and
+    initial estimates: the true angles perturbed by init_error_std."""
     init_rng = _stream(config.seed, _INIT)
-    ber_rng = _stream(config.seed, _BER)
-
     num_paths = config.num_paths
     gains = np.exp(1j * init_rng.uniform(0.0, 2.0 * np.pi, size=num_paths))
     known_aod = float(init_rng.uniform(-0.8, 0.8))
@@ -311,50 +327,133 @@ def run_episode(
     init_aoa = init_rng.uniform(-0.8, 0.8, size=num_paths)
     init_vel = init_rng.normal(config.a_avg, config.init_velocity_std, size=num_paths)
 
-    num_slots = config.num_cycles * config.t_csi
     traj = generate_trajectory(
-        params, num_paths, num_slots, traj_rng, init_aoa=init_aoa, init_velocity=init_vel
+        params, num_paths, config.num_cycles * config.t_csi, _stream(config.seed, _TRAJ),
+        init_aoa=init_aoa, init_velocity=init_vel,
     )
-    blocks = scale_sensor_block(
-        synthesize_imu(traj, config.k_samples, config.t_csi, config.imu_snr_db, imu_rng),
-        config.t_csi * config.dt,
+    imu = synthesize_imu(
+        traj, config.k_samples, config.t_csi, config.imu_snr_db, _stream(config.seed, _IMU)
     )
-    truth = traj.aoa[:, :: config.t_csi]  # (L, num_cycles)
+    init_means = traj.aoa[:, 0] + init_rng.normal(0.0, config.init_error_std, size=num_paths)
+    return _Episode(
+        gains, known_aod, aods, traj.aoa, scale_sensor_block(imu, config.t_csi * config.dt),
+        init_means, _stream(config.seed, _PILOT), _stream(config.seed, _BER),
+    )
 
-    noise_var = float(10.0 ** (-config.snr_db / 10.0))
+
+_PER_EPISODE_FIELDS = ("seed", "snr_db")  # all other fields are shared by a batch
+
+
+def _track(configs, model, process_noise):
+    """Track a batch of episodes in lockstep, one tracker call per cycle.
+
+    Returns the episodes' draws, the estimates and the true angles at the
+    cycle boundaries, both (B, L, num_cycles).
+    """
+    if not configs:
+        raise ValueError("need at least one episode")
+    base = configs[0]
+    for cfg in configs[1:]:
+        differ = [
+            f.name for f in fields(SimConfig)
+            if f.name not in _PER_EPISODE_FIELDS and getattr(cfg, f.name) != getattr(base, f.name)
+        ]
+        if differ:
+            raise ValueError(
+                f"episodes of one batch may differ only in {_PER_EPISODE_FIELDS}, not in {differ}"
+            )
+    geom_rx = ArrayGeometry(base.n_m)
+    geom_tx = ArrayGeometry(base.n_b)
+    params = base.mobility_params()
+    episodes = [_draw_episode(cfg, params) for cfg in configs]
     if process_noise is None:
-        process_noise = calibrate_process_noise(params, config.t_csi, num_paths=num_paths)
+        process_noise = calibrate_process_noise(params, base.t_csi, num_paths=base.num_paths)
 
-    init_var = max(config.init_error_std**2, 1e-6)
-    init_means = truth[:, 0] + init_rng.normal(0.0, config.init_error_std, size=num_paths)
+    gains = np.stack([ep.gains for ep in episodes])
+    aods = np.stack([ep.aods for ep in episodes])
+    truth = np.stack([ep.aoa[:, :: base.t_csi] for ep in episodes])  # (B, L, num_cycles)
+    blocks = np.stack([ep.blocks for ep in episodes])
+    init_var = max(base.init_error_std**2, 1e-6)
     tracker = _build_tracker(
-        config, model, init_means, np.full(num_paths, init_var), codebook, gains, aods,
-        known_aod, geom_rx, geom_tx, noise_var, process_noise,
+        base, model, np.stack([ep.init_means for ep in episodes]), np.full(gains.shape, init_var),
+        make_codebook(base.codebook_size), gains, aods, [ep.known_aod for ep in episodes],
+        geom_rx, geom_tx, [_noise_var(cfg.snr_db) for cfg in configs], process_noise,
     )
+    snr_db = np.array([cfg.snr_db for cfg in configs])
+    pilot_rngs = [ep.pilot_rng for ep in episodes]
+    no_block = np.zeros(gains.shape + blocks.shape[-1:])
+    estimates = np.empty(truth.shape)
+    for t in range(base.num_cycles):
+        channel = PilotChannel(gains, truth[..., t], aods, snr_db, pilot_rngs, geom_rx, geom_tx)
+        estimates[..., t] = tracker.step(channel, blocks[:, :, t - 1] if t else no_block).estimates
+    return episodes, estimates, truth
 
-    a_t = _steering_table(geom_tx, aods)  # departures are fixed for the episode
+
+# Cycles scored per step; bounds the stacks of channel matrices in memory.
+_SCORE_CYCLES = 32
+
+
+def _score(config: SimConfig, episode: _Episode, estimates, truth):
+    """Per-cycle NMSE and BER of one episode's (L, num_cycles) estimates."""
+    geom_rx = ArrayGeometry(config.n_m)
+    a_t = _steering_table(ArrayGeometry(config.n_b), episode.aods)  # departures are fixed
     tx_r = np.linalg.qr(a_t, mode="r")
-    block_width = 2 * config.k_samples
+    noise_var = _noise_var(config.snr_db)
+    slots = episode.aoa.reshape(config.num_paths, config.num_cycles, config.t_csi).swapaxes(0, 1)
     nmse = np.empty(config.num_cycles)
     ber = np.empty(config.num_cycles)
-    err = np.empty((num_paths, config.num_cycles))
-    for t in range(config.num_cycles):
-        channel = PilotChannel(
-            gains, truth[:, t], aods, config.snr_db, pilot_rng, geom_rx, geom_tx
+    for start in range(0, config.num_cycles, _SCORE_CYCLES):
+        cycles = slice(start, start + _SCORE_CYCLES)
+        est, true = estimates[:, cycles].T, truth[:, cycles].T  # (cycles, L)
+        nmse[cycles] = normalized_mse(
+            _channel_from_angles(episode.gains, true, geom_rx, a_t),
+            _channel_from_angles(episode.gains, est, geom_rx, a_t),
         )
-        block = blocks[:, t - 1] if t >= 1 else np.zeros((num_paths, block_width))
-        record = tracker.step(channel, block)
-
-        h_true = _channel_from_angles(gains, truth[:, t], geom_rx, a_t)
-        h_est = _channel_from_angles(gains, record.estimates, geom_rx, a_t)
-        nmse[t] = normalized_mse(h_true, h_est)
-        aoa_slots = traj.aoa[:, t * config.t_csi : (t + 1) * config.t_csi]
-        ber[t] = _cycle_ber(
-            config, gains, record.estimates, aoa_slots, tx_r, noise_var, geom_rx, ber_rng
+        ber[cycles] = _cycle_ber(
+            config, episode.gains, est, slots[cycles], tx_r, noise_var, geom_rx, episode.ber_rng
         )
-        err[:, t] = record.estimates - truth[:, t]
+    return nmse, ber
 
-    return EpisodeResult(nmse, ber, err, config.variant, config.seed, digest)
+
+def run_episodes(
+    configs,
+    model: PredictorModel | None = None,
+    process_noise: float | None = None,
+) -> list[EpisodeResult]:
+    """Simulate a batch of episodes in lockstep and score each per cycle.
+
+    The configs may differ only in `seed` and `snr_db`; any other difference
+    raises a ValueError. Trackers hold (B, L) state and every stage of a
+    tracking cycle is one call for the whole batch, built from per-episode
+    operations only, and each episode draws from its own random streams. So
+    every episode's result equals, bit for bit, the one it gives alone.
+    Scoring does not feed back into tracking: it runs once per episode after
+    the last cycle.
+    """
+    configs = list(configs)
+    proposed = bool(configs) and configs[0].variant.startswith("proposed")
+    if model is None and proposed:
+        if configs[0].checkpoint is None:
+            raise ValueError("proposed variants need a model or a checkpoint path")
+        model = load_checkpoint(configs[0].checkpoint)
+    fingerprint = model_fingerprint(model) if proposed else None
+    episodes, estimates, truth = _track(configs, model, process_noise)
+    results = []
+    for cfg, episode, est, true in zip(configs, episodes, estimates, truth):
+        nmse, ber = _score(cfg, episode, est, true)
+        digest = cfg.digest(fingerprint)
+        results.append(EpisodeResult(nmse, ber, est - true, cfg.variant, cfg.seed, digest))
+    return results
+
+
+def run_episode(
+    config: SimConfig,
+    model: PredictorModel | None = None,
+    process_noise: float | None = None,
+) -> EpisodeResult:
+    """Simulate one tracking episode and score it per cycle: the batch of one
+    of `run_episodes`."""
+    return run_episodes([config], model=model, process_noise=process_noise)[0]
 
 
 def episode_seed(master_seed: int, axis_name: str, value, trial: int) -> int:
@@ -381,6 +480,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _run_cell(configs, model, process_noise) -> list:
+    """Each config's EpisodeResult, or the exception its episode raised. The
+    episodes run as one batch; if the batch raises, they run again one at a
+    time, so that one bad episode fails alone."""
+    try:
+        return run_episodes(configs, model=model, process_noise=process_noise)
+    except Exception:  # noqa: BLE001 - sweep must survive bad cells
+        outcomes = []
+        for cfg in configs:
+            try:
+                outcomes.append(run_episode(cfg, model=model, process_noise=process_noise))
+            except Exception as exc:  # noqa: BLE001
+                outcomes.append(exc)
+        return outcomes
+
+
 def run_sweep(
     base_config: SimConfig,
     axis_name: str,
@@ -395,8 +510,9 @@ def run_sweep(
     """Grid of episodes over one config axis, with per-trial and mean rows.
 
     Returns the CSV rows as dicts and, when out_path is given, writes them.
-    A failed episode is recorded with status "error:<Type>: <message>" and
-    empty metrics; the sweep keeps going. Mean rows average the successful
+    The trials of each (point, variant) cell run as one batch. A failed
+    episode is recorded with status "error:<Type>: <message>" and empty
+    metrics; the sweep keeps going. Mean rows average the successful
     trials. Process noise is calibrated once per distinct mobility model,
     cycle length and path count among the sweep points; a caller running
     several sweeps passes one `process_noises` dict to all of them, keyed by
@@ -421,25 +537,25 @@ def run_sweep(
         process_noise = process_noises[key]
         for variant in variants:
             ok_nmse, ok_ber = [], []
-            for trial in range(trials):
-                seed = episode_seed(master_seed, axis_name, value, trial)
-                cfg = replace(cfg_point, variant=variant, seed=seed)
+            seeds = [episode_seed(master_seed, axis_name, value, trial) for trial in range(trials)]
+            configs = [replace(cfg_point, variant=variant, seed=seed) for seed in seeds]
+            outcomes = _run_cell(configs, models.get(variant), process_noise)
+            for trial, (cfg, result) in enumerate(zip(configs, outcomes)):
                 row = {
                     "axis_name": axis_name, "axis_value": _fmt(value),
-                    "variant": variant, "trial": str(trial), "seed": str(seed),
+                    "variant": variant, "trial": str(trial), "seed": str(cfg.seed),
                     "cycles": str(cfg.num_cycles),
                 }
-                try:
-                    result = run_episode(cfg, model=models.get(variant), process_noise=process_noise)
+                if isinstance(result, Exception):
+                    row["mean_nmse_db"] = ""
+                    row["mean_ber"] = ""
+                    row["status"] = f"error:{type(result).__name__}: {result}"
+                else:
                     row["mean_nmse_db"] = _fmt(result.mean_nmse_db)
                     row["mean_ber"] = _fmt(result.mean_ber)
                     row["status"] = "ok"
                     ok_nmse.append(result.mean_nmse_db)
                     ok_ber.append(result.mean_ber)
-                except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
-                    row["mean_nmse_db"] = ""
-                    row["mean_ber"] = ""
-                    row["status"] = f"error:{type(exc).__name__}: {exc}"
                 rows.append(row)
             rows.append({
                 "axis_name": axis_name, "axis_value": _fmt(value), "variant": variant,
@@ -467,22 +583,24 @@ def calibrate_estimate_noise(
 
     Runs the EKF tracker at each grid SNR and converts the pooled per-cycle
     angle errors to a standard deviation via the median absolute deviation,
-    so occasional loss-of-lock excursions do not dominate the table.
+    so occasional loss-of-lock excursions do not dominate the table. The
+    whole grid of episodes is tracked as one batch, and nothing is scored.
     """
     snr_grid_db = np.sort(np.asarray(snr_grid_db, dtype=np.float64))
     # The process noise depends on the mobility model only, not on the SNR.
     process_noise = calibrate_process_noise(
         base_config.mobility_params(), base_config.t_csi, num_paths=base_config.num_paths
     )
+    configs = [
+        replace(base_config, variant="ekf", snr_db=float(snr),
+                seed=episode_seed(master_seed, "calibration", float(snr), ep))
+        for snr in snr_grid_db for ep in range(episodes_per_point)
+    ]
+    _, estimates, truth = _track(configs, None, process_noise)
+    # One row per grid point: its episodes' errors, path by path, in order.
+    pooled = (estimates - truth)[..., skip_cycles:].reshape(snr_grid_db.size, -1)
     stds = []
-    for snr in snr_grid_db:
-        pooled = []
-        cfg_point = replace(base_config, variant="ekf", snr_db=float(snr))
-        for ep in range(episodes_per_point):
-            seed = episode_seed(master_seed, "calibration", float(snr), ep)
-            result = run_episode(replace(cfg_point, seed=seed), process_noise=process_noise)
-            pooled.append(result.aoa_error[:, skip_cycles:].ravel())
-        err = np.concatenate(pooled)
+    for err in pooled:
         mad = np.median(np.abs(err - np.median(err)))
         stds.append(max(1.4826 * float(mad), 1e-6))
     return NoiseTable(snr_grid_db, np.asarray(stds))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayGeometry, PathState, assemble_channel, steering_vector
+from .arrays import ArrayGeometry, PathState, _path_arrays, assemble_channel, steering_vector
 
 __all__ = [
     "SoundingConfig",
@@ -41,7 +41,11 @@ _SINGULAR_GUARD = 1e-4
 
 @dataclass(frozen=True)
 class SoundingConfig:
-    """Transmit and receive beam angles used for one pilot round."""
+    """Transmit and receive beam angles used for one pilot round.
+
+    The angle arrays may carry leading batch axes, (..., M_b) and (..., M_m),
+    for one round per episode of a batch.
+    """
 
     tx_angles: np.ndarray = field(repr=False)
     rx_angles: np.ndarray = field(repr=False)
@@ -50,8 +54,8 @@ class SoundingConfig:
         tx = np.atleast_1d(np.asarray(self.tx_angles, dtype=np.float64))
         rx = np.atleast_1d(np.asarray(self.rx_angles, dtype=np.float64))
         for name, arr in (("tx_angles", tx), ("rx_angles", rx)):
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError(f"{name} must be a non-empty 1-D array")
+            if arr.shape[-1] < 1:
+                raise ValueError(f"{name} must hold at least one beam angle")
             if np.any(np.abs(arr) > 1.0):
                 raise ValueError(f"{name} must lie in [-1, 1]")
         object.__setattr__(self, "tx_angles", tx)
@@ -59,11 +63,11 @@ class SoundingConfig:
 
     @property
     def m_b(self) -> int:
-        return self.tx_angles.size
+        return self.tx_angles.shape[-1]
 
     @property
     def m_m(self) -> int:
-        return self.rx_angles.size
+        return self.rx_angles.shape[-1]
 
     @property
     def num_pilots(self) -> int:
@@ -72,16 +76,20 @@ class SoundingConfig:
 
 @dataclass
 class PilotVector:
-    """Received pilot samples for one sounding round plus their noise variance."""
+    """Received pilot samples for one sounding round plus their noise variance.
+
+    A batch of rounds stacks the values (..., M) and gives one noise
+    variance per round.
+    """
 
     values: np.ndarray
-    noise_var: float
+    noise_var: float | np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 1:
-            raise ValueError("pilot values must be 1-D")
-        if self.noise_var < 0:
+        if self.values.ndim < 1:
+            raise ValueError("pilot values must be an array")
+        if np.any(np.asarray(self.noise_var) < 0):
             raise ValueError("noise_var must be nonnegative")
 
 
@@ -89,8 +97,8 @@ def sounding_matrices(
     sounding: SoundingConfig, geom_rx: ArrayGeometry, geom_tx: ArrayGeometry
 ) -> tuple[np.ndarray, np.ndarray]:
     """Combiner W (N_m x M_m) and precoder F (N_b x M_b), one steering vector per column."""
-    w = np.column_stack([steering_vector(geom_rx, mu) for mu in sounding.rx_angles])
-    f = np.column_stack([steering_vector(geom_tx, nu) for nu in sounding.tx_angles])
+    w = steering_vector(geom_rx, sounding.rx_angles)
+    f = steering_vector(geom_tx, sounding.tx_angles)
     return w, f
 
 
@@ -98,7 +106,8 @@ def _vec_received(
     channel: np.ndarray, sounding: SoundingConfig, geom_rx: ArrayGeometry, geom_tx: ArrayGeometry
 ) -> np.ndarray:
     w, f = sounding_matrices(sounding, geom_rx, geom_tx)
-    return np.asarray(w.conj().T @ channel @ f).ravel(order="F")
+    received = w.conj().swapaxes(-1, -2) @ channel @ f  # (..., M_m, M_b)
+    return received.swapaxes(-1, -2).reshape(received.shape[:-2] + (-1,))
 
 
 def predicted_measurement(
@@ -163,13 +172,6 @@ def _geometric_sum_deriv(n: int, kappa: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _path_arrays(paths: list[PathState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    gains = np.array([p.gain for p in paths], dtype=np.complex128)
-    aoas = np.array([p.aoa for p in paths], dtype=np.float64)
-    aods = np.array([p.aod for p in paths], dtype=np.float64)
-    return gains, aoas, aods
-
-
 def _measurement_factors(
     gains: np.ndarray,
     aoas: np.ndarray,
@@ -190,8 +192,8 @@ def _measurement_factors(
     """
     n_b, n_m = geom_tx.num_elements, geom_rx.num_elements
     kb, km = geom_tx.spatial_freq, geom_rx.spatial_freq
-    dx_t = aods[:, None] - sounding.tx_angles[None, :]  # (L, M_b)
-    dx_r = aoas[:, None] - sounding.rx_angles[None, :]  # (L, M_m)
+    dx_t = aods[..., :, None] - sounding.tx_angles[..., None, :]  # (..., L, M_b)
+    dx_r = aoas[..., :, None] - sounding.rx_angles[..., None, :]  # (..., L, M_m)
     gt = _geometric_sum(n_b, kb, dx_t).conj()
     gr = _geometric_sum(n_m, km, dx_r)
     scale = gains / (n_b * n_m)
@@ -211,11 +213,12 @@ def _measurement_from_angles(
     """Closed-form pilot map on raw angle arrays (no [-1, 1] validation).
 
     Used by the tracking filters, whose angle estimates may transiently leave
-    the physical range; the expression stays well defined there.
+    the physical range; the expression stays well defined there. Leading
+    batch axes of the angles and the sounding carry through to the result.
     """
     scale, gt, gr = _measurement_factors(gains, aoas, aods, sounding, geom_rx, geom_tx)
-    entries = np.einsum("l,li,lj->ij", scale, gt, gr)  # (M_b, M_m)
-    return entries.ravel()
+    entries = np.einsum("...l,...li,...lj->...ij", scale, gt, gr)  # (..., M_b, M_m)
+    return entries.reshape(entries.shape[:-2] + (-1,))
 
 
 def predicted_measurement_closed_form(
@@ -241,15 +244,15 @@ def _jacobian_from_angles(
     geom_rx: ArrayGeometry,
     geom_tx: ArrayGeometry,
 ) -> np.ndarray:
-    """Complex Jacobian of the pilot map in the arrival angles: (M_b*M_m, L),
+    """Complex Jacobian of the pilot map in the arrival angles: (..., M_b*M_m, L),
     column l holds dq/d(aoa_l). The trackers estimate arrival angles only."""
     scale, gt, _, dgr = _measurement_factors(
         gains, aoas, aods, sounding, geom_rx, geom_tx, with_derivatives=True
     )
-    jac = np.empty((sounding.num_pilots, gains.size), dtype=np.complex128)
-    for l in range(gains.size):
-        jac[:, l] = (scale[l] * np.outer(gt[l], dgr[l])).ravel()
-    return jac
+    # (..., L, M_b, M_m): path l's column before flattening
+    terms = scale[..., None, None] * (gt[..., :, :, None] * dgr[..., :, None, :])
+    columns = terms.reshape(terms.shape[:-2] + (-1,))
+    return np.ascontiguousarray(columns.swapaxes(-1, -2))
 
 
 def measurement_jacobian(
@@ -277,8 +280,8 @@ def measurement_jacobian(
 def receive(
     channel: np.ndarray,
     sounding: SoundingConfig,
-    snr_db: float,
-    rng: np.random.Generator,
+    snr_db,
+    rng,
     geom_rx: ArrayGeometry,
     geom_tx: ArrayGeometry,
 ) -> PilotVector:
@@ -288,9 +291,19 @@ def receive(
     per-pilot SNR convention is 1/sigma^2 and the complex noise variance is
     sigma^2 = 10^(-snr_db/10), split evenly between real and imaginary parts.
     Passing snr_db = inf disables the noise.
+
+    A batch of B channels (B, N_rx, N_tx) is sounded with B soundings, a (B,)
+    array of SNRs and a sequence of B generators, each episode drawing its
+    noise from its own generator.
     """
     clean = _vec_received(channel, sounding, geom_rx, geom_tx)
-    noise_var = float(10.0 ** (-snr_db / 10.0))
-    sigma = np.sqrt(noise_var / 2.0)
-    noise = rng.normal(scale=sigma, size=(clean.size, 2)) if sigma > 0 else np.zeros((clean.size, 2))
-    return PilotVector(clean + noise[:, 0] + 1j * noise[:, 1], noise_var)
+    batched = clean.ndim > 1
+    snrs, rngs = (snr_db, rng) if batched else ([snr_db], [rng])
+    noise_var = np.array([10.0 ** (-float(snr) / 10.0) for snr in snrs])
+    size = (clean.shape[-1], 2)
+    noise = np.stack([
+        gen.normal(scale=sigma, size=size) if sigma > 0 else np.zeros(size)
+        for gen, sigma in zip(rngs, np.sqrt(noise_var / 2.0))
+    ]).reshape(clean.shape + (2,))
+    values = clean + noise[..., 0] + 1j * noise[..., 1]
+    return PilotVector(values, noise_var if batched else float(noise_var[0]))

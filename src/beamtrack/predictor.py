@@ -627,22 +627,35 @@ def load_checkpoint(path) -> PredictorModel:
     if len(output_acts) != num_output_fcs:
         raise CheckpointError("output activation list does not match output_fcs")
 
-    def fused(k: int, prefix: str) -> np.ndarray:
-        return np.concatenate([take(f"lstm{k}.{prefix}{gate}") for gate in _V1_GATES])
+    def build(make, names, *args):
+        """make(*the named tensors, *args); a ValueError from it becomes a
+        CheckpointError naming the tensors."""
+        try:
+            return make(*(take(name) for name in names), *args)
+        except ValueError as exc:
+            listed = ", ".join(names)
+            raise CheckpointError(f"tensors {listed} do not fit together: {exc}") from None
 
-    input_fc = FcParams(take("input_fc.weights"), take("input_fc.bias"), input_act)
+    def fused_lstm(*blocks) -> LstmParams:  # W_x, W_h, then b blocks, each in _V1_GATES order
+        return LstmParams(*(np.concatenate(blocks[q : q + 4]) for q in (0, 4, 8)))
+
+    input_fc = build(FcParams, ["input_fc.weights", "input_fc.bias"], input_act)
+    if input_fc.input_size != k_samples * j_channels + 1:
+        raise CheckpointError(
+            f"header k_samples {k_samples} and j_channels {j_channels} give "
+            f"{k_samples * j_channels + 1} inputs, but tensor 'input_fc.weights' has "
+            f"{input_fc.input_size} columns"
+        )
     lstms = [
-        LstmParams(fused(k, "W_x"), fused(k, "W_h"), fused(k, "b_")) for k in range(lstm_layers)
+        build(fused_lstm, [f"lstm{k}.{part}{g}" for part in ("W_x", "W_h", "b_") for g in _V1_GATES])
+        for k in range(lstm_layers)
     ]
     output_fcs = [
-        FcParams(take(f"output_fc{k}.weights"), take(f"output_fc{k}.bias"), output_acts[k])
+        build(FcParams, [f"output_fc{k}.weights", f"output_fc{k}.bias"], output_acts[k])
         for k in range(num_output_fcs)
     ]
-    norm = NormStats(
-        take("norm.input_mean"),
-        take("norm.input_std"),
-        take("norm.target_mean"),
-        take("norm.target_std"),
+    norm = build(
+        NormStats, ["norm.input_mean", "norm.input_std", "norm.target_mean", "norm.target_std"]
     )
     prediction_var = tensors.get("prediction_var")
     return PredictorModel(

@@ -9,6 +9,11 @@ they differ only in how the predicted belief is formed.
 
 Trackers estimate the arrival angles only: departure angles and path gains
 are known and constant over an episode.
+
+A tracker steps one episode, with (L,) arrays per path, or a batch of B
+episodes in lockstep, with (B, L) arrays: each stage of a cycle is then one
+call for the whole batch, written with per-episode operations only, so an
+episode's numbers do not depend on the other episodes of its batch.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import filtering
-from .arrays import PathState, assemble_channel
+from .arrays import assemble_channel
 from .beamctl import nearest_beams, select_sounding
 from .filtering import joint_belief, prediction_update, split_joint
 from .measurement import PilotVector, SoundingConfig, receive, _jacobian_from_angles, _measurement_from_angles
@@ -42,25 +47,22 @@ class PilotChannel:
     """Pilot access to the true channel at one cycle boundary.
 
     Trackers see the truth only through noisy pilots; the genie reference is
-    the one consumer allowed to read the underlying angles directly.
+    the one consumer allowed to read the underlying angles directly. For a
+    batch of B episodes the path arrays are (B, L), `snr_db` holds one SNR
+    and `rng` one generator per episode.
     """
 
     def __init__(self, gains, aoas, aods, snr_db, rng, geom_rx, geom_tx):
         self.gains = np.asarray(gains, dtype=np.complex128)
         self.aoas = np.asarray(aoas, dtype=np.float64)
         self.aods = np.asarray(aods, dtype=np.float64)
-        self.snr_db = float(snr_db)
+        self.snr_db = snr_db
         self.rng = rng
         self.geom_rx = geom_rx
         self.geom_tx = geom_tx
 
-    def paths(self) -> list[PathState]:
-        return [
-            PathState(g, a, d) for g, a, d in zip(self.gains, self.aoas, self.aods)
-        ]
-
     def receive(self, sounding: SoundingConfig) -> PilotVector:
-        h = assemble_channel(self.paths(), self.geom_rx, self.geom_tx)
+        h = assemble_channel((self.gains, self.aoas, self.aods), self.geom_rx, self.geom_tx)
         return receive(h, sounding, self.snr_db, self.rng, self.geom_rx, self.geom_tx)
 
 
@@ -68,7 +70,7 @@ class PilotChannel:
 class CycleRecord:
     """Per-cycle tracker output."""
 
-    estimates: np.ndarray  # (L,) posterior arrival-angle estimates
+    estimates: np.ndarray  # (..., L) posterior arrival-angle estimates
     sounding: SoundingConfig | None
     used_predictor: bool = False
 
@@ -77,8 +79,9 @@ class _KalmanTracker:
     """Shared plumbing for the trackers that run a Kalman measurement update.
 
     The tracked state is each path's marginal belief over its arrival angle,
-    held as two (L,) arrays, `means` and `variances`. The measurement update
-    is joint over the paths; its cross-path terms are dropped after it.
+    held as two (..., L) arrays, `means` and `variances`. The measurement
+    update is joint over the paths; its cross-path terms are dropped after
+    it. For a batch, `known_aod` and `noise_var` hold one value per episode.
     """
 
     # One shared function object on purpose: the proposed tracker and the EKF
@@ -92,10 +95,10 @@ class _KalmanTracker:
         self.codebook = codebook
         self.gains = np.asarray(gains, dtype=np.complex128)
         self.aods = np.asarray(aods, dtype=np.float64)
-        self.known_aod = float(known_aod)
+        self.known_aod = np.asarray(known_aod, dtype=np.float64)
         self.geom_rx = geom_rx
         self.geom_tx = geom_tx
-        self.noise_var = float(noise_var)
+        self.noise_var = np.asarray(noise_var, dtype=np.float64)
         self.process_noise = float(process_noise)
         self.num_tx = num_tx
         self.num_rx = num_rx
@@ -105,7 +108,7 @@ class _KalmanTracker:
 
     @property
     def num_paths(self) -> int:
-        return self.gains.size
+        return self.gains.shape[-1]
 
     def _identity_prediction(self, shift) -> tuple[np.ndarray, np.ndarray]:
         """Identity-dynamics prior (means, variances): each path's mean moved
@@ -190,7 +193,7 @@ class ProposedTracker(_KalmanTracker):
 
     def step(self, channel: PilotChannel, sensor_block=None) -> CycleRecord:
         if sensor_block is None:
-            sensor_block = np.zeros((self.num_paths, self.block_width))
+            sensor_block = np.zeros(self.means.shape + (self.block_width,))
         sensor_block = np.asarray(sensor_block, dtype=np.float64)
         if not self.use_imu:
             sensor_block = np.zeros_like(sensor_block)
@@ -198,21 +201,26 @@ class ProposedTracker(_KalmanTracker):
 
         warm = len(self._estimates_hist) >= self.delta
         if warm:
-            est_hist = np.stack(list(self._estimates_hist))  # (delta, L)
-            blocks = np.stack(list(self._blocks_hist))  # (delta, L, KJ)
+            # One window per path of every episode, in (episode, path) order.
+            est_hist = np.stack(list(self._estimates_hist), axis=-1).reshape(-1, self.delta)
+            blocks = np.stack(list(self._blocks_hist), axis=-2).reshape(
+                -1, self.delta, sensor_block.shape[-1]
+            )
             windows = [
-                InputWindow(past_estimates=est_hist[:, l : l + 1], sensor_blocks=blocks[:, l])
-                for l in range(self.num_paths)
+                InputWindow(past_estimates=est[:, None], sensor_blocks=block)
+                for est, block in zip(est_hist, blocks)
             ]
             means, covs = prediction_update(
-                (self.means[:, None], self.variances[:, None, None]), windows, self.predict_fn
+                (self.means.reshape(-1, 1), self.variances.reshape(-1, 1, 1)),
+                windows, self.predict_fn,
             )
-            predicted = means[:, 0], covs[:, 0, 0] + self.prediction_noise
+            shape = self.means.shape
+            predicted = means.reshape(shape), covs.reshape(shape) + self.prediction_noise
         else:
             shift = 0.0
             if self.use_imu and self._steps > 0 and self.block_width:
                 k = self.block_width // 2
-                shift = sensor_block[:, :k].mean(axis=1)  # per-cycle angle units
+                shift = sensor_block[..., :k].mean(axis=-1)  # per-cycle angle units
             predicted = self._identity_prediction(shift)
         sounding = self._measure(*predicted, channel)
         self._steps += 1
@@ -225,12 +233,13 @@ class LmsTracker:
 
     Receive beams are the codebook entries nearest the strongest path's
     current estimate; the update is est_l += mu * Re(o_l^H residual) with o_l
-    the arrival-angle pilot Jacobian column.
+    the arrival-angle pilot Jacobian column. Arrays may carry a leading
+    batch axis, as in the Kalman trackers.
     """
 
     def __init__(self, estimates, codebook, gains, aods, known_aod, geom_rx, geom_tx,
                  step_size=0.01, num_tx=2, num_rx=2):
-        self.est = np.asarray(estimates, dtype=np.float64).copy()
+        self.est = np.array(estimates, dtype=np.float64)
         self.codebook = codebook
         self.gains = np.asarray(gains, dtype=np.complex128)
         self.aods = np.asarray(aods, dtype=np.float64)
@@ -238,11 +247,12 @@ class LmsTracker:
         self.geom_tx = geom_tx
         self.step_size = float(step_size)
         self.num_rx = num_rx
-        self._ref_path = int(np.argmax(np.abs(self.gains)))
-        self._tx_idx = nearest_beams(float(known_aod), codebook, num_tx)
+        self._ref_path = np.argmax(np.abs(self.gains), axis=-1)[..., None]
+        self._tx_idx = nearest_beams(known_aod, codebook, num_tx)
 
     def step(self, channel: PilotChannel, sensor_block=None) -> CycleRecord:
-        rx_idx = nearest_beams(float(self.est[self._ref_path]), self.codebook, self.num_rx)
+        ref = np.take_along_axis(self.est, self._ref_path, axis=-1)[..., 0]
+        rx_idx = nearest_beams(ref, self.codebook, self.num_rx)
         sounding = SoundingConfig(
             tx_angles=self.codebook.angles[self._tx_idx],
             rx_angles=self.codebook.angles[rx_idx],
@@ -255,7 +265,8 @@ class LmsTracker:
             self.gains, self.est, self.aods, sounding, self.geom_rx, self.geom_tx
         )
         residual = pilot.values - predicted
-        self.est += self.step_size * (jac.conj().T @ residual).real
+        slope = (jac.conj().swapaxes(-1, -2) @ residual[..., None])[..., 0]
+        self.est += self.step_size * slope.real
         return CycleRecord(self.est.copy(), sounding)
 
 

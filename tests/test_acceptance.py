@@ -35,6 +35,7 @@ from beamtrack.harness import (
     episode_seed,
     qfunc,
     run_episode,
+    run_episodes,
     run_sweep,
 )
 from beamtrack.measurement import (
@@ -83,15 +84,17 @@ def _paired_batch(tag, trials, variants, models, **cfg_kwargs):
     """Episode-mean NMSE per variant over a shared set of episode seeds.
 
     The seed depends on the tag and trial only, so calls that share a tag are
-    paired across both variants and configuration points.
+    paired across both variants and configuration points. Each variant's
+    trials run as one lockstep batch.
     """
-    out = {variant: np.empty(trials) for variant in variants}
-    for trial in range(trials):
-        seed = episode_seed(MASTER_SEED, tag, "paired", trial)
-        for variant in variants:
-            cfg = SimConfig(variant=variant, seed=seed, **cfg_kwargs)
-            result = run_episode(cfg, model=models.get(variant), process_noise=_process_noise(cfg))
-            out[variant][trial] = result.mean_nmse_db
+    seeds = [episode_seed(MASTER_SEED, tag, "paired", trial) for trial in range(trials)]
+    out = {}
+    for variant in variants:
+        configs = [SimConfig(variant=variant, seed=seed, **cfg_kwargs) for seed in seeds]
+        results = run_episodes(
+            configs, model=models.get(variant), process_noise=_process_noise(configs[0])
+        )
+        out[variant] = np.array([result.mean_nmse_db for result in results])
     return out
 
 

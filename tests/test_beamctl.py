@@ -156,6 +156,15 @@ def test_select_sounding_validation(geom32, codebook64):
     assert len(sel.rx_indices) == 2
 
 
+def test_select_sounding_rejects_a_correlated_prior(geom32, codebook64):
+    # Pair scoring takes the prior's inverse as 1 / variances, which holds
+    # for the diagonal priors every tracker builds and for nothing else.
+    belief = GaussianBelief([0.1, 0.3], [[1e-3, 2e-4], [2e-4, 1e-3]])
+    with pytest.raises(ValueError, match="diagonal"):
+        select_sounding(belief, codebook64, np.ones(2, dtype=complex), 0.1, geom32, geom32,
+                        known_aod=0.0)
+
+
 def _spd_batch(seed, size, batch, log_scale):
     """SPD matrices Q diag(lam) Q^T, condition number at most 1e4."""
     rng = np.random.default_rng(seed)

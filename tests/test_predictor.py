@@ -349,6 +349,12 @@ _MALFORMED = {
     "unknown output activation": ("\noutput_activations tanh,identity\n",
                                   "\noutput_activations tanh,swish\n", "output_activations"),
     "no lstm layer": ("\nlstm_layers 1\n", "\nlstm_layers 0\n", "lstm_layers"),
+    # Lines that parse but do not fit the rest of the file.
+    "zero input std": ("\n0.462401996051732 ", "\n0.0 ", "norm.input_std"),
+    "fewer sensor samples than weight columns": ("\nk_samples 4\n", "\nk_samples 3\n",
+                                                 "k_samples"),
+    "more sensor channels than weight columns": ("\nj_channels 2\n", "\nj_channels 3\n",
+                                                 "j_channels"),
 }
 
 
