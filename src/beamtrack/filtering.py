@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import (
+from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_from_angles here
     PilotVector,
     SoundingConfig,
     _jacobian_from_angles,
@@ -275,8 +275,9 @@ def measurement_update(
     aoas = belief.mean
     aods = np.asarray(aods, dtype=np.float64)
 
-    predicted = _measurement_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
-    jac = _jacobian_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
+    predicted, jac = _measurement_from_angles(
+        gains, aoas, aods, sounding, geom_rx, geom_tx, with_jacobian=True
+    )
 
     observed = np.concatenate([pilot.values.real, pilot.values.imag], axis=-1)
     predicted_r = np.concatenate([predicted.real, predicted.imag], axis=-1)

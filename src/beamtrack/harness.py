@@ -313,7 +313,7 @@ class _Episode:
     ber_rng: np.random.Generator
 
 
-def _draw_episode(config: SimConfig, params: MobilityParams) -> _Episode:
+def _draw_episode(config: SimConfig) -> _Episode:
     """Path gains (unit modulus, random phase), a departure cluster (per-path
     departure angles inside a narrow window around a common center, which
     the trackers know), a mobility trajectory with its sensor blocks, and
@@ -328,8 +328,8 @@ def _draw_episode(config: SimConfig, params: MobilityParams) -> _Episode:
     init_vel = init_rng.normal(config.a_avg, config.init_velocity_std, size=num_paths)
 
     traj = generate_trajectory(
-        params, num_paths, config.num_cycles * config.t_csi, _stream(config.seed, _TRAJ),
-        init_aoa=init_aoa, init_velocity=init_vel,
+        config.mobility_params(), num_paths, config.num_cycles * config.t_csi,
+        _stream(config.seed, _TRAJ), init_aoa=init_aoa, init_velocity=init_vel,
     )
     imu = synthesize_imu(
         traj, config.k_samples, config.t_csi, config.imu_snr_db, _stream(config.seed, _IMU)
@@ -341,43 +341,63 @@ def _draw_episode(config: SimConfig, params: MobilityParams) -> _Episode:
     )
 
 
-_PER_EPISODE_FIELDS = ("seed", "snr_db")  # all other fields are shared by a batch
+# The fields that fix a batch's array shapes or build its tracker. Every other
+# field feeds only an episode's own draws, truth, process noise or scoring,
+# and may differ between the episodes of one batch.
+_SHARED_FIELDS = frozenset({
+    "variant", "checkpoint", "n_b", "n_m", "num_paths", "m_b", "m_m", "codebook_size",
+    "k_samples", "num_cycles", "lms_step",
+})
+
+
+def _shared_key(config: SimConfig) -> tuple:
+    """(name, value) of each shared field, in SimConfig's field order."""
+    return tuple((f.name, getattr(config, f.name)) for f in fields(SimConfig)
+                 if f.name in _SHARED_FIELDS)
+
+
+def _process_noises(configs, cache: dict) -> list[float]:
+    """Each config's calibrated process noise. `cache` maps (mobility params,
+    t_csi, num_paths) to a calibration and is filled as needed, so each
+    distinct key is calibrated once, in the order the configs first name it."""
+    noises = []
+    for cfg in configs:
+        key = (cfg.mobility_params(), cfg.t_csi, cfg.num_paths)
+        if key not in cache:
+            params, t_csi, num_paths = key
+            cache[key] = calibrate_process_noise(params, t_csi, num_paths=num_paths)
+        noises.append(cache[key])
+    return noises
 
 
 def _track(configs, model, process_noise):
     """Track a batch of episodes in lockstep, one tracker call per cycle.
 
-    Returns the episodes' draws, the estimates and the true angles at the
-    cycle boundaries, both (B, L, num_cycles).
+    The configs agree in the shared fields (see `run_episodes`). Returns the
+    episodes' draws, the estimates and the true angles at the cycle
+    boundaries, both (B, L, num_cycles).
     """
-    if not configs:
-        raise ValueError("need at least one episode")
     base = configs[0]
-    for cfg in configs[1:]:
-        differ = [
-            f.name for f in fields(SimConfig)
-            if f.name not in _PER_EPISODE_FIELDS and getattr(cfg, f.name) != getattr(base, f.name)
-        ]
-        if differ:
-            raise ValueError(
-                f"episodes of one batch may differ only in {_PER_EPISODE_FIELDS}, not in {differ}"
-            )
+    if process_noise is None:
+        process_noise = _process_noises(configs, {})
+    process_noise = np.asarray(process_noise, dtype=np.float64)
+    if process_noise.shape not in ((), (len(configs),)):
+        raise ValueError("process_noise must be one value or one per episode")
     geom_rx = ArrayGeometry(base.n_m)
     geom_tx = ArrayGeometry(base.n_b)
-    params = base.mobility_params()
-    episodes = [_draw_episode(cfg, params) for cfg in configs]
-    if process_noise is None:
-        process_noise = calibrate_process_noise(params, base.t_csi, num_paths=base.num_paths)
+    episodes = [_draw_episode(cfg) for cfg in configs]
 
     gains = np.stack([ep.gains for ep in episodes])
     aods = np.stack([ep.aods for ep in episodes])
-    truth = np.stack([ep.aoa[:, :: base.t_csi] for ep in episodes])  # (B, L, num_cycles)
+    # (B, L, num_cycles): each episode's angles at its own cycle boundaries
+    truth = np.stack([ep.aoa[:, :: cfg.t_csi] for cfg, ep in zip(configs, episodes)])
     blocks = np.stack([ep.blocks for ep in episodes])
-    init_var = max(base.init_error_std**2, 1e-6)
+    init_var = np.array([[max(cfg.init_error_std**2, 1e-6)] for cfg in configs])
     tracker = _build_tracker(
-        base, model, np.stack([ep.init_means for ep in episodes]), np.full(gains.shape, init_var),
-        make_codebook(base.codebook_size), gains, aods, [ep.known_aod for ep in episodes],
-        geom_rx, geom_tx, [_noise_var(cfg.snr_db) for cfg in configs], process_noise,
+        base, model, np.stack([ep.init_means for ep in episodes]),
+        np.broadcast_to(init_var, gains.shape), make_codebook(base.codebook_size), gains, aods,
+        [ep.known_aod for ep in episodes], geom_rx, geom_tx,
+        [_noise_var(cfg.snr_db) for cfg in configs], process_noise,
     )
     snr_db = np.array([cfg.snr_db for cfg in configs])
     pilot_rngs = [ep.pilot_rng for ep in episodes]
@@ -418,24 +438,38 @@ def _score(config: SimConfig, episode: _Episode, estimates, truth):
 def run_episodes(
     configs,
     model: PredictorModel | None = None,
-    process_noise: float | None = None,
+    process_noise=None,
 ) -> list[EpisodeResult]:
     """Simulate a batch of episodes in lockstep and score each per cycle.
 
-    The configs may differ only in `seed` and `snr_db`; any other difference
-    raises a ValueError. Trackers hold (B, L) state and every stage of a
-    tracking cycle is one call for the whole batch, built from per-episode
-    operations only, and each episode draws from its own random streams. So
-    every episode's result equals, bit for bit, the one it gives alone.
-    Scoring does not feed back into tracking: it runs once per episode after
-    the last cycle.
+    The configs must agree in the shared fields, those that fix the batch's
+    array shapes or build its tracker: `variant`, `checkpoint`, `n_b`,
+    `n_m`, `num_paths`, `m_b`, `m_m`, `codebook_size`, `k_samples`,
+    `num_cycles` and `lms_step`. A difference in one of them raises a
+    ValueError that names it. Every other field, `seed`, `snr_db`, `t_csi`
+    and `a_avg` among them, may differ from episode to episode.
+    `process_noise` is one value for the batch or one per episode; None
+    calibrates it once per distinct mobility and cycle length in the batch.
+
+    Trackers hold (B, L) state and every stage of a tracking cycle is one
+    call for the whole batch, built from per-episode operations only, and
+    each episode draws from its own random streams. So every episode's
+    result equals, bit for bit, the one it gives alone. Scoring does not
+    feed back into tracking: it runs once per episode after the last cycle.
     """
     configs = list(configs)
-    proposed = bool(configs) and configs[0].variant.startswith("proposed")
+    if not configs:
+        raise ValueError("need at least one episode")
+    base = configs[0]
+    for cfg in configs[1:]:
+        differ = [name for (name, a), (_, b) in zip(_shared_key(cfg), _shared_key(base)) if a != b]
+        if differ:
+            raise ValueError(f"episodes of one batch must share {differ}")
+    proposed = base.variant.startswith("proposed")
     if model is None and proposed:
-        if configs[0].checkpoint is None:
+        if base.checkpoint is None:
             raise ValueError("proposed variants need a model or a checkpoint path")
-        model = load_checkpoint(configs[0].checkpoint)
+        model = load_checkpoint(base.checkpoint)
     fingerprint = model_fingerprint(model) if proposed else None
     episodes, estimates, truth = _track(configs, model, process_noise)
     results = []
@@ -480,20 +514,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_cell(configs, model, process_noise) -> list:
+def _run_cell(configs, model, process_noises) -> list:
     """Each config's EpisodeResult, or the exception its episode raised. The
-    episodes run as one batch; if the batch raises, they run again one at a
-    time, so that one bad episode fails alone."""
+    episodes run as one batch, each with its process noise; if the batch
+    raises, they run again one at a time, so that one bad episode fails
+    alone."""
     try:
-        return run_episodes(configs, model=model, process_noise=process_noise)
+        return run_episodes(configs, model=model, process_noise=process_noises)
     except Exception:  # noqa: BLE001 - sweep must survive bad cells
         outcomes = []
-        for cfg in configs:
+        for cfg, noise in zip(configs, process_noises):
             try:
-                outcomes.append(run_episode(cfg, model=model, process_noise=process_noise))
+                outcomes.append(run_episode(cfg, model=model, process_noise=noise))
             except Exception as exc:  # noqa: BLE001
                 outcomes.append(exc)
         return outcomes
+
+
+def _run_batches(configs, model, process_noises) -> list:
+    """`_run_cell` outcomes of the configs in their order, the configs that
+    agree in every shared field running as one batch."""
+    groups: dict[tuple, list[int]] = {}
+    for k, cfg in enumerate(configs):
+        groups.setdefault(_shared_key(cfg), []).append(k)
+    outcomes = [None] * len(configs)
+    for members in groups.values():
+        batch = _run_cell(
+            [configs[k] for k in members], model, [process_noises[k] for k in members]
+        )
+        for k, outcome in zip(members, batch):
+            outcomes[k] = outcome
+    return outcomes
 
 
 def run_sweep(
@@ -510,13 +561,15 @@ def run_sweep(
     """Grid of episodes over one config axis, with per-trial and mean rows.
 
     Returns the CSV rows as dicts and, when out_path is given, writes them.
-    The trials of each (point, variant) cell run as one batch. A failed
-    episode is recorded with status "error:<Type>: <message>" and empty
-    metrics; the sweep keeps going. Mean rows average the successful
-    trials. Process noise is calibrated once per distinct mobility model,
-    cycle length and path count among the sweep points; a caller running
-    several sweeps passes one `process_noises` dict to all of them, keyed by
-    (mobility params, t_csi, num_paths), to calibrate once across them.
+    For each variant, every point and trial of the sweep runs as one batch
+    of `run_episodes`; a sweep over a shared field runs one batch per point.
+    A failed episode is recorded with status "error:<Type>: <message>" and
+    empty metrics; the sweep keeps going. Mean rows average the successful
+    trials. Rows come in (value, variant, trial) order. Process noise is
+    calibrated once per distinct mobility model, cycle length and path count
+    among the sweep points; a caller running several sweeps passes one
+    `process_noises` dict to all of them, keyed by (mobility params, t_csi,
+    num_paths), to calibrate once across them.
     """
     if axis_name not in _FIELD_TYPES:
         raise ValueError(f"unknown config field {axis_name!r}")
@@ -525,26 +578,32 @@ def run_sweep(
         "axis_name", "axis_value", "variant", "trial", "seed",
         "mean_nmse_db", "mean_ber", "cycles", "status",
     ]
+    values = [_coerce_axis_value(axis_name, value) for value in axis_values]
+    points = [replace(base_config, **{axis_name: value}) for value in values]
+    point_noises = _process_noises(points, {} if process_noises is None else process_noises)
+    cells = [  # (point index, seed), in (value, trial) order
+        (p, episode_seed(master_seed, axis_name, value, trial))
+        for p, value in enumerate(values) for trial in range(trials)
+    ]
+    episode_noises = [point_noises[p] for p, _ in cells]
+    outcomes = {
+        variant: _run_batches(
+            [replace(points[p], variant=variant, seed=seed) for p, seed in cells],
+            models.get(variant), episode_noises,
+        )
+        for variant in variants
+    }
     rows: list[dict] = []
-    process_noises = {} if process_noises is None else process_noises
-    for value in axis_values:
-        value = _coerce_axis_value(axis_name, value)
-        cfg_point = replace(base_config, **{axis_name: value})
-        key = (cfg_point.mobility_params(), cfg_point.t_csi, cfg_point.num_paths)
-        if key not in process_noises:
-            params, t_csi, num_paths = key
-            process_noises[key] = calibrate_process_noise(params, t_csi, num_paths=num_paths)
-        process_noise = process_noises[key]
+    for p, (value, point) in enumerate(zip(values, points)):
         for variant in variants:
             ok_nmse, ok_ber = [], []
-            seeds = [episode_seed(master_seed, axis_name, value, trial) for trial in range(trials)]
-            configs = [replace(cfg_point, variant=variant, seed=seed) for seed in seeds]
-            outcomes = _run_cell(configs, models.get(variant), process_noise)
-            for trial, (cfg, result) in enumerate(zip(configs, outcomes)):
+            for trial in range(trials):
+                k = p * trials + trial
+                result = outcomes[variant][k]
                 row = {
                     "axis_name": axis_name, "axis_value": _fmt(value),
-                    "variant": variant, "trial": str(trial), "seed": str(cfg.seed),
-                    "cycles": str(cfg.num_cycles),
+                    "variant": variant, "trial": str(trial), "seed": str(cells[k][1]),
+                    "cycles": str(point.num_cycles),
                 }
                 if isinstance(result, Exception):
                     row["mean_nmse_db"] = ""
@@ -562,7 +621,7 @@ def run_sweep(
                 "trial": "mean", "seed": "",
                 "mean_nmse_db": _fmt(float(np.mean(ok_nmse))) if ok_nmse else "",
                 "mean_ber": _fmt(float(np.mean(ok_ber))) if ok_ber else "",
-                "cycles": str(cfg_point.num_cycles), "status": "aggregate",
+                "cycles": str(point.num_cycles), "status": "aggregate",
             })
     if out_path is not None:
         with open(out_path, "w", newline="") as fh:
@@ -587,16 +646,13 @@ def calibrate_estimate_noise(
     whole grid of episodes is tracked as one batch, and nothing is scored.
     """
     snr_grid_db = np.sort(np.asarray(snr_grid_db, dtype=np.float64))
-    # The process noise depends on the mobility model only, not on the SNR.
-    process_noise = calibrate_process_noise(
-        base_config.mobility_params(), base_config.t_csi, num_paths=base_config.num_paths
-    )
     configs = [
         replace(base_config, variant="ekf", snr_db=float(snr),
                 seed=episode_seed(master_seed, "calibration", float(snr), ep))
         for snr in snr_grid_db for ep in range(episodes_per_point)
     ]
-    _, estimates, truth = _track(configs, None, process_noise)
+    # The grid shares one mobility, so its process noise is calibrated once.
+    _, estimates, truth = _track(configs, None, None)
     # One row per grid point: its episodes' errors, path by path, in order.
     pooled = (estimates - truth)[..., skip_cycles:].reshape(snr_grid_db.size, -1)
     stds = []

@@ -209,16 +209,25 @@ def _measurement_from_angles(
     sounding: SoundingConfig,
     geom_rx: ArrayGeometry,
     geom_tx: ArrayGeometry,
-) -> np.ndarray:
+    with_jacobian: bool = False,
+):
     """Closed-form pilot map on raw angle arrays (no [-1, 1] validation).
 
     Used by the tracking filters, whose angle estimates may transiently leave
     the physical range; the expression stays well defined there. Leading
     batch axes of the angles and the sounding carry through to the result.
+    With `with_jacobian`, returns (pilot map, arrival-angle Jacobian) from one
+    evaluation of the factors; the Jacobian is `_jacobian_from_angles`'s.
     """
-    scale, gt, gr = _measurement_factors(gains, aoas, aods, sounding, geom_rx, geom_tx)
+    factors = _measurement_factors(
+        gains, aoas, aods, sounding, geom_rx, geom_tx, with_derivatives=with_jacobian
+    )
+    scale, gt, gr = factors[:3]
     entries = np.einsum("...l,...li,...lj->...ij", scale, gt, gr)  # (..., M_b, M_m)
-    return entries.reshape(entries.shape[:-2] + (-1,))
+    predicted = entries.reshape(entries.shape[:-2] + (-1,))
+    if not with_jacobian:
+        return predicted
+    return predicted, _jacobian_from_factors(scale, gt, factors[3])
 
 
 def predicted_measurement_closed_form(
@@ -236,6 +245,15 @@ def predicted_measurement_closed_form(
     return _measurement_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
 
 
+def _jacobian_from_factors(scale, gt, dgr) -> np.ndarray:
+    """The arrival-angle Jacobian (..., M_b*M_m, L) from the pilot map's
+    factors; column l holds dq/d(aoa_l)."""
+    # (..., L, M_b, M_m): path l's column before flattening
+    terms = scale[..., None, None] * (gt[..., :, :, None] * dgr[..., :, None, :])
+    columns = terms.reshape(terms.shape[:-2] + (-1,))
+    return np.ascontiguousarray(columns.swapaxes(-1, -2))
+
+
 def _jacobian_from_angles(
     gains: np.ndarray,
     aoas: np.ndarray,
@@ -249,10 +267,7 @@ def _jacobian_from_angles(
     scale, gt, _, dgr = _measurement_factors(
         gains, aoas, aods, sounding, geom_rx, geom_tx, with_derivatives=True
     )
-    # (..., L, M_b, M_m): path l's column before flattening
-    terms = scale[..., None, None] * (gt[..., :, :, None] * dgr[..., :, None, :])
-    columns = terms.reshape(terms.shape[:-2] + (-1,))
-    return np.ascontiguousarray(columns.swapaxes(-1, -2))
+    return _jacobian_from_factors(scale, gt, dgr)
 
 
 def measurement_jacobian(
@@ -267,13 +282,15 @@ def measurement_jacobian(
     dq/d(aoa_l). Matches central finite differences of predicted_measurement.
     """
     gains, aoas, aods = _path_arrays(paths)
-    scale, _, gr = _measurement_factors(gains, aoas, aods, sounding, geom_rx, geom_tx)
+    scale, gt, gr, dgr = _measurement_factors(
+        gains, aoas, aods, sounding, geom_rx, geom_tx, with_derivatives=True
+    )
     dx_t = aods[:, None] - sounding.tx_angles[None, :]
     dgt = _geometric_sum_deriv(geom_tx.num_elements, geom_tx.spatial_freq, dx_t).conj()
     jac = np.empty((sounding.num_pilots, 2 * gains.size), dtype=np.complex128)
     for l in range(gains.size):
         jac[:, 2 * l] = (scale[l] * np.outer(dgt[l], gr[l])).ravel()
-    jac[:, 1::2] = _jacobian_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
+    jac[:, 1::2] = _jacobian_from_factors(scale, gt, dgr)
     return jac
 
 

@@ -28,7 +28,13 @@ from . import filtering
 from .arrays import assemble_channel
 from .beamctl import nearest_beams, select_sounding
 from .filtering import joint_belief, prediction_update, split_joint
-from .measurement import PilotVector, SoundingConfig, receive, _jacobian_from_angles, _measurement_from_angles
+from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_from_angles here
+    PilotVector,
+    SoundingConfig,
+    _jacobian_from_angles,
+    _measurement_from_angles,
+    receive,
+)
 from .mobility import MobilityParams, generate_trajectory
 from .predictor import InputWindow, PredictorModel, predict
 
@@ -81,7 +87,8 @@ class _KalmanTracker:
     The tracked state is each path's marginal belief over its arrival angle,
     held as two (..., L) arrays, `means` and `variances`. The measurement
     update is joint over the paths; its cross-path terms are dropped after
-    it. For a batch, `known_aod` and `noise_var` hold one value per episode.
+    it. For a batch, `known_aod` and `noise_var` hold one value per episode,
+    and `process_noise` one value per episode or one for all.
     """
 
     # One shared function object on purpose: the proposed tracker and the EKF
@@ -99,12 +106,14 @@ class _KalmanTracker:
         self.geom_rx = geom_rx
         self.geom_tx = geom_tx
         self.noise_var = np.asarray(noise_var, dtype=np.float64)
-        self.process_noise = float(process_noise)
+        self.process_noise = np.asarray(process_noise, dtype=np.float64)
         self.num_tx = num_tx
         self.num_rx = num_rx
         self._steps = 0
         if self.means.shape != self.gains.shape or self.variances.shape != self.gains.shape:
             raise ValueError("need one mean and one variance per path")
+        if self.process_noise.shape not in ((), self.gains.shape[:-1]):
+            raise ValueError("process_noise must be one value or one per episode")
 
     @property
     def num_paths(self) -> int:
@@ -112,10 +121,11 @@ class _KalmanTracker:
 
     def _identity_prediction(self, shift) -> tuple[np.ndarray, np.ndarray]:
         """Identity-dynamics prior (means, variances): each path's mean moved
-        by its `shift`, its variance inflated by `process_noise`. No inflation
-        is applied on the very first step: the initial belief describes the
-        state at that same instant, before any motion has accrued."""
-        inflate = self.process_noise if self._steps > 0 else 0.0
+        by its `shift`, its variance inflated by its episode's `process_noise`.
+        No inflation is applied on the very first step: the initial belief
+        describes the state at that same instant, before any motion has
+        accrued."""
+        inflate = self.process_noise[..., None] if self._steps > 0 else 0.0
         return self.means + shift, self.variances + inflate
 
     def _measure(self, means: np.ndarray, variances: np.ndarray, channel: PilotChannel):
@@ -258,11 +268,9 @@ class LmsTracker:
             rx_angles=self.codebook.angles[rx_idx],
         )
         pilot = channel.receive(sounding)
-        predicted = _measurement_from_angles(
-            self.gains, self.est, self.aods, sounding, self.geom_rx, self.geom_tx
-        )
-        jac = _jacobian_from_angles(
-            self.gains, self.est, self.aods, sounding, self.geom_rx, self.geom_tx
+        predicted, jac = _measurement_from_angles(
+            self.gains, self.est, self.aods, sounding, self.geom_rx, self.geom_tx,
+            with_jacobian=True,
         )
         residual = pilot.values - predicted
         slope = (jac.conj().swapaxes(-1, -2) @ residual[..., None])[..., 0]

@@ -19,6 +19,7 @@ from beamtrack.filtering import (
     sigma_points,
     split_joint,
 )
+from beamtrack import measurement
 from beamtrack.measurement import PilotVector, SoundingConfig, receive
 from beamtrack.predictor import InputWindow, NormStats, build_model, predict
 
@@ -267,6 +268,19 @@ def test_measurement_update_pulls_angle_toward_truth(geom32, rng):
         )
     assert abs(post.mean[0] - true_aoa) < abs(prior.mean[0] - true_aoa)
     assert post.cov[0, 0] < prior.cov[0, 0]
+
+
+def test_measurement_update_evaluates_the_factors_once(geom32, rng, count_calls):
+    # The prediction and the Jacobian are built from one factor evaluation.
+    calls = count_calls(measurement, "_measurement_factors")
+    gains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(2, 3)))
+    aods = rng.uniform(-0.5, 0.5, size=(2, 3))
+    snd = SoundingConfig(tx_angles=[[0.1, 0.2], [-0.3, 0.0]], rx_angles=[[0.3, 0.4], [0.5, 0.6]])
+    values = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    pilot = PilotVector(values, np.array([0.1, 0.2]))
+    prior = joint_belief(rng.uniform(-0.5, 0.5, size=(2, 3)), np.full((2, 3), 1e-3))
+    measurement_update(prior, pilot, snd, gains, geom32, geom32, aods)
+    assert len(calls) == 1
 
 
 def test_measurement_update_validation(geom32, rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from beamtrack import filtering, neural
+from beamtrack import filtering, measurement, neural
 from beamtrack.harness import SimConfig, run_episode
 from beamtrack.mobility import MobilityParams, generate_trajectory
 from beamtrack.predictor import NormStats, build_model
@@ -267,6 +267,18 @@ def test_lms_pulls_static_estimate_toward_truth(geom32, codebook64):
     np.testing.assert_array_equal(rec.sounding.tx_angles, np.sort(rec.sounding.tx_angles))
 
 
+def test_lms_step_evaluates_the_factors_once(geom32, codebook64, count_calls):
+    calls = count_calls(measurement, "_measurement_factors")
+    gains = np.ones(2, dtype=complex)
+    aods = np.array([0.3, 0.31])
+    tracker = LmsTracker(
+        [0.2, -0.1], codebook64, gains, aods, known_aod=0.3,
+        geom_rx=geom32, geom_tx=geom32, step_size=2e-4,
+    )
+    tracker.step(_channel([0.2, -0.1], aods, gains, 10.0, np.random.default_rng(3), geom32))
+    assert len(calls) == 1
+
+
 def test_genie_reads_truth_without_aliasing(geom32):
     channel = _channel([0.4, -0.2], [0.1, 0.2], np.ones(2, dtype=complex),
                        10.0, np.random.default_rng(0), geom32)
@@ -275,6 +287,23 @@ def test_genie_reads_truth_without_aliasing(geom32):
     rec.estimates[0] = 99.0
     assert channel.aoas[0] == 0.4
     assert rec.sounding is None
+
+
+def test_process_noise_is_one_value_or_one_per_episode(geom32, codebook64):
+    def ekf(process_noise):
+        return EkfTracker(
+            np.zeros((2, 1)), np.full((2, 1), 1e-4), codebook64, np.ones((2, 1), dtype=complex),
+            np.zeros((2, 1)), known_aod=[0.0, 0.0], geom_rx=geom32, geom_tx=geom32,
+            noise_var=[1e-3, 1e-3], process_noise=process_noise,
+        )
+
+    tracker = ekf([1e-6, 3e-6])
+    tracker._steps = 1
+    _, variances = tracker._identity_prediction(0.0)
+    np.testing.assert_array_equal(variances, [[1e-4 + 1e-6], [1e-4 + 3e-6]])
+    ekf(1e-6)
+    with pytest.raises(ValueError, match="one per episode"):
+        ekf([1e-6, 2e-6, 3e-6])
 
 
 def test_belief_count_must_match_paths(geom32, codebook64):
