@@ -37,7 +37,6 @@ __all__ = [
     "GaussianBelief",
     "SigmaSet",
     "sigma_points",
-    "per_window",
     "prediction_update",
     "kalman_update",
     "measurement_update",
@@ -139,12 +138,6 @@ def sigma_points(
     return SigmaSet(points[0], w_mean, w_cov)
 
 
-def per_window(predict_fn):
-    """The batched form of a one-window predict_fn: it maps a sequence of
-    windows to the (n, P) stack of predict_fn's outputs, one call each."""
-    return lambda windows: np.array([np.atleast_1d(predict_fn(w)) for w in windows])
-
-
 def prediction_update(
     belief,
     window,
@@ -156,14 +149,16 @@ def prediction_update(
     """Unscented propagation of path beliefs through the predictor.
 
     Batched form: `belief` is a stacked pair (means (B, P), covs (B, P, P)),
-    one row per path, `window` a sequence of B windows, and predict_fn maps
-    the list of every path's sigma windows to an (n, P) array of next-cycle
-    states in one call, as predictor.predict does. Returns the predicted
-    (means, covs) pair.
+    one row per path, and `window` the stacked pair (past (B, delta, P),
+    sensors (B, delta, KJ)) of the paths' input windows. predict_fn maps the
+    pair of every path's sigma-point windows to an (n, P) array of
+    next-cycle states in one call, as partial(predictor.predict, model)
+    does. Returns the predicted (means, covs) pair.
 
     One path: `belief` is a GaussianBelief, `window` an InputWindow and
     predict_fn maps one window to a state. This is the batch of one, with
-    predict_fn lifted by `per_window`; it returns one GaussianBelief.
+    predict_fn called once per sigma-point window; it returns one
+    GaussianBelief.
 
     Each sigma point replaces its window's most recent estimate entry; each
     path's propagated set is recombined with the standard weighted sums and
@@ -172,25 +167,28 @@ def prediction_update(
     does not depend on the other rows of the batch.
     """
     if isinstance(belief, GaussianBelief):
+        def one_by_one(pair):
+            return np.array([np.atleast_1d(predict_fn(InputWindow(*w))) for w in zip(*pair)])
+
         means, covs = prediction_update(
-            (belief.mean[None], belief.cov[None]), [window], per_window(predict_fn),
+            (belief.mean[None], belief.cov[None]),
+            (window.past_estimates[None], window.sensor_blocks[None]), one_by_one,
             jitter, alpha, beta,
         )
         return GaussianBelief(means[0], covs[0])
     means, covs = belief
-    if means.shape[0] != len(window):
+    past, sensors = (np.asarray(a, dtype=np.float64) for a in window)
+    if means.shape[0] != past.shape[0]:
         raise ValueError("need one window per belief")
     p = means.shape[1]
-    if any(w.state_dim != p for w in window):
+    if past.shape[-1] != p:
         raise ValueError("window state dimension does not match the belief")
     points, w_mean, w_cov = _sigma_stack(means, covs, alpha, beta)
-    perturbed = []
-    for w, path_points in zip(window, points):
-        for point in path_points:
-            estimates = w.past_estimates.copy()
-            estimates[-1] = point
-            perturbed.append(InputWindow(estimates, w.sensor_blocks))
-    rows = np.asarray(predict_fn(perturbed), dtype=np.float64).reshape(points.shape)
+    # Every path's window once per sigma point, in (path, point) order.
+    past = np.repeat(past, points.shape[1], axis=0)
+    past[:, -1] = points.reshape(-1, p)
+    sigma_windows = past, np.repeat(sensors, points.shape[1], axis=0)
+    rows = np.asarray(predict_fn(sigma_windows), dtype=np.float64).reshape(points.shape)
 
     mean = w_mean @ rows
     centered = rows - mean[:, None]

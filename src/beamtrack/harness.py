@@ -641,9 +641,11 @@ def calibrate_estimate_noise(
     """Estimate-noise table: robust spread of EKF angle errors per SNR.
 
     Runs the EKF tracker at each grid SNR and converts the pooled per-cycle
-    angle errors to a standard deviation via the median absolute deviation,
-    so occasional loss-of-lock excursions do not dominate the table. The
-    whole grid of episodes is tracked as one batch, and nothing is scored.
+    angle errors to a standard deviation via the median absolute deviation.
+    The MAD pools every error, lost paths included: where most paths are out
+    of lock it measures their spread, and the table need not fall with SNR
+    (ROADMAP item 3). The whole grid of episodes is tracked as one batch, and
+    nothing is scored.
     """
     snr_grid_db = np.sort(np.asarray(snr_grid_db, dtype=np.float64))
     configs = [

@@ -26,7 +26,6 @@ __all__ = [
     "LstmParams",
     "AdamState",
     "fc_apply",
-    "lstm_step",
     "init_fc",
     "init_lstm",
     "forward_stack",
@@ -160,14 +159,6 @@ def _lstm_cell(params: LstmParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np
     return gates, c, tanh_c, o * tanh_c
 
 
-def lstm_step(
-    params: LstmParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM recursion; returns (h, c). Accepts single vectors or batches."""
-    _, c, _, h = _lstm_cell(params, x, h_prev, c_prev)
-    return h, c
-
-
 def init_fc(
     rng: np.random.Generator, n_out: int, n_in: int, activation: str = "identity"
 ) -> FcParams:
@@ -287,7 +278,7 @@ def forward_stack(layers, xs: np.ndarray) -> np.ndarray:
         for t in range(cur.shape[1]):
             out = cur[:, t]
             for k, lyr in enumerate(lstms):
-                out, c = lstm_step(lyr, out, *states[k])
+                _, c, _, out = _lstm_cell(lyr, out, *states[k])
                 states[k] = (out, c)
     else:
         if cur.shape[1] != 1:

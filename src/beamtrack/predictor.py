@@ -34,7 +34,6 @@ __all__ = [
     "CheckpointError",
     "build_model",
     "model_fingerprint",
-    "window_matrix",
     "predict",
     "generate_dataset",
     "train",
@@ -198,15 +197,19 @@ def _feature_matrix(past: np.ndarray, sensors: np.ndarray) -> np.ndarray:
     return np.concatenate([past, sensors], axis=-1)
 
 
-def window_matrix(window: InputWindow) -> np.ndarray:
-    """Raw (delta, D) feature matrix: [estimate, sensors] per cycle."""
-    return _feature_matrix(window.past_estimates, window.sensor_blocks)
-
-
 def _check_windows(model: PredictorModel, past: np.ndarray, sensors: np.ndarray) -> None:
-    """Validate stacked windows: past (B, delta, P), sensors (B, delta, KJ)."""
-    if past.shape[1] != model.delta:
-        raise ValueError(f"window covers {past.shape[1]} cycles, model expects {model.delta}")
+    """Validate stacked windows: past (N, delta, P), sensors (N, delta, KJ)."""
+    if past.ndim != 3 or sensors.ndim != 3:
+        raise ValueError(f"past and sensors must be 3-D, got {past.ndim}-D and {sensors.ndim}-D")
+    if past.shape[0] != sensors.shape[0]:
+        raise ValueError(f"past holds {past.shape[0]} windows but sensors {sensors.shape[0]}")
+    if past.shape[0] < 1:
+        raise ValueError("predict needs at least one window")
+    if past.shape[1] != model.delta or sensors.shape[1] != model.delta:
+        raise ValueError(
+            f"past and sensors cover {past.shape[1]} and {sensors.shape[1]} cycles, "
+            f"model expects {model.delta}"
+        )
     if past.shape[2] != model.state_dim:
         raise ValueError(
             f"window state dimension {past.shape[2]} does not match the model's "
@@ -214,7 +217,7 @@ def _check_windows(model: PredictorModel, past: np.ndarray, sensors: np.ndarray)
         )
     expected = model.k_samples * model.j_channels
     if sensors.shape[2] != expected:
-        raise ValueError(f"sensor blocks must have {expected} entries per cycle")
+        raise ValueError(f"sensor blocks have {sensors.shape[2]} entries per cycle, not {expected}")
 
 
 def _forward_raw_batch(model: PredictorModel, raw: np.ndarray, last_est: np.ndarray) -> np.ndarray:
@@ -230,18 +233,16 @@ def _forward_raw_batch(model: PredictorModel, raw: np.ndarray, last_est: np.ndar
 def predict(model: PredictorModel, windows) -> np.ndarray:
     """Predict next-cycle states from input windows in one network call.
 
-    `windows` is one InputWindow, which gives shape (P,), or a sequence of
-    windows, which gives (B, P). The sequence is validated once, as a stack,
-    so its windows must share their shapes. Each row equals the one-window
-    prediction bit for bit, because the network's kernels are batch
-    invariant.
+    `windows` is one InputWindow, which gives shape (P,), or a stacked pair
+    (past (N, delta, P), sensors (N, delta, KJ)), which gives (N, P) and is
+    validated once, here. Each row equals the one-window prediction bit for
+    bit, because the network's kernels are batch invariant.
     """
     single = isinstance(windows, InputWindow)
-    batch = [windows] if single else list(windows)
-    if not batch:
-        raise ValueError("predict needs at least one window")
-    past = np.stack([w.past_estimates for w in batch])  # ValueError unless shapes agree
-    sensors = np.stack([w.sensor_blocks for w in batch])
+    if single:
+        past, sensors = windows.past_estimates[None], windows.sensor_blocks[None]
+    else:
+        past, sensors = (np.asarray(a, dtype=np.float64) for a in windows)
     _check_windows(model, past, sensors)
     out = _forward_raw_batch(model, _feature_matrix(past, sensors), past[:, -1])
     return out[0] if single else out

@@ -36,7 +36,7 @@ from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_f
     receive,
 )
 from .mobility import MobilityParams, generate_trajectory
-from .predictor import InputWindow, PredictorModel, predict
+from .predictor import PredictorModel, predict
 
 __all__ = [
     "PilotChannel",
@@ -170,8 +170,9 @@ class ProposedTracker(_KalmanTracker):
     predictor, all sigma-point windows in one call. With use_imu=False the
     sensor entries of every window are zeroed (the CSI-only variant).
 
-    A `predict_fn` given in place of a model maps one window to a state; it
-    is lifted to the batched form with `filtering.per_window`.
+    A `predict_fn` given in place of a model takes the stacked windows
+    (past (N, delta, 1), sensors (N, delta, KJ)) and returns the (N, 1)
+    next-cycle states, as partial(predict, model) does.
     """
 
     def __init__(self, means, variances, codebook, gains, aods, known_aod, geom_rx, geom_tx,
@@ -184,9 +185,7 @@ class ProposedTracker(_KalmanTracker):
             raise ValueError("provide a predictor model or a predict_fn")
         if delta is None and model is None:
             raise ValueError("a predict_fn needs delta, the number of cycles its windows cover")
-        self.predict_fn = (
-            partial(predict, model) if predict_fn is None else filtering.per_window(predict_fn)
-        )
+        self.predict_fn = partial(predict, model) if predict_fn is None else predict_fn
         self.delta = int(delta if delta is not None else model.delta)
         if block_width is None:
             block_width = model.k_samples * model.j_channels if model is not None else 0
@@ -212,17 +211,13 @@ class ProposedTracker(_KalmanTracker):
         warm = len(self._estimates_hist) >= self.delta
         if warm:
             # One window per path of every episode, in (episode, path) order.
-            est_hist = np.stack(list(self._estimates_hist), axis=-1).reshape(-1, self.delta)
-            blocks = np.stack(list(self._blocks_hist), axis=-2).reshape(
+            past = np.stack(list(self._estimates_hist), axis=-1).reshape(-1, self.delta, 1)
+            sensors = np.stack(list(self._blocks_hist), axis=-2).reshape(
                 -1, self.delta, sensor_block.shape[-1]
             )
-            windows = [
-                InputWindow(past_estimates=est[:, None], sensor_blocks=block)
-                for est, block in zip(est_hist, blocks)
-            ]
             means, covs = prediction_update(
                 (self.means.reshape(-1, 1), self.variances.reshape(-1, 1, 1)),
-                windows, self.predict_fn,
+                (past, sensors), self.predict_fn,
             )
             shape = self.means.shape
             predicted = means.reshape(shape), covs.reshape(shape) + self.prediction_noise

@@ -187,10 +187,8 @@ def test_batched_prediction_equals_one_path_at_a_time(case, num_paths, delta, se
     rng = np.random.default_rng(seed)
     means = rng.uniform(-0.9, 0.9, (num_paths, dim))
     covs = np.stack([10.0**log_var * _random_psd(rng, dim) for _ in range(num_paths)])
-    windows = [
-        InputWindow(rng.uniform(-0.9, 0.9, (delta, dim)), rng.normal(0.0, 0.05, (delta, 8)))
-        for _ in range(num_paths)
-    ]
+    past = rng.uniform(-0.9, 0.9, (num_paths, delta, dim))
+    sensors = rng.normal(0.0, 0.05, (num_paths, delta, 8))
     if kind == "lstm":
         model = build_model(np.random.default_rng(seed), delta=delta)
         d = model.input_dim
@@ -199,19 +197,45 @@ def test_batched_prediction_equals_one_path_at_a_time(case, num_paths, delta, se
         one = batched = partial(predict, model)
     else:
         one = _affine(rng.normal(size=(dim, dim)), rng.normal(size=dim))
-        batched = lambda ws: np.array([one(w) for w in ws])  # noqa: E731
-    got_means, got_covs = prediction_update((means, covs), windows, batched)
+        batched = lambda pair: np.array([one(InputWindow(*w)) for w in zip(*pair)])  # noqa: E731
+    got_means, got_covs = prediction_update((means, covs), (past, sensors), batched)
     assert got_means.shape == (num_paths, dim) and got_covs.shape == (num_paths, dim, dim)
     for l in range(num_paths):
-        single = prediction_update(GaussianBelief(means[l], covs[l]), windows[l], one)
+        window = InputWindow(past[l], sensors[l])
+        single = prediction_update(GaussianBelief(means[l], covs[l]), window, one)
         assert np.array_equal(got_means[l], single.mean)
         assert np.array_equal(got_covs[l], single.cov)
 
 
+def test_prediction_update_passes_sigma_windows_as_one_pair():
+    # Each path's window appears once per sigma point, path by path, with
+    # only the newest estimate moved; the caller's history is left as it was.
+    seen = []
+
+    def spy(pair):
+        seen.append(pair)
+        return pair[0][:, -1]
+
+    past = np.array([[[0.1], [0.2]], [[-0.3], [-0.4]]])
+    sensors = np.arange(2 * 2 * 8.0).reshape(2, 2, 8)
+    before = past.copy()
+    prediction_update((np.array([[0.2], [-0.4]]), np.full((2, 1, 1), 0.04)), (past, sensors), spy)
+    (got_past, got_sensors), = seen
+    assert got_past.shape == (6, 2, 1) and got_sensors.shape == (6, 2, 8)
+    np.testing.assert_array_equal(got_past[:, 0, 0], [0.1] * 3 + [-0.3] * 3)
+    np.testing.assert_array_equal(got_sensors, np.repeat(sensors, 3, axis=0))
+    assert np.ptp(got_past[:3, -1, 0]) > 0 and np.ptp(got_past[3:, -1, 0]) > 0
+    np.testing.assert_array_equal(past, before)
+
+
 def test_prediction_update_needs_one_window_per_belief():
     stacked = (np.full((2, 1), 0.1), np.full((2, 1, 1), 0.01))
+    one_window = (np.full((1, 3, 1), 0.1), np.zeros((1, 3, 8)))
     with pytest.raises(ValueError, match="one window per belief"):
-        prediction_update(stacked, [_window(0.1)], lambda ws: None)
+        prediction_update(stacked, one_window, lambda pair: None)
+    two_dim = (np.full((2, 3, 2), 0.1), np.zeros((2, 3, 8)))
+    with pytest.raises(ValueError, match="state dimension"):
+        prediction_update(stacked, two_dim, lambda pair: None)
 
 
 def test_kalman_scalar_closed_form(rng):

@@ -9,6 +9,7 @@ from beamtrack.neural import (
     AdamState,
     FcParams,
     LstmParams,
+    _lstm_cell,
     adam_update,
     fc_apply,
     forward_stack,
@@ -18,7 +19,6 @@ from beamtrack.neural import (
     init_lstm,
     layer_param_dict,
     loss_and_gradients,
-    lstm_step,
 )
 
 
@@ -48,7 +48,7 @@ def test_lstm_step_scalar_hand_case():
     # Gate rows are i, f, o, g.
     p = LstmParams(W_x=[[0.5]] * 4, W_h=[[0.2]] * 4, b=[0.1, 1.0, -0.2, 0.3])
     x, h_prev, c_prev = np.array([1.0]), np.array([0.5]), np.array([-0.3])
-    h, c = lstm_step(p, x, h_prev, c_prev)
+    _, c, _, h = _lstm_cell(p, x, h_prev, c_prev)
     i = _sigmoid(0.5 + 0.1 + 0.1)
     f = _sigmoid(0.5 + 0.1 + 1.0)
     o = _sigmoid(0.5 + 0.1 - 0.2)
@@ -63,9 +63,9 @@ def test_lstm_step_batch_matches_loop(rng):
     xs = rng.normal(size=(5, 4))
     h0 = rng.normal(size=(5, 6))
     c0 = rng.normal(size=(5, 6))
-    h_b, c_b = lstm_step(p, xs, h0, c0)
+    _, c_b, _, h_b = _lstm_cell(p, xs, h0, c0)
     for k in range(5):
-        h1, c1 = lstm_step(p, xs[k], h0[k], c0[k])
+        _, c1, _, h1 = _lstm_cell(p, xs[k], h0[k], c0[k])
         np.testing.assert_allclose(h_b[k], h1, atol=1e-14)
         np.testing.assert_allclose(c_b[k], c1, atol=1e-14)
 

@@ -22,7 +22,6 @@ from beamtrack.predictor import (
     save_checkpoint,
     scale_sensor_block,
     train,
-    window_matrix,
 )
 
 
@@ -47,9 +46,15 @@ def test_window_matrix_layout():
         past_estimates=[[0.1], [0.2], [0.3]],
         sensor_blocks=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
     )
-    mat = window_matrix(window)
+    mat = predictor._feature_matrix(window.past_estimates, window.sensor_blocks)
     np.testing.assert_allclose(mat, [[0.1, 1.0, 2.0], [0.2, 3.0, 4.0], [0.3, 5.0, 6.0]])
     assert window.delta == 3 and window.state_dim == 1
+    stacked = predictor._feature_matrix(
+        np.stack([window.past_estimates, -window.past_estimates]),
+        np.stack([window.sensor_blocks, window.sensor_blocks]),
+    )
+    np.testing.assert_array_equal(stacked[0], mat)
+    np.testing.assert_array_equal(stacked[1, :, 0], [-0.1, -0.2, -0.3])
 
 
 def test_input_window_validation():
@@ -186,18 +191,25 @@ def test_predict_window_checks(rng):
         predict(model, InputWindow(np.zeros((3, 1)), np.zeros((3, 6))))
 
 
-def test_predict_accepts_a_sequence_of_windows(rng):
+def test_predict_accepts_stacked_windows(rng):
     model = build_model(rng)
     model.norm = NormStats(np.zeros(9), np.ones(9), np.zeros(1), np.ones(1))
-    windows = [InputWindow(np.full((3, 1), v), np.full((3, 8), v)) for v in (0.1, 0.2)]
-    assert predict(model, windows).shape == (2, 1)
-    assert predict(model, windows[:1]).shape == (1, 1)
-    with pytest.raises(ValueError, match="at least one window"):
-        predict(model, [])
-    with pytest.raises(ValueError, match="same shape"):
-        predict(model, [windows[0], InputWindow(np.zeros((2, 1)), np.zeros((2, 8)))])
-    with pytest.raises(ValueError, match="sensor"):
-        predict(model, [InputWindow(np.zeros((3, 1)), np.zeros((3, 6)))] * 2)
+    past = np.stack([np.full((3, 1), v) for v in (0.1, 0.2)])
+    sensors = np.stack([np.full((3, 8), v) for v in (0.1, 0.2)])
+    out = predict(model, (past, sensors))
+    assert out.shape == (2, 1)
+    assert np.array_equal(out[1], predict(model, InputWindow(past[1], sensors[1])))
+    assert predict(model, (past[:1], sensors[:1])).shape == (1, 1)
+    bad = {
+        "past holds 2 windows but sensors 1": (past, sensors[:1]),
+        "3-D": (past[0], sensors[0]),
+        "at least one window": (past[:0], sensors[:0]),
+        "cover 2 and 2 cycles, model expects 3": (past[:, 1:], sensors[:, 1:]),
+        "6 entries per cycle, not 8": (past, sensors[..., :6]),
+    }
+    for problem, windows in bad.items():
+        with pytest.raises(ValueError, match=problem):
+            predict(model, windows)
 
 
 def _two_lstm_model():
@@ -220,9 +232,8 @@ def test_batched_inference_equals_one_window_calls(which):
         xs = rng.normal(size=(b, model.delta, model.input_dim))
         one_by_one = np.stack([neural.forward_stack(model.layers, x) for x in xs])
         assert np.array_equal(neural.forward_stack(model.layers, xs), one_by_one), b
-        windows = [InputWindow(e, s) for e, s in zip(est, blocks)]
-        one_by_one = np.stack([predict(model, w) for w in windows])
-        assert np.array_equal(predict(model, windows), one_by_one), b
+        one_by_one = np.stack([predict(model, InputWindow(e, s)) for e, s in zip(est, blocks)])
+        assert np.array_equal(predict(model, (est, blocks)), one_by_one), b
 
 
 @pytest.mark.parametrize("chunk", [predictor._PREDICTION_VAR_CHUNK, 7])
@@ -236,7 +247,7 @@ def test_prediction_var_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     ds = generate_dataset(cfg, _table(), np.random.default_rng(21))
     model = build_model(np.random.default_rng(3))
     model.norm = NormStats(np.zeros(9), np.full(9, 0.5), np.zeros(1), np.ones(1))
-    pred = predict(model, [InputWindow(x[:, :1], x[:, 1:]) for x in ds.inputs])
+    pred = predict(model, (ds.inputs[..., :1], ds.inputs[..., 1:]))
     ds.targets = pred + np.random.default_rng(4).normal(0.0, 1e-12, pred.shape)
     runs = []
     for size in (chunk, len(ds)):

@@ -6,7 +6,7 @@ import pytest
 from beamtrack import filtering, measurement, neural
 from beamtrack.harness import SimConfig, run_episode
 from beamtrack.mobility import MobilityParams, generate_trajectory
-from beamtrack.predictor import NormStats, build_model
+from beamtrack.predictor import InputWindow, NormStats, build_model
 from beamtrack.trackers import (
     EkfTracker,
     GenieTracker,
@@ -19,6 +19,12 @@ from beamtrack.trackers import (
 
 def _channel(aoas, aods, gains, snr_db, rng, geom):
     return PilotChannel(gains, aoas, aods, snr_db, rng, geom, geom)
+
+
+def _hold(windows):
+    """A predict_fn fake that keeps each window's newest estimate."""
+    past, _ = windows
+    return past[:, -1]
 
 
 def test_trackers_share_one_measurement_update():
@@ -97,7 +103,7 @@ def test_proposed_warmup_schedule(geom32, codebook64):
     tracker = ProposedTracker(
         [0.1], [1e-4], codebook64, gains, aods, known_aod=-0.2,
         geom_rx=geom32, geom_tx=geom32, noise_var=1e-3, process_noise=1e-6,
-        predict_fn=lambda w: w.past_estimates[-1], delta=3, block_width=8,
+        predict_fn=_hold, delta=3, block_width=8,
     )
     flags = [
         tracker.step(_channel([0.1], aods, gains, 30.0, rng, geom32)).used_predictor
@@ -121,7 +127,7 @@ def test_proposed_warmup_dead_reckons_from_sensors(geom32, codebook64):
         tracker = ProposedTracker(
             [0.2], [1e-9], codebook64, gains, aods, known_aod=0.0,
             geom_rx=geom32, geom_tx=geom32, noise_var=1e-2, process_noise=0.0,
-            predict_fn=lambda w: w.past_estimates[-1], delta=10, block_width=8,
+            predict_fn=_hold, delta=10, block_width=8,
             use_imu=use_imu,
         )
         for t in range(4):
@@ -137,9 +143,9 @@ def test_proposed_warmup_dead_reckons_from_sensors(geom32, codebook64):
 def test_proposed_csi_only_blanks_sensor_blocks(geom32, codebook64):
     seen = []
 
-    def spy(window):
-        seen.append(window.sensor_blocks.copy())
-        return window.past_estimates[-1]
+    def spy(windows):
+        seen.append(windows[1].copy())
+        return _hold(windows)
 
     rng = np.random.default_rng(4)
     gains = np.array([1.0 + 0j])
@@ -160,9 +166,9 @@ def test_proposed_csi_only_blanks_sensor_blocks(geom32, codebook64):
 def test_proposed_passes_sensor_blocks_through(geom32, codebook64):
     seen = []
 
-    def spy(window):
-        seen.append(window.sensor_blocks.copy())
-        return window.past_estimates[-1]
+    def spy(windows):
+        seen.append(windows[1].copy())
+        return _hold(windows)
 
     rng = np.random.default_rng(4)
     gains = np.array([1.0 + 0j])
@@ -175,7 +181,8 @@ def test_proposed_passes_sensor_blocks_through(geom32, codebook64):
     block = np.arange(8.0)[None, :]
     tracker.step(_channel([0.0], aods, gains, 30.0, rng, geom32), block)
     tracker.step(_channel([0.0], aods, gains, 30.0, rng, geom32), block)
-    np.testing.assert_array_equal(seen[0][-1], np.arange(8.0))
+    assert seen[0].shape == (3, 1, 8)  # 3 sigma-point windows of one cycle
+    np.testing.assert_array_equal(seen[0][:, -1], np.tile(np.arange(8.0), (3, 1)))
 
 
 def test_proposed_prediction_noise_widens_prior(geom32, codebook64):
@@ -189,7 +196,7 @@ def test_proposed_prediction_noise_widens_prior(geom32, codebook64):
         tracker = ProposedTracker(
             [0.3], [1e-6], codebook64, gains, aods, known_aod=0.0,
             geom_rx=geom32, geom_tx=geom32, noise_var=1.0, process_noise=0.0,
-            predict_fn=lambda w: w.past_estimates[-1], delta=1, block_width=8,
+            predict_fn=_hold, delta=1, block_width=8,
             prediction_noise=pn,
         )
         tracker.step(_channel([0.3], aods, gains, 0.0, rng, geom32))
@@ -205,8 +212,8 @@ def test_proposed_with_perfect_oracle_keeps_lock(geom32, codebook64):
     truth = 0.1 + 0.02 * np.sin(0.7 * np.arange(12))
     current = {"value": truth[0]}
 
-    def oracle(window):
-        return np.array([current["value"]])
+    def oracle(windows):
+        return np.full((len(windows[0]), 1), current["value"])
 
     tracker = ProposedTracker(
         [truth[0]], [1e-6], codebook64, gains, aods, known_aod=-0.1,
@@ -226,11 +233,13 @@ def test_proposed_episode_makes_one_predictor_call_per_warm_cycle(count_calls, n
     model = build_model(np.random.default_rng(2021))
     model.norm = NormStats(np.zeros(9), np.full(9, 0.5), np.zeros(1), np.full(1, 0.01))
     calls = count_calls(neural, "forward_stack")
+    windows_built = count_calls(InputWindow, "__post_init__")
     cfg = SimConfig(num_cycles=7, t_csi=40, num_paths=num_paths, seed=3)
     run_episode(cfg, model=model, process_noise=1e-5)
     # Cycles 0..delta-1 warm the history up; each later cycle makes one call
-    # carrying the 3 sigma-point windows of every path.
+    # carrying the 3 sigma-point windows of every path, as stacked arrays.
     assert [xs.shape for _, xs in calls] == [(3 * num_paths, 3, 9)] * (7 - model.delta)
+    assert windows_built == []
 
 
 def test_proposed_requires_a_predictor(geom32, codebook64):
@@ -249,7 +258,7 @@ def test_proposed_predict_fn_requires_delta(geom32, codebook64):
         ProposedTracker(
             [0.0], [1e-4], codebook64, np.ones(1, dtype=complex),
             np.zeros(1), known_aod=0.0, geom_rx=geom32, geom_tx=geom32,
-            noise_var=1e-3, process_noise=1e-6, predict_fn=lambda w: w.past_estimates[-1],
+            noise_var=1e-3, process_noise=1e-6, predict_fn=_hold,
         )
 
 
