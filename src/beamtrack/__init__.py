@@ -44,7 +44,6 @@ from .measurement import (
     SoundingConfig,
     measurement_jacobian,
     predicted_measurement,
-    predicted_measurement_closed_form,
     receive,
     sounding_matrices,
 )
@@ -79,7 +78,7 @@ __all__ = [
     "prediction_update", "sigma_points", "EpisodeResult", "SimConfig",
     "calibrate_estimate_noise", "normalized_mse", "qfunc", "run_episode",
     "run_episodes", "run_sweep", "PilotVector", "SoundingConfig", "measurement_jacobian",
-    "predicted_measurement", "predicted_measurement_closed_form", "receive",
+    "predicted_measurement", "receive",
     "sounding_matrices", "MobilityParams", "Trajectory", "generate_trajectory",
     "synthesize_imu", "Dataset", "DatasetConfig", "NoiseTable", "PredictorModel",
     "TrainConfig", "build_model", "generate_dataset", "load_checkpoint",

@@ -9,12 +9,15 @@ angles at the predicted mean, the departure angles being known; the
 objective is trace(J^-1), i.e. the posterior Cramer-Rao bound surrogate. The
 transmit side is pinned to the codebook beams nearest the known departure
 direction and the receive beams are found by exhaustive search over all
-unordered codebook subsets.
+unordered codebook subsets of the requested size, scored as one batch per
+slice of episodes that holds at most 2**18 subset x episode entries (or
+one episode, when that alone has more subsets).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -138,16 +141,22 @@ def spd_inverse_trace(mats: np.ndarray) -> np.ndarray:
     return np.where(ok, traces, np.inf)
 
 
+# Subset x episode entries scored at once. A slice holds a few tens of MB of
+# information matrices and Cholesky intermediates, whatever the batch size.
+_SLICE_ENTRIES = 2**18
+
+
 @lru_cache(maxsize=None)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographic unordered pairs (j1 < j2) of n beams, computed once per n."""
-    j1, j2 = np.triu_indices(n, k=1)
-    j1.flags.writeable = False
-    j2.flags.writeable = False
-    return j1, j2
+def _subset_table(n: int, k: int) -> np.ndarray:
+    """Lexicographic k-subsets of n beams, (k, n_subsets): row r holds every
+    subset's r-th smallest member. Computed once per (n, k)."""
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    table = np.fromiter(combos, dtype=np.intp).reshape(-1, k).T.copy()
+    table.flags.writeable = False
+    return table
 
 
-def _rx_pair_scores(
+def _best_rx_subsets(
     means: np.ndarray,
     variances: np.ndarray,
     tx_angles: np.ndarray,
@@ -157,15 +166,20 @@ def _rx_pair_scores(
     geom_rx,
     geom_tx,
     aods: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective for every unordered receive-beam pair, (..., n_pairs).
+    num_rx: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The receive subset of least objective and that objective, (..., num_rx)
+    and (...).
 
-    The information matrix separates per pair: with transmit factors
+    The information matrix separates per subset: with transmit factors
     t[l, i] and receive derivative factors d[l, j], Re(O^H O)[l, l'] is the
-    elementwise product of sum_i conj(t) t and sum_{j in pair} conj(d) d,
-    so all pairs are scored with one batched Cholesky trace of J^-1. The
-    prior is diagonal, so its inverse is 1 / variances, and only the lower
-    triangle that the Cholesky trace reads is formed.
+    elementwise product of sum_i conj(t) t and sum_{j in subset} conj(d) d,
+    the latter added in member order. So all subsets are scored with one
+    batched Cholesky trace of J^-1. The prior is diagonal, so its inverse is
+    1 / variances, and only the lower triangle that the Cholesky trace reads
+    is formed. Episodes are scored in slices of at most _SLICE_ENTRIES
+    subset x episode entries, at least one episode each; every stage is per
+    episode, so the slicing changes no result.
     """
     probe = SoundingConfig(tx_angles=tx_angles, rx_angles=codebook.angles)
     scale, gt, _, dgr = _measurement_factors(
@@ -175,17 +189,33 @@ def _rx_pair_scores(
     t_mat = t.conj() @ t.swapaxes(-1, -2)  # (..., L, L): sum over tx beams
     d_mat = np.einsum("...lj,...mj->lm...j", dgr.conj(), dgr)  # (L, L, ..., n_beams)
 
-    j1, j2 = _pair_indices(len(codebook))
-    weight = (2.0 / np.maximum(noise_var, _MIN_NOISE_VAR))[..., None]
-    num_paths = means.shape[-1]
-    # Entry-major, so that each entry the Cholesky trace reads is contiguous.
-    info = np.empty((num_paths, num_paths) + means.shape[:-1] + (j1.size,))
-    for i in range(num_paths):
-        for m in range(i + 1):
-            pair_info = np.take(d_mat[i, m], j1, -1) + np.take(d_mat[i, m], j2, -1)
-            info[i, m] = weight * (t_mat[..., i, m, None] * pair_info).real
-        info[i, i] += 1.0 / variances[..., i, None]
-    return j1, j2, spd_inverse_trace(np.moveaxis(info, (0, 1), (-2, -1)))
+    lead, num_paths = means.shape[:-1], means.shape[-1]
+    episodes = math.prod(lead)
+    t_mat = t_mat.reshape(episodes, num_paths, num_paths)
+    d_mat = d_mat.reshape(num_paths, num_paths, episodes, -1)
+    variances = variances.reshape(episodes, num_paths)
+    weight = np.broadcast_to(2.0 / np.maximum(noise_var, _MIN_NOISE_VAR), lead).reshape(episodes, 1)
+
+    members = _subset_table(len(codebook), num_rx)
+    best = np.empty(episodes, dtype=np.intp)
+    values = np.empty(episodes)
+    step = max(1, _SLICE_ENTRIES // members.shape[1])
+    for start in range(0, episodes, step):
+        part = slice(start, min(start + step, episodes))
+        # Entry-major, so that each entry the Cholesky trace reads is contiguous.
+        info = np.empty((num_paths, num_paths, part.stop - start, members.shape[1]))
+        for i in range(num_paths):
+            for m in range(i + 1):
+                d_col = d_mat[i, m, part]
+                subset_info = np.take(d_col, members[0], -1)
+                for column in members[1:]:
+                    subset_info = subset_info + np.take(d_col, column, -1)
+                info[i, m] = weight[part] * (t_mat[part, i, m, None] * subset_info).real
+            info[i, i] += 1.0 / variances[part, i, None]
+        scores = spd_inverse_trace(np.moveaxis(info, (0, 1), (-2, -1)))
+        best[part] = np.argmin(scores, axis=-1)
+        values[part] = scores.min(axis=-1)
+    return members.T[best].reshape(lead + (num_rx,)), values.reshape(lead)[()]
 
 
 def select_sounding(
@@ -205,7 +235,10 @@ def select_sounding(
 
     The transmit beams are the `num_tx` codebook entries nearest `known_aod`,
     and the receive side is an exhaustive search over all unordered
-    `num_rx`-subsets of the codebook (vectorized for pairs). `aods` defaults
+    `num_rx`-subsets of the codebook, 1 <= num_rx <= len(codebook), all
+    scored in one batch per slice of episodes. A slice holds at most 2**18
+    subset x episode entries, or one episode when that alone has more, which
+    bounds the memory a call takes whatever the batch size. `aods` defaults
     to `known_aod` for every path. `mode` accepts only "aoa_only", the one
     tracked state. Objective ties resolve toward the lexicographically
     smallest index tuple. The belief's covariance must be diagonal, as every
@@ -217,6 +250,8 @@ def select_sounding(
     """
     if mode != "aoa_only":
         raise ValueError(f"unknown mode {mode!r}: only 'aoa_only' is tracked")
+    if not 1 <= num_rx <= len(codebook):
+        raise ValueError(f"num_rx must lie in [1, {len(codebook)}], got {num_rx}")
     if known_aod is None:
         raise ValueError("select_sounding needs known_aod for the transmit side")
     variances = np.diagonal(belief.cov, axis1=-2, axis2=-1)
@@ -226,28 +261,8 @@ def select_sounding(
     if aods is None:
         aods = np.broadcast_to(np.asarray(known_aod, dtype=np.float64)[..., None], gains.shape)
     tx_idx = nearest_beams(known_aod, codebook, num_tx)
-    tx_angles = codebook.angles[tx_idx]
-    if num_rx == 2:
-        j1, j2, scores = _rx_pair_scores(
-            belief.mean, variances, tx_angles, codebook, gains, noise_var, geom_rx, geom_tx, aods
-        )
-        best = np.argmin(scores, axis=-1)
-        return BeamSelection(tx_idx, np.stack([j1[best], j2[best]], axis=-1), scores.min(axis=-1))
-    if belief.mean.ndim > 1:  # the exhaustive search takes one episode at a time
-        picks = [
-            select_sounding(
-                GaussianBelief(belief.mean[k], belief.cov[k]), codebook, gains[k],
-                np.asarray(noise_var)[k], geom_rx, geom_tx, known_aod=np.asarray(known_aod)[k],
-                aods=aods[k], num_tx=num_tx, num_rx=num_rx,
-            )
-            for k in range(len(belief.mean))
-        ]
-        fields = zip(*((p.tx_indices, p.rx_indices, p.objective_value) for p in picks))
-        return BeamSelection(*map(np.stack, fields))
-    best_idx, best_val = None, np.inf
-    for combo in itertools.combinations(range(len(codebook)), num_rx):
-        sounding = SoundingConfig(tx_angles=tx_angles, rx_angles=codebook.angles[list(combo)])
-        val = crlb_objective(belief, sounding, gains, noise_var, geom_rx, geom_tx, aods)
-        if val < best_val:
-            best_idx, best_val = combo, val
-    return BeamSelection(tx_idx, np.array(best_idx), float(best_val))
+    rx_idx, value = _best_rx_subsets(
+        belief.mean, variances, codebook.angles[tx_idx], codebook, gains, noise_var,
+        geom_rx, geom_tx, aods, num_rx,
+    )
+    return BeamSelection(tx_idx, rx_idx, value)

@@ -25,7 +25,7 @@ from scipy.special import erfc
 
 from .arrays import ArrayGeometry, make_codebook
 from .mobility import MobilityParams, generate_trajectory, synthesize_imu
-from .predictor import (
+from .predictor import (  # noqa: F401 - perfbench/tracer.py wraps load_checkpoint here
     NoiseTable,
     PredictorModel,
     load_checkpoint,
@@ -60,6 +60,9 @@ VARIANTS = ("proposed_csi_imu", "proposed_csi", "ekf", "lms", "genie")
 
 NMSE_FLOOR_DB = -100.0
 
+# Width of the departure cluster around the known departure angle.
+AOD_CLUSTER_WIDTH = 2.0 / 64.0
+
 # Stream tags for per-episode substreams (variant-independent by design).
 _TRAJ, _PILOT, _IMU, _INIT, _BER = 1, 2, 3, 4, 5
 
@@ -85,10 +88,8 @@ class SimConfig:
     num_cycles: int = 200
     seed: int = 0
     variant: str = "proposed_csi_imu"
-    checkpoint: str | None = None
     init_error_std: float = 0.01
     lms_step: float = 0.01
-    aod_cluster_width: float = 2.0 / 64.0
     ber_mode: str = "analytic"  # or "montecarlo"
     mc_bits_per_slot: int = 1
 
@@ -322,7 +323,7 @@ def _draw_episode(config: SimConfig) -> _Episode:
     num_paths = config.num_paths
     gains = np.exp(1j * init_rng.uniform(0.0, 2.0 * np.pi, size=num_paths))
     known_aod = float(init_rng.uniform(-0.8, 0.8))
-    half = config.aod_cluster_width / 2.0
+    half = AOD_CLUSTER_WIDTH / 2.0
     aods = np.clip(known_aod + init_rng.uniform(-half, half, size=num_paths), -1.0, 1.0)
     init_aoa = init_rng.uniform(-0.8, 0.8, size=num_paths)
     init_vel = init_rng.normal(config.a_avg, config.init_velocity_std, size=num_paths)
@@ -345,8 +346,8 @@ def _draw_episode(config: SimConfig) -> _Episode:
 # field feeds only an episode's own draws, truth, process noise or scoring,
 # and may differ between the episodes of one batch.
 _SHARED_FIELDS = frozenset({
-    "variant", "checkpoint", "n_b", "n_m", "num_paths", "m_b", "m_m", "codebook_size",
-    "k_samples", "num_cycles", "lms_step",
+    "variant", "n_b", "n_m", "num_paths", "m_b", "m_m", "codebook_size", "k_samples",
+    "num_cycles", "lms_step",
 })
 
 
@@ -443,9 +444,9 @@ def run_episodes(
     """Simulate a batch of episodes in lockstep and score each per cycle.
 
     The configs must agree in the shared fields, those that fix the batch's
-    array shapes or build its tracker: `variant`, `checkpoint`, `n_b`,
-    `n_m`, `num_paths`, `m_b`, `m_m`, `codebook_size`, `k_samples`,
-    `num_cycles` and `lms_step`. A difference in one of them raises a
+    array shapes or build its tracker: `variant`, `n_b`, `n_m`,
+    `num_paths`, `m_b`, `m_m`, `codebook_size`, `k_samples`, `num_cycles`
+    and `lms_step`. A difference in one of them raises a
     ValueError that names it. Every other field, `seed`, `snr_db`, `t_csi`
     and `a_avg` among them, may differ from episode to episode.
     `process_noise` is one value for the batch or one per episode; None
@@ -467,9 +468,7 @@ def run_episodes(
             raise ValueError(f"episodes of one batch must share {differ}")
     proposed = base.variant.startswith("proposed")
     if model is None and proposed:
-        if base.checkpoint is None:
-            raise ValueError("proposed variants need a model or a checkpoint path")
-        model = load_checkpoint(base.checkpoint)
+        raise ValueError("proposed variants need a model")
     fingerprint = model_fingerprint(model) if proposed else None
     episodes, estimates, truth = _track(configs, model, process_noise)
     results = []

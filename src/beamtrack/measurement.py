@@ -26,7 +26,6 @@ __all__ = [
     "PilotVector",
     "sounding_matrices",
     "predicted_measurement",
-    "predicted_measurement_closed_form",
     "measurement_jacobian",
     "receive",
 ]
@@ -228,21 +227,6 @@ def _measurement_from_angles(
     if not with_jacobian:
         return predicted
     return predicted, _jacobian_from_factors(scale, gt, factors[3])
-
-
-def predicted_measurement_closed_form(
-    paths: list[PathState],
-    sounding: SoundingConfig,
-    geom_rx: ArrayGeometry,
-    geom_tx: ArrayGeometry,
-) -> np.ndarray:
-    """Noiseless pilot vector computed from geometric-sum factors.
-
-    Agrees with predicted_measurement to floating-point accuracy; kept as an
-    independent route for cross-checking and as the basis of the Jacobian.
-    """
-    gains, aoas, aods = _path_arrays(paths)
-    return _measurement_from_angles(gains, aoas, aods, sounding, geom_rx, geom_tx)
 
 
 def _jacobian_from_factors(scale, gt, dgr) -> np.ndarray:

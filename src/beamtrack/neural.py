@@ -210,13 +210,12 @@ def _promote(xs: np.ndarray) -> tuple[np.ndarray, bool]:
 class _Trace:
     """Forward-pass cache consumed by the backward sweep."""
 
-    __slots__ = ("pre", "lstm", "post", "output")
+    __slots__ = ("pre", "lstm", "post")
 
     def __init__(self):
         self.pre = []  # per FC layer: (input, output), shapes (B, T, d)
         self.lstm = []  # per LSTM layer: dict of (B, T, 4H) gates, (B, T, H) states + input
         self.post = []  # per FC layer: (input, output), shapes (B, d)
-        self.output = None
 
 
 def _forward(layers, xs: np.ndarray) -> tuple[np.ndarray, _Trace]:
@@ -254,7 +253,6 @@ def _forward(layers, xs: np.ndarray) -> tuple[np.ndarray, _Trace]:
         out = fc_apply(lyr, head_in)
         trace.post.append((head_in, out))
         head_in = out
-    trace.output = head_in
     return head_in, trace
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamtrack import beamctl
 from beamtrack.arrays import make_codebook
 from beamtrack.beamctl import (
     BeamSelection,
@@ -74,26 +75,78 @@ def test_crlb_requires_departures(geom32):
         crlb_objective(belief, snd, np.ones(1, dtype=complex), 0.1, geom32, geom32)
 
 
-def test_vectorized_pair_search_matches_bruteforce(geom32, rng):
-    # The batched pair scorer must agree with scoring each candidate pair
-    # through the generic objective, including the argmin choice.
+def _random_beliefs(rng, episodes, num_paths=2):
+    """Diagonal beliefs, gains, departures and noise for a batch of episodes;
+    the third episode has zero gains, so every subset ties on the prior."""
+    means = rng.uniform(-0.8, 0.8, (episodes, num_paths))
+    cov = np.zeros((episodes, num_paths, num_paths))
+    variances = 10.0 ** rng.uniform(-4.0, -2.0, (episodes, num_paths))
+    cov[:, range(num_paths), range(num_paths)] = variances
+    gains = np.exp(1j * rng.uniform(0, 2 * np.pi, (episodes, num_paths)))
+    gains[2:3] = 0.0
+    known_aod = rng.uniform(-0.8, 0.8, episodes)
+    aods = known_aod[:, None] + rng.uniform(-1 / 16, 1 / 16, (episodes, num_paths))
+    noise_var = 10.0 ** rng.uniform(-1.5, 0.0, episodes)
+    return GaussianBelief(means, cov), gains, known_aod, aods, noise_var
+
+
+@pytest.mark.parametrize("episodes", [1, 3])
+@pytest.mark.parametrize("num_rx", [1, 2, 3])
+def test_vectorized_pair_search_matches_bruteforce(geom32, num_rx, episodes):
+    # The batched subset scorer must agree with scoring each candidate subset
+    # through the generic objective, including the argmin choice; the first
+    # minimum in lexicographic order wins a tie.
     cb = make_codebook(8)
-    belief = GaussianBelief([0.22, -0.41], np.diag([2e-3, 3e-3]))
-    gains = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
-    aods = np.array([0.15, 0.15])
-    noise_var = 10 ** (-0.9)
-    sel = select_sounding(
-        belief, cb, gains, noise_var, geom32, geom32, known_aod=0.15
+    belief, gains, known_aod, aods, noise_var = _random_beliefs(
+        np.random.default_rng(10 * num_rx + episodes), episodes
     )
-    tx_angles = cb.angles[sel.tx_indices]
-    best_combo, best_val = None, np.inf
-    for combo in itertools.combinations(range(len(cb)), 2):
-        snd = SoundingConfig(tx_angles=tx_angles, rx_angles=cb.angles[list(combo)])
-        val = crlb_objective(belief, snd, gains, noise_var, geom32, geom32, aods=aods)
-        if val < best_val:
-            best_combo, best_val = combo, val
-    np.testing.assert_array_equal(sel.rx_indices, best_combo)
-    assert sel.objective_value == pytest.approx(best_val, rel=1e-9)
+    sel = select_sounding(
+        belief, cb, gains, noise_var, geom32, geom32, known_aod=known_aod, aods=aods,
+        num_rx=num_rx,
+    )
+    assert sel.rx_indices.shape == (episodes, num_rx)
+    combos = list(itertools.combinations(range(len(cb)), num_rx))
+    for k in range(episodes):
+        one = GaussianBelief(belief.mean[k], belief.cov[k])
+        tx_angles = cb.angles[nearest_beams(known_aod[k], cb, 2)]
+        values = [
+            crlb_objective(
+                one, SoundingConfig(tx_angles=tx_angles, rx_angles=cb.angles[list(combo)]),
+                gains[k], noise_var[k], geom32, geom32, aods=aods[k],
+            )
+            for combo in combos
+        ]
+        best = int(np.argmin(values))
+        np.testing.assert_array_equal(sel.rx_indices[k], combos[best])
+        assert sel.objective_value[k] == pytest.approx(values[best], rel=1e-12)
+    if episodes == 1:  # the one-belief form is the batch of one
+        alone = select_sounding(
+            GaussianBelief(belief.mean[0], belief.cov[0]), cb, gains[0], noise_var[0],
+            geom32, geom32, known_aod=known_aod[0], aods=aods[0], num_rx=num_rx,
+        )
+        np.testing.assert_array_equal(alone.rx_indices, sel.rx_indices[0])
+        assert alone.objective_value == sel.objective_value[0]
+    else:  # zero gains: every subset ties, the first one wins
+        np.testing.assert_array_equal(sel.rx_indices[2], np.arange(num_rx))
+
+
+def test_a_batch_scored_in_several_slices_equals_its_episodes_alone(geom32, monkeypatch):
+    # 56 triples of 8 beams: a cap of 120 entries scores two episodes a slice,
+    # so five episodes take three slices, the last one short.
+    cb = make_codebook(8)
+    belief, gains, known_aod, aods, noise_var = _random_beliefs(np.random.default_rng(5), 5)
+    monkeypatch.setattr(beamctl, "_SLICE_ENTRIES", 120)
+    sel = select_sounding(
+        belief, cb, gains, noise_var, geom32, geom32, known_aod=known_aod, aods=aods, num_rx=3
+    )
+    for k in range(5):
+        alone = select_sounding(
+            GaussianBelief(belief.mean[k], belief.cov[k]), cb, gains[k], noise_var[k],
+            geom32, geom32, known_aod=known_aod[k], aods=aods[k], num_rx=3,
+        )
+        np.testing.assert_array_equal(sel.tx_indices[k], alone.tx_indices)
+        np.testing.assert_array_equal(sel.rx_indices[k], alone.rx_indices)
+        assert sel.objective_value[k] == alone.objective_value
 
 
 def test_select_sounding_pins_tx_to_known_departure(geom32, codebook64):
@@ -154,6 +207,14 @@ def test_select_sounding_validation(geom32, codebook64):
         mode="aoa_only", known_aod=0.0,
     )
     assert len(sel.rx_indices) == 2
+
+
+@pytest.mark.parametrize("num_rx", [0, 65])
+def test_select_sounding_rejects_receive_sets_the_codebook_cannot_fill(geom32, codebook64, num_rx):
+    belief = GaussianBelief([0.1], [[1e-3]])
+    with pytest.raises(ValueError, match=rf"num_rx must lie in \[1, 64\], got {num_rx}"):
+        select_sounding(belief, codebook64, np.ones(1, dtype=complex), 0.1, geom32, geom32,
+                        known_aod=0.0, num_rx=num_rx)
 
 
 def test_select_sounding_rejects_a_correlated_prior(geom32, codebook64):

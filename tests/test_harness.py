@@ -157,8 +157,15 @@ def test_run_episode_montecarlo_ber_mode():
 
 def test_proposed_variant_needs_checkpoint():
     cfg = _tiny_config(variant="proposed_csi_imu")
-    with pytest.raises(ValueError, match="checkpoint"):
+    with pytest.raises(ValueError, match="need a model"):
         run_episode(cfg)
+
+
+def test_ekf_with_more_receive_beams_than_codebook_entries_raises_a_value_error():
+    # Checked before any beam is chosen, not left to an IndexError in the sounding.
+    cfg = _tiny_config(codebook_size=8, m_m=9, num_cycles=1)
+    with pytest.raises(ValueError, match=r"num_rx must lie in \[1, 8\], got 9"):
+        run_episode(cfg, process_noise=1e-6)
 
 
 def test_run_sweep_shape_pairing_and_csv(tmp_path):
@@ -201,7 +208,7 @@ def test_run_sweep_survives_failing_cells(tmp_path):
     rows = run_sweep(cfg, "snr_db", [9.0], ("proposed_csi", "genie"), trials=2)
     failures = [r for r in rows if r["variant"] == "proposed_csi" and r["trial"] != "mean"]
     assert all(
-        r["status"] == "error:ValueError: proposed variants need a model or a checkpoint path"
+        r["status"] == "error:ValueError: proposed variants need a model"
         for r in failures
     )
     assert all(r["mean_nmse_db"] == "" for r in failures)

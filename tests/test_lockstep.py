@@ -62,7 +62,7 @@ def test_batch_gives_each_episode_its_result_alone(variant, episodes, ber_mode, 
 
 
 def test_three_receive_beams_batch_episode_by_episode():
-    # Exhaustive search over beam triples scores one episode at a time.
+    # Beam triples go through the same batched subset scorer as pairs.
     base = replace(BASE, variant="ekf", m_m=3, codebook_size=8, num_cycles=3)
     configs = [replace(base, seed=seed, snr_db=snr) for seed, snr in ((1, 3.0), (2, 12.0))]
     for cfg, got in zip(configs, _run(configs, "ekf")):

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from beamtrack.arrays import ArrayGeometry, PathState, assemble_channel, make_codebook
+from beamtrack.arrays import ArrayGeometry, PathState, _path_arrays, assemble_channel, make_codebook
 from beamtrack import measurement
 from beamtrack.measurement import (
     PilotVector,
     SoundingConfig,
     measurement_jacobian,
     predicted_measurement,
-    predicted_measurement_closed_form,
     receive,
     sounding_matrices,
 )
@@ -96,7 +95,8 @@ def test_closed_form_matches_matrix_route(geom32, codebook64):
         paths = _random_paths(rng)
         snd = _random_sounding(rng, codebook64)
         q_mat = predicted_measurement(paths, snd, geom32, geom32)
-        q_cf = predicted_measurement_closed_form(paths, snd, geom32, geom32)
+        gains, aoas, aods = _path_arrays(paths)
+        q_cf = measurement._measurement_from_angles(gains, aoas, aods, snd, geom32, geom32)
         np.testing.assert_allclose(q_cf, q_mat, atol=1e-10)
 
 
