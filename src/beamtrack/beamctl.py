@@ -11,7 +11,8 @@ transmit side is pinned to the codebook beams nearest the known departure
 direction and the receive beams are found by exhaustive search over all
 unordered codebook subsets of the requested size, scored as one batch per
 slice of episodes that holds at most 2**18 subset x episode entries (or
-one episode, when that alone has more subsets).
+one episode, when that alone has more subsets). A search over more than
+2**20 subsets is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -141,6 +142,10 @@ def spd_inverse_trace(mats: np.ndarray) -> np.ndarray:
     return np.where(ok, traces, np.inf)
 
 
+# Receive subsets one search may score: 4 of 64 beams (635,376 subsets) fit,
+# 5 of 64 (7,624,512) would take a 305 MB table and gigabytes per episode.
+_MAX_SUBSETS = 2**20
+
 # Subset x episode entries scored at once. A slice holds a few tens of MB of
 # information matrices and Cholesky intermediates, whatever the batch size.
 _SLICE_ENTRIES = 2**18
@@ -238,7 +243,8 @@ def select_sounding(
     `num_rx`-subsets of the codebook, 1 <= num_rx <= len(codebook), all
     scored in one batch per slice of episodes. A slice holds at most 2**18
     subset x episode entries, or one episode when that alone has more, which
-    bounds the memory a call takes whatever the batch size. `aods` defaults
+    bounds the memory a call takes whatever the batch size; more than
+    2**20 subsets raise ValueError before any is scored. `aods` defaults
     to `known_aod` for every path. `mode` accepts only "aoa_only", the one
     tracked state. Objective ties resolve toward the lexicographically
     smallest index tuple. The belief's covariance must be diagonal, as every
@@ -252,6 +258,12 @@ def select_sounding(
         raise ValueError(f"unknown mode {mode!r}: only 'aoa_only' is tracked")
     if not 1 <= num_rx <= len(codebook):
         raise ValueError(f"num_rx must lie in [1, {len(codebook)}], got {num_rx}")
+    subsets = math.comb(len(codebook), num_rx)
+    if subsets > _MAX_SUBSETS:
+        raise ValueError(
+            f"num_rx={num_rx} of {len(codebook)} beams is {subsets} receive subsets, "
+            f"above the cap of {_MAX_SUBSETS}"
+        )
     if known_aod is None:
         raise ValueError("select_sounding needs known_aod for the transmit side")
     variances = np.diagonal(belief.cov, axis1=-2, axis2=-1)

@@ -11,6 +11,13 @@ negates the velocity so the motion stays continuous instead of pinning to the
 boundary. For rho close to 1 the velocity is a slowly wandering process with
 stationary variance drive_var / (1 - rho^2) around a_avg.
 
+One private generator produces each path's angles as a stream of chunks of
+at most a few thousand slots. `generate_trajectory` writes the chunks into
+the trajectory array; a consumer that needs only some of the angles, such as
+the process-noise calibration in `trackers`, keeps those and never holds the
+trajectory. Apart from one path's drive noise, the stream's temporaries are
+at most one chunk long.
+
 The inertial block per cycle holds angular-velocity samples (first finite
 difference of the angle over dt) and angular-acceleration samples (second
 finite difference over dt^2), decimated within each cycle and corrupted by
@@ -19,6 +26,7 @@ additive Gaussian noise scaled to the per-channel signal power of the episode.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +44,7 @@ DEFAULT_RHO = 0.9999
 # Chosen so the stationary velocity variance drive_var / (1 - rho^2) is 0.2.
 DEFAULT_DRIVE_VAR = 0.2 * (1.0 - DEFAULT_RHO**2)
 
-# Chunk sizes of generate_trajectory, in slots. Reflections are thousands of
+# Chunk sizes of the angle stream, in slots. Reflections are thousands of
 # slots apart at walking rates, so most slots run in full-size chunks; a
 # small first chunk keeps fast ballistic motion, which reflects every few
 # slots, from discarding a full chunk of recursion per reflection.
@@ -83,6 +91,66 @@ class Trajectory:
         return self.aoa.shape[1]
 
 
+def _angle_chunks(
+    params: MobilityParams,
+    num_paths: int,
+    num_slots: int,
+    rng: np.random.Generator,
+    init_aoa: np.ndarray | float | None = None,
+    init_velocity: np.ndarray | float | None = None,
+):
+    """Each path's angles as a stream of (path, first slot, angles) chunks.
+
+    Paths come one after the other and each path's chunks in slot order, so
+    that writing every chunk at its path and first slot gives the whole
+    trajectory. The initial state, the drive noise and the recursion are
+    those of `generate_trajectory`, which documents them.
+    """
+    if num_paths < 1 or num_slots < 1:
+        raise ValueError("num_paths and num_slots must be >= 1")
+    if init_aoa is None:
+        init_aoa = rng.uniform(-0.8, 0.8, size=num_paths)
+    init_aoa = np.broadcast_to(np.asarray(init_aoa, dtype=np.float64), (num_paths,))
+    if np.any(np.abs(init_aoa) > 1.0):
+        raise ValueError("initial aoa must lie in [-1, 1]")
+    if init_velocity is None:
+        init_velocity = rng.normal(params.a_avg, np.sqrt(0.2), size=num_paths)
+    init_velocity = np.broadcast_to(np.asarray(init_velocity, dtype=np.float64), (num_paths,))
+
+    drive_std = np.sqrt(params.drive_var)
+    pull = (1.0 - params.rho) * params.a_avg
+    rho, dt = params.rho, params.dt
+
+    for l in range(num_paths):
+        drive = memoryview(rng.normal(0.0, drive_std, size=num_slots))
+        th = float(init_aoa[l])
+        v = float(init_velocity[l])
+        n, size = 0, _FIRST_CHUNK
+        while n < num_slots:
+            m = min(n + size, num_slots)
+            vs = array("d")
+            append = vs.append
+            for w in drive[n:m]:
+                v = pull + rho * v + w
+                append(v)
+            ang = np.array(vs) * dt
+            ang[0] += th
+            np.cumsum(ang, out=ang)
+            outside = np.abs(ang) > 1.0
+            bounced = bool(outside.any())
+            end = int(outside.argmax()) + 1 if bounced else m - n
+            th, v = float(ang[end - 1]), vs[end - 1]
+            while th > 1.0 or th < -1.0:
+                th = 2.0 - th if th > 1.0 else -2.0 - th
+                v = -v
+            ang[end - 1] = th
+            yield l, n, ang[:end]
+            n += end
+            size = _FIRST_CHUNK if bounced else min(2 * size, _MAX_CHUNK)
+        # Freed before the next path draws its drive, not after.
+        del drive
+
+
 def generate_trajectory(
     params: MobilityParams,
     num_paths: int,
@@ -98,63 +166,28 @@ def generate_trajectory(
     from N(a_avg, 0.2), matching the stationary velocity spread.
 
     The output is bit-identical to stepping the recursion slot by slot.
-    Each path is generated in chunks: the velocity recursion runs over the
-    chunk's drive as plain Python floats, which performs the same float
-    operations in the same order as the per-slot update. The angle is then
-    the running sum of dt * v with the carried angle added to the first step;
-    `np.cumsum` accumulates strictly left to right, so each partial sum
-    equals `th += dt * v` exactly. At the chunk's first slot with |theta| > 1
-    the slots before it are kept, the reflection is applied there (negating
-    the velocity), and the next chunk restarts at the following slot. Chunks
-    double from _FIRST_CHUNK to _MAX_CHUNK slots while no reflection occurs
-    and shrink back after one, so the recursion discarded at each reflection
-    stays proportional to the distance between reflections. The drive noise
-    is drawn path by path, which takes the same numbers from the generator
-    as one (num_paths, num_slots) draw; apart from that one path's drive,
-    temporaries are at most one chunk long.
+    Each path is generated as a stream of chunks, which this function writes
+    into the (num_paths, num_slots) array. Within a chunk the velocity
+    recursion runs over the chunk's drive as plain Python floats, which
+    performs the same float operations in the same order as the per-slot
+    update; the drive is read through a memoryview and the velocities are
+    kept as C doubles in an `array`, so that no slot leaves a Python object
+    alive. The angle is then the running sum of dt * v with the carried
+    angle added to the first step; `np.cumsum` accumulates strictly left to
+    right, so each partial sum equals `th += dt * v` exactly. At the chunk's
+    first slot with |theta| > 1 the slots before it are kept, the reflection
+    is applied there (negating the velocity), and the next chunk restarts at
+    the following slot. Chunks double from _FIRST_CHUNK to _MAX_CHUNK slots
+    while no reflection occurs and shrink back after one, so the recursion
+    discarded at each reflection stays proportional to the distance between
+    reflections. The drive noise is drawn path by path, which takes the same
+    numbers from the generator as one (num_paths, num_slots) draw; apart
+    from that one path's drive, the stream's temporaries are at most one
+    chunk long.
     """
-    if num_paths < 1 or num_slots < 1:
-        raise ValueError("num_paths and num_slots must be >= 1")
-    if init_aoa is None:
-        init_aoa = rng.uniform(-0.8, 0.8, size=num_paths)
-    init_aoa = np.broadcast_to(np.asarray(init_aoa, dtype=np.float64), (num_paths,))
-    if np.any(np.abs(init_aoa) > 1.0):
-        raise ValueError("initial aoa must lie in [-1, 1]")
-    if init_velocity is None:
-        init_velocity = rng.normal(params.a_avg, np.sqrt(0.2), size=num_paths)
-    init_velocity = np.broadcast_to(np.asarray(init_velocity, dtype=np.float64), (num_paths,))
-
-    drive_std = np.sqrt(params.drive_var)
     aoa = np.empty((num_paths, num_slots))
-    pull = (1.0 - params.rho) * params.a_avg
-    rho, dt = params.rho, params.dt
-
-    for l in range(num_paths):
-        drive = rng.normal(0.0, drive_std, size=num_slots)
-        th = float(init_aoa[l])
-        v = float(init_velocity[l])
-        n, size = 0, _FIRST_CHUNK
-        while n < num_slots:
-            m = min(n + size, num_slots)
-            vs = []
-            append = vs.append
-            for w in drive[n:m].tolist():
-                v = pull + rho * v + w
-                append(v)
-            ang = np.array(vs) * dt
-            ang[0] += th
-            np.cumsum(ang, out=ang)
-            outside = np.abs(ang) > 1.0
-            bounced = bool(outside.any())
-            end = int(outside.argmax()) + 1 if bounced else m - n
-            th, v = float(ang[end - 1]), vs[end - 1]
-            while th > 1.0 or th < -1.0:
-                th = 2.0 - th if th > 1.0 else -2.0 - th
-                v = -v
-            ang[end - 1] = th
-            aoa[l, n : n + end] = ang[:end]
-            n += end
-            size = _FIRST_CHUNK if bounced else min(2 * size, _MAX_CHUNK)
+    for l, n, chunk in _angle_chunks(params, num_paths, num_slots, rng, init_aoa, init_velocity):
+        aoa[l, n : n + chunk.size] = chunk
     return Trajectory(aoa, params.dt)
 
 

@@ -35,7 +35,11 @@ from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_f
     _measurement_from_angles,
     receive,
 )
-from .mobility import MobilityParams, generate_trajectory
+from .mobility import (  # noqa: F401 - perfbench/tracer.py wraps generate_trajectory here
+    MobilityParams,
+    _angle_chunks,
+    generate_trajectory,
+)
 from .predictor import PredictorModel, predict
 
 __all__ = [
@@ -298,9 +302,20 @@ def calibrate_process_noise(
     slots, and a variance sized to the ensemble average starves such a path
     of corrections until it leaves the beam mainlobe and the filter never
     recovers it.
+
+    The probe is a `num_cycles`-cycle trajectory of `num_paths` paths, but
+    only its cycle-boundary angles are kept: they are picked from the
+    mobility model's chunk stream into a (num_paths, num_cycles) array, and
+    the whole trajectory is never held. The result equals the quantile taken
+    on `generate_trajectory(...).aoa[:, ::t_csi]` with the same generator,
+    bit for bit.
     """
     rng = np.random.default_rng(seed)
-    traj = generate_trajectory(params, num_paths, num_cycles * t_csi, rng)
-    boundary = traj.aoa[:, ::t_csi]
+    boundary = np.empty((num_paths, num_cycles))
+    for l, n, chunk in _angle_chunks(params, num_paths, num_cycles * t_csi, rng):
+        first = -n % t_csi
+        picked = chunk[first::t_csi]
+        start = (n + first) // t_csi
+        boundary[l, start : start + picked.size] = picked
     increments = np.diff(boundary, axis=1)
     return float(np.quantile(increments**2, quantile))

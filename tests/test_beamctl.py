@@ -1,6 +1,8 @@
 """Error-bound-driven sounding beam selection."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +217,46 @@ def test_select_sounding_rejects_receive_sets_the_codebook_cannot_fill(geom32, c
     with pytest.raises(ValueError, match=rf"num_rx must lie in \[1, 64\], got {num_rx}"):
         select_sounding(belief, codebook64, np.ones(1, dtype=complex), 0.1, geom32, geom32,
                         known_aod=0.0, num_rx=num_rx)
+
+
+def test_select_sounding_refuses_more_receive_subsets_than_the_cap(geom32, codebook64, monkeypatch):
+    # 5 of 64 beams is 7,624,512 subsets: a 305 MB subset table and gigabytes
+    # of scores for one episode. The count must be refused before anything
+    # is built; the stand-in table fails the test if the search starts.
+    def no_table(n, k):
+        raise AssertionError(f"the {k}-of-{n} subset table was built")
+
+    monkeypatch.setattr(beamctl, "_subset_table", no_table)
+    belief = GaussianBelief([0.1, 0.3], 1e-3 * np.eye(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"7624512 receive subsets, above the cap of 1048576"):
+            select_sounding(belief, codebook64, np.ones(2, dtype=complex), 0.1, geom32, geom32,
+                            known_aod=0.0, num_rx=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"refusing the search took a {peak / 2**20:.1f} MiB peak"
+
+
+def test_the_subset_cap_is_inclusive(geom32, monkeypatch):
+    cb = make_codebook(10)
+    belief = GaussianBelief([0.1], [[1e-3]])
+    args = (belief, cb, np.ones(1, dtype=complex), 0.1, geom32, geom32)
+    monkeypatch.setattr(beamctl, "_MAX_SUBSETS", math.comb(10, 3))
+    for num_rx in (3, 7):  # 120 subsets each, exactly the cap
+        assert len(select_sounding(*args, known_aod=0.0, num_rx=num_rx).rx_indices) == num_rx
+    with pytest.raises(ValueError, match="210 receive subsets"):
+        select_sounding(*args, known_aod=0.0, num_rx=4)
+
+
+def test_four_receive_beams_of_64_stay_under_the_cap(geom32, codebook64):
+    assert math.comb(64, 4) == 635_376 <= beamctl._MAX_SUBSETS
+    belief = GaussianBelief([0.1, -0.4], 1e-3 * np.eye(2))
+    sel = select_sounding(belief, codebook64, np.ones(2, dtype=complex), 0.1, geom32, geom32,
+                          known_aod=0.0, num_rx=4)
+    assert sel.rx_indices.shape == (4,) and np.all(np.diff(sel.rx_indices) > 0)
+    assert np.isfinite(sel.objective_value)
 
 
 def test_select_sounding_rejects_a_correlated_prior(geom32, codebook64):

@@ -1,9 +1,13 @@
 """Cycle-level trackers: EKF baseline, learned tracker, LMS, genie."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamtrack import filtering, measurement, neural
+from beamtrack import filtering, measurement, mobility, neural
 from beamtrack.harness import SimConfig, run_episode
 from beamtrack.mobility import MobilityParams, generate_trajectory
 from beamtrack.predictor import InputWindow, NormStats, build_model
@@ -56,6 +60,51 @@ def test_calibrate_process_noise_quantile_and_determinism():
     assert lo < hi
     assert hi == again
     assert hi > 0
+
+
+# Cycle lengths that put boundaries on, just before and just after the ends
+# of the angle stream's first and longest chunks, plus arbitrary ones.
+_EDGE_T_CSI = [1] + [c + d for c in (mobility._FIRST_CHUNK, mobility._MAX_CHUNK) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a_avg=st.floats(-4.0, 4.0),
+    rho=st.floats(0.0, 0.99999),
+    drive_var=st.floats(0.0, 1.0),
+    t_csi=st.one_of(st.sampled_from(_EDGE_T_CSI), st.integers(1, 9000)),
+    num_cycles=st.integers(2, 6),
+    num_paths=st.integers(1, 3),
+    quantile=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_calibration_equals_the_quantile_of_the_full_trajectory(
+    a_avg, rho, drive_var, t_csi, num_cycles, num_paths, quantile, seed
+):
+    params = MobilityParams(a_avg=a_avg, rho=rho, drive_var=drive_var)
+    traj = generate_trajectory(params, num_paths, num_cycles * t_csi, np.random.default_rng(seed))
+    expected = np.quantile(np.diff(traj.aoa[:, ::t_csi], axis=1) ** 2, quantile)
+    level = calibrate_process_noise(
+        params, t_csi, num_cycles=num_cycles, num_paths=num_paths, seed=seed, quantile=quantile
+    )
+    assert level == expected
+
+
+def test_calibration_memory_does_not_grow_with_the_trajectory():
+    # Holding the (3, 640,000) trajectory took a 25.8 MB peak, and each
+    # further path added 5 MB of angles; only one path's drive may remain.
+    params = MobilityParams(a_avg=0.2 * np.pi)
+    calibrate_process_noise(params, 320)  # warm-up: one-time imports and caches
+    peaks = {}
+    for num_paths in (3, 6):
+        tracemalloc.start()
+        try:
+            calibrate_process_noise(params, 320, num_paths=num_paths)
+            peaks[num_paths] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[3] <= 12e6, f"calibration peak {peaks[3] / 1e6:.1f} MB"
+    assert peaks[6] - peaks[3] < 1e6, f"three more paths added {(peaks[6] - peaks[3]) / 1e6:.2f} MB"
 
 
 def test_ekf_converges_on_static_path(geom32, codebook64):
