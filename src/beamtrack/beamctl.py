@@ -151,6 +151,20 @@ _MAX_SUBSETS = 2**20
 _SLICE_ENTRIES = 2**18
 
 
+def _check_num_rx(codebook_size: int, num_rx: int, name: str = "num_rx") -> None:
+    """Raise ValueError unless the receive search over `num_rx`-subsets of
+    `codebook_size` beams can run: 1 <= num_rx <= codebook_size, and at most
+    _MAX_SUBSETS subsets. `name` is the count's name in the message."""
+    if not 1 <= num_rx <= codebook_size:
+        raise ValueError(f"{name} must lie in [1, {codebook_size}], got {num_rx}")
+    subsets = math.comb(codebook_size, num_rx)
+    if subsets > _MAX_SUBSETS:
+        raise ValueError(
+            f"{name}={num_rx} of {codebook_size} beams is {subsets} receive subsets, "
+            f"above the cap of {_MAX_SUBSETS}"
+        )
+
+
 @lru_cache(maxsize=None)
 def _subset_table(n: int, k: int) -> np.ndarray:
     """Lexicographic k-subsets of n beams, (k, n_subsets): row r holds every
@@ -256,14 +270,7 @@ def select_sounding(
     """
     if mode != "aoa_only":
         raise ValueError(f"unknown mode {mode!r}: only 'aoa_only' is tracked")
-    if not 1 <= num_rx <= len(codebook):
-        raise ValueError(f"num_rx must lie in [1, {len(codebook)}], got {num_rx}")
-    subsets = math.comb(len(codebook), num_rx)
-    if subsets > _MAX_SUBSETS:
-        raise ValueError(
-            f"num_rx={num_rx} of {len(codebook)} beams is {subsets} receive subsets, "
-            f"above the cap of {_MAX_SUBSETS}"
-        )
+    _check_num_rx(len(codebook), num_rx)
     if known_aod is None:
         raise ValueError("select_sounding needs known_aod for the transmit side")
     variances = np.diagonal(belief.cov, axis1=-2, axis2=-1)

@@ -80,12 +80,16 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
 
 def _sim_config(args: argparse.Namespace, variant: str = "ekf") -> harness.SimConfig:
     """The SimConfig of the flags `_add_sim_args` defines; fields without a
-    flag keep their defaults."""
+    flag keep their defaults. A config that SimConfig rejects ends the
+    command with its one-line message."""
     given = vars(args)
-    return harness.SimConfig(
-        **{f.name: given[f.name] for f in fields(harness.SimConfig) if f.name in given},
-        variant=variant,
-    )
+    try:
+        return harness.SimConfig(
+            **{f.name: given[f.name] for f in fields(harness.SimConfig) if f.name in given},
+            variant=variant,
+        )
+    except ValueError as err:
+        raise SystemExit(f"beamtrack: {err}") from None
 
 
 def _load_models(args, variants) -> dict:

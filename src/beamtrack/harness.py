@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .arrays import ArrayGeometry, make_codebook
+from .beamctl import _check_num_rx
 from .mobility import MobilityParams, generate_trajectory, synthesize_imu
 from .predictor import (  # noqa: F401 - perfbench/tracer.py wraps load_checkpoint here
     NoiseTable,
@@ -102,6 +103,9 @@ class SimConfig:
             raise ValueError("num_cycles must be >= 1")
         if self.ber_mode not in ("analytic", "montecarlo"):
             raise ValueError(f"unknown ber_mode {self.ber_mode!r}")
+        if not 1 <= self.m_b <= self.codebook_size:
+            raise ValueError(f"m_b must lie in [1, {self.codebook_size}], got {self.m_b}")
+        _check_num_rx(self.codebook_size, self.m_m, name="m_m")
 
     def digest(self, model_fingerprint: str | None = None) -> str:
         """Short hash of the config, plus the model's fingerprint when given."""

@@ -1,33 +1,45 @@
-"""Golden tracker outputs: fixed episodes whose per-cycle traces are pinned.
+"""Golden outputs: fixed episodes whose per-cycle traces are pinned, and the
+`plot-data` figure CSVs.
 
-The cases are every variant x 3 seeds x 40 cycles at two operating points.
-The proposed variants use a model built deterministically here (fixed-seed
-initialisation and fixed normalisation constants, no training), so the file
-depends on nothing outside this module and the package.
+The episode cases are every variant x 3 seeds x 40 cycles at two operating
+points. The proposed variants use a model built deterministically here
+(fixed-seed initialisation and fixed normalisation constants, no training),
+so the file depends on nothing outside this module and the package. The
+CSVs are what `beamtrack plot-data` writes with PLOT_DATA_ARGS, which use
+the reference checkpoint in perfbench/.
 
     PYTHONPATH=src python tests/golden_episodes.py
 
-rewrites tests/data/golden_episodes.npz from the package on the path. The
-stored traces were written by the commit before the per-cycle scoring and
-selection speed-ups; tests/test_golden.py asserts that the current package
-still produces them (NMSE and angle errors bit for bit, BER to 1e-12).
-Bit-identity holds on the NumPy/OpenBLAS build the file was written with;
-a different BLAS build may legitimately round differently.
+rewrites both, tests/data/golden_episodes.npz and tests/data/plot_data_golden/,
+from the package on the path. tests/test_golden.py asserts that the current
+package still produces them (NMSE and angle errors bit for bit, BER to
+1e-12, CSVs byte for byte). Both were last written when the mobility
+model's velocity recursion became a doubling scan, which moved their
+rounding. Bit-identity holds on the NumPy/OpenBLAS build the files were
+written with; a different BLAS build may legitimately round differently.
 """
 
 from __future__ import annotations
 
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from beamtrack import cli
 from beamtrack.harness import VARIANTS, SimConfig, run_episode
 from beamtrack.predictor import NormStats, PredictorModel, build_model
 from beamtrack.trackers import calibrate_process_noise
 
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_episodes.npz"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_PATH = ROOT / "tests" / "data" / "golden_episodes.npz"
+PLOT_DATA_GOLDEN = ROOT / "tests" / "data" / "plot_data_golden"
+PLOT_DATA_ARGS = [
+    "plot-data", "--trials", "1", "--num-cycles", "10", "--master-seed", "12345",
+    "--checkpoint", str(ROOT / "perfbench" / "reference.ckpt"),
+]
 
 SETTINGS = (
     dict(snr_db=9.0, a_avg=0.4 * np.pi, t_csi=160),
@@ -83,7 +95,8 @@ def main() -> int:
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(GOLDEN_PATH, **run_cases())
     print(f"wrote {GOLDEN_PATH}")
-    return 0
+    shutil.rmtree(PLOT_DATA_GOLDEN, ignore_errors=True)
+    return cli.main(PLOT_DATA_ARGS + ["--out-dir", str(PLOT_DATA_GOLDEN)])
 
 
 if __name__ == "__main__":

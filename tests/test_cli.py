@@ -261,6 +261,19 @@ def test_cli_evaluate_calibrates_once_and_prints_the_same_lines(count_calls, cap
     assert len(calls) == 1
 
 
+def test_cli_refuses_a_receive_search_over_the_cap_before_calibrating(count_calls, capsys):
+    # 5 of 64 receive beams passes the subset cap: the command ends with the
+    # config's one-line message before the 2000-cycle calibration runs.
+    calls = count_calls(trackers, "calibrate_process_noise")
+    count_calls(harness, "calibrate_process_noise", calls)
+    with pytest.raises(SystemExit) as refused:
+        main(["evaluate", "--variants", "ekf,genie", "--num-cycles", "5", "--m-m", "5"])
+    message = refused.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert "m_m=5 of 64 beams is 7624512 receive subsets" in message
+    assert len(calls) == 0
+
+
 def test_cli_plot_data_parses_the_checkpoint_once(tmp_path, monkeypatch, count_calls, capsys):
     ckpt = tmp_path / "model.ckpt"
     model = build_model(np.random.default_rng(0))

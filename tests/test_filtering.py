@@ -82,6 +82,24 @@ def test_psd_sqrt_round_trip(rng):
         np.testing.assert_allclose(roots[1] @ roots[1], 2.0 * mat, atol=1e-10)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    variances=st.lists(
+        st.floats(0.0, 1e300, allow_subnormal=True) | st.sampled_from([0.0, 5e-324, 1e-3]),
+        min_size=1, max_size=64,
+    ),
+    scale=st.sampled_from([1e-6, 1.0, 3.0]),
+)
+def test_psd_sqrt_of_one_by_one_stacks_is_the_scalar_root(variances, scale):
+    # The Kalman trackers root (B, 1, 1) stacks of scale * variance, scale
+    # alpha^2 = 1e-6 for one state. On this path the stacked eigh returns the
+    # entry and a unit eigenvector, so the root equals sqrt(scale * var) in
+    # the last bit, for every variance whose doubled scaled value is finite.
+    var = np.array(variances)
+    root = _psd_sqrt((scale * var)[:, None, None])
+    np.testing.assert_array_equal(root[:, 0, 0], np.sqrt(scale * var))
+
+
 def test_psd_sqrt_rank_deficient_ok():
     mat = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
     root = _psd_sqrt(mat)

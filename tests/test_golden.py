@@ -1,21 +1,10 @@
 """Outputs pinned against committed golden files: the tracker traces of the
 golden episodes (see golden_episodes.py) and the `plot-data` figure CSVs."""
 
-from pathlib import Path
-
 import numpy as np
 
 from beamtrack.cli import main
-from golden_episodes import GOLDEN_PATH, run_cases
-
-ROOT = Path(__file__).resolve().parents[1]
-# Written by `beamtrack plot-data` with PLOT_DATA_ARGS from the commit before
-# sweeps ran every point of a variant as one batch.
-PLOT_DATA_GOLDEN = ROOT / "tests" / "data" / "plot_data_golden"
-PLOT_DATA_ARGS = [
-    "plot-data", "--trials", "1", "--num-cycles", "10", "--master-seed", "12345",
-    "--checkpoint", str(ROOT / "perfbench" / "reference.ckpt"),
-]
+from golden_episodes import GOLDEN_PATH, PLOT_DATA_ARGS, PLOT_DATA_GOLDEN, run_cases
 
 
 def test_tracker_outputs_match_the_golden_episodes():

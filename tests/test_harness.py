@@ -67,6 +67,32 @@ def test_sim_config_validation():
         SimConfig(num_cycles=0)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(m_b=0), r"m_b must lie in \[1, 64\], got 0"),
+        (dict(m_b=65), r"m_b must lie in \[1, 64\], got 65"),
+        (dict(m_m=0), r"m_m must lie in \[1, 64\], got 0"),
+        (dict(m_m=65), r"m_m must lie in \[1, 64\], got 65"),
+        (dict(m_m=5), r"m_m=5 of 64 beams is 7624512 receive subsets, above the cap"),
+        (dict(codebook_size=8, m_b=9), r"m_b must lie in \[1, 8\], got 9"),
+    ],
+    ids=["m_b=0", "m_b=65", "m_m=0", "m_m=65", "m_m=5", "m_b=9_of_8"],
+)
+def test_sim_config_rejects_beam_counts_the_search_cannot_take(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**fields)
+
+
+def test_sim_config_takes_every_beam_count_the_search_can():
+    # 4 of 64 beams (635,376 subsets) is the largest receive set under the cap.
+    for m in (1, 4):
+        SimConfig(m_b=m, m_m=m)
+    SimConfig(codebook_size=8, m_b=8, m_m=8)
+    # The checks add no field: the default config keeps its digest.
+    assert SimConfig().digest() == "3e184287183b"
+
+
 def test_sim_config_digest_tracks_content():
     a = SimConfig(seed=1)
     b = SimConfig(seed=1)
@@ -162,10 +188,10 @@ def test_proposed_variant_needs_checkpoint():
 
 
 def test_ekf_with_more_receive_beams_than_codebook_entries_raises_a_value_error():
-    # Checked before any beam is chosen, not left to an IndexError in the sounding.
-    cfg = _tiny_config(codebook_size=8, m_m=9, num_cycles=1)
-    with pytest.raises(ValueError, match=r"num_rx must lie in \[1, 8\], got 9"):
-        run_episode(cfg, process_noise=1e-6)
+    # Checked when the config is built, before any calibration or beam choice,
+    # not left to an IndexError in the sounding.
+    with pytest.raises(ValueError, match=r"m_m must lie in \[1, 8\], got 9"):
+        _tiny_config(codebook_size=8, m_m=9, num_cycles=1)
 
 
 def test_run_sweep_shape_pairing_and_csv(tmp_path):
