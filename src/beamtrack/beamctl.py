@@ -151,16 +151,19 @@ _MAX_SUBSETS = 2**20
 _SLICE_ENTRIES = 2**18
 
 
-def _check_num_rx(codebook_size: int, num_rx: int, name: str = "num_rx") -> None:
-    """Raise ValueError unless the receive search over `num_rx`-subsets of
-    `codebook_size` beams can run: 1 <= num_rx <= codebook_size, and at most
-    _MAX_SUBSETS subsets. `name` is the count's name in the message."""
-    if not 1 <= num_rx <= codebook_size:
-        raise ValueError(f"{name} must lie in [1, {codebook_size}], got {num_rx}")
-    subsets = math.comb(codebook_size, num_rx)
+def _check_beam_count(codebook_size: int, count: int, name: str, receive: bool) -> None:
+    """Raise ValueError unless `count` beams of `codebook_size` can be sounded:
+    1 <= count <= codebook_size and, on the receive side, whose search scores
+    every `count`-subset, at most _MAX_SUBSETS subsets. `name` is the count
+    as its caller knows it (num_rx here, m_b or m_m in a SimConfig)."""
+    if not 1 <= count <= codebook_size:
+        raise ValueError(f"{name} must lie in [1, {codebook_size}], got {count}")
+    if not receive:
+        return
+    subsets = math.comb(codebook_size, count)
     if subsets > _MAX_SUBSETS:
         raise ValueError(
-            f"{name}={num_rx} of {codebook_size} beams is {subsets} receive subsets, "
+            f"{name}={count} of {codebook_size} beams is {subsets} receive subsets, "
             f"above the cap of {_MAX_SUBSETS}"
         )
 
@@ -270,7 +273,7 @@ def select_sounding(
     """
     if mode != "aoa_only":
         raise ValueError(f"unknown mode {mode!r}: only 'aoa_only' is tracked")
-    _check_num_rx(len(codebook), num_rx)
+    _check_beam_count(len(codebook), num_rx, "num_rx", receive=True)
     if known_aod is None:
         raise ValueError("select_sounding needs known_aod for the transmit side")
     variances = np.diagonal(belief.cov, axis1=-2, axis2=-1)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .arrays import ArrayGeometry, make_codebook
-from .beamctl import _check_num_rx
+from .beamctl import _check_beam_count
 from .mobility import MobilityParams, generate_trajectory, synthesize_imu
 from .predictor import (  # noqa: F401 - perfbench/tracer.py wraps load_checkpoint here
     NoiseTable,
@@ -103,9 +103,8 @@ class SimConfig:
             raise ValueError("num_cycles must be >= 1")
         if self.ber_mode not in ("analytic", "montecarlo"):
             raise ValueError(f"unknown ber_mode {self.ber_mode!r}")
-        if not 1 <= self.m_b <= self.codebook_size:
-            raise ValueError(f"m_b must lie in [1, {self.codebook_size}], got {self.m_b}")
-        _check_num_rx(self.codebook_size, self.m_m, name="m_m")
+        _check_beam_count(self.codebook_size, self.m_b, "m_b", receive=False)
+        _check_beam_count(self.codebook_size, self.m_m, "m_m", receive=True)
 
     def digest(self, model_fingerprint: str | None = None) -> str:
         """Short hash of the config, plus the model's fingerprint when given."""
@@ -566,8 +565,9 @@ def run_sweep(
     Returns the CSV rows as dicts and, when out_path is given, writes them.
     For each variant, every point and trial of the sweep runs as one batch
     of `run_episodes`; a sweep over a shared field runs one batch per point.
-    A failed episode is recorded with status "error:<Type>: <message>" and
-    empty metrics; the sweep keeps going. Mean rows average the successful
+    A failed episode, or every episode of a point whose config SimConfig
+    rejects, is recorded with status "error:<Type>: <message>" and empty
+    metrics; the sweep keeps going. Mean rows average the successful
     trials. Rows come in (value, variant, trial) order. Process noise is
     calibrated once per distinct mobility model, cycle length and path count
     among the sweep points; a caller running several sweeps passes one
@@ -582,22 +582,31 @@ def run_sweep(
         "mean_nmse_db", "mean_ber", "cycles", "status",
     ]
     values = [_coerce_axis_value(axis_name, value) for value in axis_values]
-    points = [replace(base_config, **{axis_name: value}) for value in values]
-    point_noises = _process_noises(points, {} if process_noises is None else process_noises)
+    points = []  # a point's config, or the error SimConfig raised for it
+    for value in values:
+        try:
+            points.append(replace(base_config, **{axis_name: value}))
+        except ValueError as err:
+            points.append(err)
+    valid = [p for p, point in enumerate(points) if isinstance(point, SimConfig)]
+    cache = {} if process_noises is None else process_noises
+    point_noises = dict(zip(valid, _process_noises([points[p] for p in valid], cache)))
     cells = [  # (point index, seed), in (value, trial) order
         (p, episode_seed(master_seed, axis_name, value, trial))
         for p, value in enumerate(values) for trial in range(trials)
     ]
-    episode_noises = [point_noises[p] for p, _ in cells]
-    outcomes = {
-        variant: _run_batches(
-            [replace(points[p], variant=variant, seed=seed) for p, seed in cells],
-            models.get(variant), episode_noises,
+    run = [k for k, (p, _) in enumerate(cells) if p in point_noises]
+    outcomes = {}
+    for variant in variants:
+        results = _run_batches(
+            [replace(points[cells[k][0]], variant=variant, seed=cells[k][1]) for k in run],
+            models.get(variant), [point_noises[cells[k][0]] for k in run],
         )
-        for variant in variants
-    }
+        done = dict(zip(run, results))
+        outcomes[variant] = [done.get(k, points[p]) for k, (p, _) in enumerate(cells)]
     rows: list[dict] = []
     for p, (value, point) in enumerate(zip(values, points)):
+        cycles = point.num_cycles if isinstance(point, SimConfig) else ""
         for variant in variants:
             ok_nmse, ok_ber = [], []
             for trial in range(trials):
@@ -606,7 +615,7 @@ def run_sweep(
                 row = {
                     "axis_name": axis_name, "axis_value": _fmt(value),
                     "variant": variant, "trial": str(trial), "seed": str(cells[k][1]),
-                    "cycles": str(point.num_cycles),
+                    "cycles": str(cycles),
                 }
                 if isinstance(result, Exception):
                     row["mean_nmse_db"] = ""
@@ -624,7 +633,7 @@ def run_sweep(
                 "trial": "mean", "seed": "",
                 "mean_nmse_db": _fmt(float(np.mean(ok_nmse))) if ok_nmse else "",
                 "mean_ber": _fmt(float(np.mean(ok_ber))) if ok_ber else "",
-                "cycles": str(point.num_cycles), "status": "aggregate",
+                "cycles": str(cycles), "status": "aggregate",
             })
     if out_path is not None:
         with open(out_path, "w", newline="") as fh:

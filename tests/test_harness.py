@@ -244,6 +244,20 @@ def test_run_sweep_survives_failing_cells(tmp_path):
     assert len(ok) == 2
 
 
+def test_run_sweep_survives_a_point_the_config_rejects():
+    # m_m = 5 of 64 beams is over the receive-subset cap, so SimConfig rejects
+    # that point: its rows carry the error while the m_m = 2 point completes.
+    rows = run_sweep(_tiny_config(num_cycles=2), "m_m", [2, 5], ("ekf",), trials=2)
+    assert [(r["axis_value"], r["trial"], r["status"]) for r in rows] == [
+        ("2", "0", "ok"), ("2", "1", "ok"), ("2", "mean", "aggregate"),
+    ] + [(
+        "5", t, "error:ValueError: m_m=5 of 64 beams is 7624512 receive subsets, "
+        "above the cap of 1048576",
+    ) for t in ("0", "1")] + [("5", "mean", "aggregate")]
+    assert all(r["mean_nmse_db"] == "" and r["cycles"] == "" for r in rows[3:])
+    assert rows[2]["mean_nmse_db"] != ""
+
+
 def test_run_sweep_rejects_unknown_axis():
     with pytest.raises(ValueError, match="unknown config field"):
         run_sweep(_tiny_config(), "bandwidth", [1], ("genie",), trials=1)
