@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -519,11 +520,17 @@ def _fmt(value) -> str:
 def _run_cell(configs, model, process_noises) -> list:
     """Each config's EpisodeResult, or the exception its episode raised. The
     episodes run as one batch, each with its process noise; if the batch
-    raises, they run again one at a time, so that one bad episode fails
-    alone."""
+    raises, a RuntimeWarning names its size and the exception, and they run
+    again one at a time, so that one bad episode fails alone."""
     try:
         return run_episodes(configs, model=model, process_noise=process_noises)
-    except Exception:  # noqa: BLE001 - sweep must survive bad cells
+    except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
+        warnings.warn(
+            f"a batch of {len(configs)} episodes raised {type(exc).__name__}: {exc}; "
+            "running its episodes one at a time",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         outcomes = []
         for cfg, noise in zip(configs, process_noises):
             try:

@@ -129,46 +129,37 @@ def _near_singular(kappa: float, x) -> tuple[np.ndarray, np.ndarray]:
     return x, np.abs(wrapped) < _SINGULAR_GUARD
 
 
-def _geometric_sum(n: int, kappa: float, x: np.ndarray) -> np.ndarray:
-    """sum_{k=0}^{n-1} exp(j*kappa*k*x), elementwise over x.
+def _geometric_sum(n: int, kappa: float, x: np.ndarray, with_derivative: bool = False):
+    """sum_{k=0}^{n-1} exp(j*kappa*k*x), elementwise over x, and, with
+    `with_derivative`, the pair (sum, d/dx sum) from the same exponentials.
 
-    Uses the ratio form (1 - e^{j*kappa*n*x}) / (1 - e^{j*kappa*x}) away from
-    singular alignments (kappa*x = 0 mod 2*pi) and exact direct summation
-    inside the guard window.
+    Uses the ratio forms away from singular alignments (kappa*x = 0 mod
+    2*pi): with a = j*kappa and s = e^{a x},
+
+        sum = (1 - s^n) / (1 - s),
+        d/dx sum = a * (s - n*s^n + (n-1)*s^(n+1)) / (1 - s)^2,
+
+    and exact direct summation inside the guard window.
     """
     x, near = _near_singular(kappa, x)
 
     out = np.empty(x.shape, dtype=np.complex128)
-    safe = ~near
-    if np.any(safe):
-        xs = x[safe]
-        out[safe] = (1.0 - np.exp(1j * kappa * n * xs)) / (1.0 - np.exp(1j * kappa * xs))
-    if np.any(near):
-        k = np.arange(n)
-        out[near] = np.exp(1j * kappa * np.multiply.outer(x[near], k)).sum(axis=-1)
-    return out
-
-
-def _geometric_sum_deriv(n: int, kappa: float, x: np.ndarray) -> np.ndarray:
-    """d/dx of _geometric_sum: sum_{k=0}^{n-1} (j*kappa*k) exp(j*kappa*k*x).
-
-    Ratio form: with a = j*kappa and s = e^{a x},
-        a * (s - n*s^n + (n-1)*s^(n+1)) / (1 - s)^2 .
-    """
-    x, near = _near_singular(kappa, x)
-
-    out = np.empty(x.shape, dtype=np.complex128)
+    deriv = np.empty(x.shape, dtype=np.complex128) if with_derivative else None
     safe = ~near
     if np.any(safe):
         a = 1j * kappa
         s = np.exp(a * x[safe])
         sn = np.exp(a * n * x[safe])
-        out[safe] = a * (s - n * sn + (n - 1) * sn * s) / (1.0 - s) ** 2
+        out[safe] = (1.0 - sn) / (1.0 - s)
+        if with_derivative:
+            deriv[safe] = a * (s - n * sn + (n - 1) * sn * s) / (1.0 - s) ** 2
     if np.any(near):
         k = np.arange(n)
         phases = np.exp(1j * kappa * np.multiply.outer(x[near], k))
-        out[near] = (1j * kappa * k * phases).sum(axis=-1)
-    return out
+        out[near] = phases.sum(axis=-1)
+        if with_derivative:
+            deriv[near] = (1j * kappa * k * phases).sum(axis=-1)
+    return (out, deriv) if with_derivative else out
 
 
 def _measurement_factors(
@@ -194,11 +185,10 @@ def _measurement_factors(
     dx_t = aods[..., :, None] - sounding.tx_angles[..., None, :]  # (..., L, M_b)
     dx_r = aoas[..., :, None] - sounding.rx_angles[..., None, :]  # (..., L, M_m)
     gt = _geometric_sum(n_b, kb, dx_t).conj()
-    gr = _geometric_sum(n_m, km, dx_r)
     scale = gains / (n_b * n_m)
     if not with_derivatives:
-        return scale, gt, gr
-    return scale, gt, gr, _geometric_sum_deriv(n_m, km, dx_r)
+        return scale, gt, _geometric_sum(n_m, km, dx_r)
+    return (scale, gt) + _geometric_sum(n_m, km, dx_r, with_derivative=True)
 
 
 def _measurement_from_angles(
@@ -270,7 +260,9 @@ def measurement_jacobian(
         gains, aoas, aods, sounding, geom_rx, geom_tx, with_derivatives=True
     )
     dx_t = aods[:, None] - sounding.tx_angles[None, :]
-    dgt = _geometric_sum_deriv(geom_tx.num_elements, geom_tx.spatial_freq, dx_t).conj()
+    dgt = _geometric_sum(
+        geom_tx.num_elements, geom_tx.spatial_freq, dx_t, with_derivative=True
+    )[1].conj()
     jac = np.empty((sounding.num_pilots, 2 * gains.size), dtype=np.complex128)
     for l in range(gains.size):
         jac[:, 2 * l] = (scale[l] * np.outer(dgt[l], gr[l])).ravel()

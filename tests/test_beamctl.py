@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamtrack import beamctl
-from beamtrack.arrays import make_codebook
+from beamtrack.arrays import ArrayGeometry, make_codebook
 from beamtrack.beamctl import (
     BeamSelection,
     crlb_objective,
@@ -133,22 +133,146 @@ def test_vectorized_pair_search_matches_bruteforce(geom32, num_rx, episodes):
 
 
 def test_a_batch_scored_in_several_slices_equals_its_episodes_alone(geom32, monkeypatch):
-    # 56 triples of 8 beams: a cap of 120 entries scores two episodes a slice,
-    # so five episodes take three slices, the last one short.
-    cb = make_codebook(8)
+    # A cap of two episodes' subsets per slice: five episodes take three
+    # slices, the last one short. With 16 beams the pair and triple searches
+    # prune (120 and 560 subsets against 16 seeds); 16 singles are all seeds.
+    cb = make_codebook(16)
     belief, gains, known_aod, aods, noise_var = _random_beliefs(np.random.default_rng(5), 5)
-    monkeypatch.setattr(beamctl, "_SLICE_ENTRIES", 120)
-    sel = select_sounding(
-        belief, cb, gains, noise_var, geom32, geom32, known_aod=known_aod, aods=aods, num_rx=3
+    for num_rx in (1, 2, 3):
+        monkeypatch.setattr(beamctl, "_SLICE_ENTRIES", 2 * math.comb(len(cb), num_rx))
+        for episodes in range(1, 6):
+            sel = select_sounding(
+                GaussianBelief(belief.mean[:episodes], belief.cov[:episodes]), cb,
+                gains[:episodes], noise_var[:episodes], geom32, geom32,
+                known_aod=known_aod[:episodes], aods=aods[:episodes], num_rx=num_rx,
+            )
+            for k in range(episodes):
+                alone = select_sounding(
+                    GaussianBelief(belief.mean[k], belief.cov[k]), cb, gains[k], noise_var[k],
+                    geom32, geom32, known_aod=known_aod[k], aods=aods[k], num_rx=num_rx,
+                )
+                np.testing.assert_array_equal(sel.tx_indices[k], alone.tx_indices)
+                np.testing.assert_array_equal(sel.rx_indices[k], alone.rx_indices)
+                assert sel.objective_value[k] == alone.objective_value
+
+
+# Per-episode kinds of belief for the pruning properties: "plain" and "wide"
+# priors, zero gains (every subset ties on the prior), twin paths under a wide
+# prior (J near singular), zero gains under an infinite prior (J = 0: every
+# bound and score is inf) and a NaN gain (every bound is NaN).
+_BELIEF_KINDS = ("plain", "wide", "zero_gain", "twin", "singular", "nan")
+
+
+def _hard_beliefs(seed, kinds, num_paths):
+    """Diagonal beliefs, gains, departures and noise, one episode per kind."""
+    rng = np.random.default_rng(seed)
+    episodes = len(kinds)
+    means = rng.uniform(-0.9, 0.9, (episodes, num_paths))
+    variances = 10.0 ** rng.uniform(-5.0, -1.0, (episodes, num_paths))
+    gains = 10.0 ** rng.uniform(-2.0, 1.0, (episodes, num_paths)) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, (episodes, num_paths))
     )
-    for k in range(5):
-        alone = select_sounding(
-            GaussianBelief(belief.mean[k], belief.cov[k]), cb, gains[k], noise_var[k],
-            geom32, geom32, known_aod=known_aod[k], aods=aods[k], num_rx=3,
-        )
-        np.testing.assert_array_equal(sel.tx_indices[k], alone.tx_indices)
-        np.testing.assert_array_equal(sel.rx_indices[k], alone.rx_indices)
-        assert sel.objective_value[k] == alone.objective_value
+    known_aod = rng.uniform(-0.9, 0.9, episodes)
+    aods = known_aod[:, None] + rng.uniform(-1 / 16, 1 / 16, (episodes, num_paths))
+    noise_var = 10.0 ** rng.uniform(-3.0, 1.0, episodes)
+    for k, kind in enumerate(kinds):
+        if kind == "wide":
+            variances[k] = 10.0 ** rng.uniform(0.0, 8.0, num_paths)
+        elif kind == "zero_gain":
+            gains[k] = 0.0
+        elif kind == "twin":
+            variances[k] = 1e8
+            means[k], aods[k], gains[k] = means[k, 0], aods[k, 0], gains[k, 0]
+        elif kind == "singular":
+            variances[k], gains[k] = np.inf, 0.0
+        elif kind == "nan":
+            gains[k, -1] = np.nan
+    cov = np.zeros((episodes, num_paths, num_paths))
+    cov[:, range(num_paths), range(num_paths)] = variances
+    return GaussianBelief(means, cov), gains, known_aod, aods, noise_var
+
+
+def _every_entry(belief, cb, gains, noise_var, geom, known_aod, aods, num_rx):
+    """The exhaustive search: every (episode, subset) entry scored by
+    `_entry_scores`, (episodes, subsets), with the factors and subset table."""
+    variances = np.diagonal(belief.cov, axis1=-2, axis2=-1)
+    factors = beamctl._subset_factors(
+        belief.mean, variances, cb.angles[nearest_beams(known_aod, cb, 2)], cb, gains,
+        noise_var, geom, geom, aods,
+    )
+    members = beamctl._subset_table(len(cb), num_rx)
+    episodes, subsets = belief.mean.shape[0], members.shape[1]
+    scores = beamctl._entry_scores(
+        factors, members, np.repeat(np.arange(episodes), subsets),
+        np.tile(np.arange(subsets), episodes),
+    )
+    return scores.reshape(episodes, subsets), factors, members
+
+
+def _table_scores(factors, members):
+    """Every subset's score built as the search built them before pruning:
+    whole subset columns per lower-triangle entry, T broadcast over them."""
+    t_mat, d_mat, weight, inv_var = factors
+    num_paths = inv_var.shape[-1]
+    info = np.empty((num_paths, num_paths) + d_mat.shape[2:3] + members.shape[1:])
+    for i in range(num_paths):
+        for m in range(i + 1):
+            summed = np.take(d_mat[i, m], members[0], -1)
+            for column in members[1:]:
+                summed = summed + np.take(d_mat[i, m], column, -1)
+            info[i, m] = weight[:, None] * (t_mat[:, i, m, None] * summed).real
+        info[i, i] += inv_var[:, i, None]
+    return spd_inverse_trace(np.moveaxis(info, (0, 1), (-2, -1)))
+
+
+_hard_draws = dict(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(_BELIEF_KINDS), min_size=1, max_size=5),
+    num_paths=st.integers(1, 3),
+    num_rx=st.integers(1, 3),
+    beams=st.sampled_from([8, 16, 32]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_hard_draws)
+def test_pruned_search_equals_the_exhaustive_search(seed, kinds, num_paths, num_rx, beams):
+    geom, cb = ArrayGeometry(32), make_codebook(beams)
+    belief, gains, known_aod, aods, noise_var = _hard_beliefs(seed, kinds, num_paths)
+    sel = select_sounding(
+        belief, cb, gains, noise_var, geom, geom, known_aod=known_aod, aods=aods,
+        num_rx=num_rx,
+    )
+    scores, _, members = _every_entry(belief, cb, gains, noise_var, geom, known_aod, aods, num_rx)
+    best = np.argmin(scores, axis=1)
+    np.testing.assert_array_equal(sel.rx_indices, members.T[best])
+    np.testing.assert_array_equal(sel.objective_value, scores[np.arange(len(kinds)), best])
+    for k, kind in enumerate(kinds):
+        if kind in ("zero_gain", "singular", "nan"):  # every subset ties: the first wins
+            np.testing.assert_array_equal(sel.rx_indices[k], np.arange(num_rx))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_hard_draws, data=st.data())
+def test_the_bound_holds_and_gathered_scores_equal_the_table(
+    seed, kinds, num_paths, num_rx, beams, data
+):
+    geom, cb = ArrayGeometry(32), make_codebook(beams)
+    belief, gains, known_aod, aods, noise_var = _hard_beliefs(seed, kinds, num_paths)
+    scores, factors, members = _every_entry(
+        belief, cb, gains, noise_var, geom, known_aod, aods, num_rx
+    )
+    np.testing.assert_array_equal(scores, _table_scores(factors, members))
+    bounds = beamctl._subset_bounds(factors, members, slice(0, len(kinds)))
+    assert not np.any(bounds > scores * (1.0 + beamctl._BOUND_SLACK))
+    # Any list of entries, in any order, scores as the table does.
+    entries = data.draw(
+        st.lists(st.integers(0, scores.size - 1), min_size=1, max_size=40), label="entries"
+    )
+    episode, subset = np.divmod(np.array(entries), scores.shape[1])
+    np.testing.assert_array_equal(
+        beamctl._entry_scores(factors, members, episode, subset), scores[episode, subset]
+    )
 
 
 def test_select_sounding_pins_tx_to_known_departure(geom32, codebook64):

@@ -244,6 +244,29 @@ def test_run_sweep_survives_failing_cells(tmp_path):
     assert len(ok) == 2
 
 
+def test_a_batch_that_raises_warns_and_its_episodes_rerun_alone(monkeypatch):
+    # A defect in the batched path must not show only as lost speed: the
+    # fallback names the batch size and the exception, and the episodes run
+    # one at a time give the rows that the batch gives.
+    cfg = _tiny_config(num_cycles=3)
+    expected = run_sweep(cfg, "snr_db", [6.0, 9.0], ("ekf",), trials=2, master_seed=5)
+    batched = harness.run_episodes
+
+    def breaks_on_batches(configs, **kw):
+        if len(configs) > 1:
+            raise RuntimeError("batched path broke")
+        return batched(configs, **kw)
+
+    monkeypatch.setattr(harness, "run_episodes", breaks_on_batches)
+    with pytest.warns(RuntimeWarning) as caught:
+        rows = run_sweep(cfg, "snr_db", [6.0, 9.0], ("ekf",), trials=2, master_seed=5)
+    assert [str(w.message) for w in caught] == [
+        "a batch of 4 episodes raised RuntimeError: batched path broke; "
+        "running its episodes one at a time"
+    ]
+    assert rows == expected
+
+
 def test_run_sweep_survives_a_point_the_config_rejects():
     # m_m = 5 of 64 beams is over the receive-subset cap, so SimConfig rejects
     # that point: its rows carry the error while the m_m = 2 point completes.

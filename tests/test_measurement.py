@@ -68,8 +68,17 @@ def test_geometric_sum_deriv_matches_finite_difference(rng):
             - measurement._geometric_sum(11, kappa, x - h)
         ) / (2 * h)
         np.testing.assert_allclose(
-            measurement._geometric_sum_deriv(11, kappa, x), fd, rtol=2e-6, atol=2e-6
+            measurement._geometric_sum(11, kappa, x, with_derivative=True)[1], fd,
+            rtol=2e-6, atol=2e-6,
         )
+
+
+def test_geometric_sum_with_its_derivative_is_the_sum_alone(rng):
+    # The pair shares the exponentials: its sum is _geometric_sum's bit for
+    # bit, in the ratio form and inside the guard window.
+    x = np.concatenate([rng.uniform(-1.9, 1.9, 200), [0.0, 1e-9, -3e-5, 2.0]])
+    total, _ = measurement._geometric_sum(11, np.pi, x, with_derivative=True)
+    np.testing.assert_array_equal(total, measurement._geometric_sum(11, np.pi, x))
 
 
 def test_sounding_matrices_columns_are_steering_vectors(geom32, codebook64):
