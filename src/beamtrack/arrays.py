@@ -90,6 +90,13 @@ def steering_vector(geom: ArrayGeometry, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all(np.abs(theta) <= 1.0):
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
+    return _steering(geom, theta)
+
+
+def _steering(geom: ArrayGeometry, theta) -> np.ndarray:
+    """`steering_vector` without its range check, for angles the program
+    computed itself, such as estimates that a tracker moved past +-1."""
+    theta = np.asarray(theta, dtype=np.float64)
     n = geom.num_elements
     k = np.arange(n)
     if theta.ndim:

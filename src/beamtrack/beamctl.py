@@ -344,7 +344,7 @@ def _best_rx_subsets(
 
 
 def select_sounding(
-    belief: GaussianBelief,
+    belief,
     codebook: Codebook,
     gains: np.ndarray,
     noise_var,
@@ -369,8 +369,8 @@ def select_sounding(
     2**20 subsets raise ValueError before any is scored. `aods` defaults
     to `known_aod` for every path. `mode` accepts only "aoa_only", the one
     tracked state. Objective ties resolve toward the lexicographically
-    smallest index tuple. The belief's covariance must be diagonal, as every
-    tracker's prior is.
+    smallest index tuple. `belief` is a GaussianBelief with a diagonal
+    covariance, or the same prior as the trackers' (means, variances) pair.
 
     A batch of episodes stacks the belief (..., L) and gives gains, aods,
     noise_var and known_aod the same leading axes; the indices and scores
@@ -381,15 +381,18 @@ def select_sounding(
     _check_beam_count(len(codebook), num_rx, "num_rx", receive=True)
     if known_aod is None:
         raise ValueError("select_sounding needs known_aod for the transmit side")
-    variances = np.diagonal(belief.cov, axis1=-2, axis2=-1)
-    if np.count_nonzero(belief.cov) > np.count_nonzero(variances):
-        raise ValueError("select_sounding needs a diagonal prior covariance")
+    if isinstance(belief, GaussianBelief):
+        means, variances = belief.mean, np.diagonal(belief.cov, axis1=-2, axis2=-1)
+        if np.count_nonzero(belief.cov) > np.count_nonzero(variances):
+            raise ValueError("select_sounding needs a diagonal prior covariance")
+    else:
+        means, variances = (np.asarray(a, dtype=np.float64) for a in belief)
     gains = np.asarray(gains, dtype=np.complex128)
     if aods is None:
         aods = np.broadcast_to(np.asarray(known_aod, dtype=np.float64)[..., None], gains.shape)
     tx_idx = nearest_beams(known_aod, codebook, num_tx)
     rx_idx, value = _best_rx_subsets(
-        belief.mean, variances, codebook.angles[tx_idx], codebook, gains, noise_var,
+        means, variances, codebook.angles[tx_idx], codebook, gains, noise_var,
         geom_rx, geom_tx, aods, num_rx,
     )
     return BeamSelection(tx_idx, rx_idx, value)

@@ -269,17 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _inject_config(argv: list[str], command: str) -> list[str]:
-    """Expand --config file entries into flags placed just after the command.
+def _inject_config(argv: list[str], command: str, path: str) -> list[str]:
+    """Expand the config file at `path` into flags placed just after the
+    command, and drop the --config option, spelled `--config FILE` or
+    `--config=FILE`.
 
     Later (explicit) flags override earlier ones under argparse, so anything
     the user typed wins over the file.
     """
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
-    argv = argv[:idx] + argv[idx + 2 :]
+    if "--config" in argv:
+        idx = argv.index("--config")
+        argv = argv[:idx] + argv[idx + 2 :]
+    argv = [arg for arg in argv if not arg.startswith("--config=")]
     tokens: list[str] = []
     for key, val in _load_config_file(path).items():
         flag = "--" + key.replace("_", "-")
@@ -298,10 +299,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args, _ = parser.parse_known_args(argv)
     if args.config:
-        argv = _inject_config(argv, args.command)
-        args = parser.parse_args(argv)
-    else:
-        args = parser.parse_args(argv)
+        argv = _inject_config(argv, args.command, args.config)
+    args = parser.parse_args(argv)
     return args.func(args)
 
 

@@ -49,21 +49,6 @@ DEFAULT_BETA = 2.0
 DEFAULT_JITTER = 1e-8
 
 
-# Symmetry tolerances of GaussianBelief: np.allclose(cov, cov.T, rtol, atol).
-_SYM_RTOL = 1e-5
-_SYM_ATOL = 1e-10
-
-
-def _is_symmetric(cov: np.ndarray) -> bool:
-    """np.allclose(cov, cov.T, rtol=_SYM_RTOL, atol=_SYM_ATOL) without its
-    wrapper, over every matrix of a (..., d, d) stack: NaN fails, and an inf
-    passes only against an equal inf."""
-    cov_t = cov.swapaxes(-1, -2)
-    with np.errstate(invalid="ignore"):
-        close = (np.abs(cov - cov_t) <= _SYM_ATOL + _SYM_RTOL * np.abs(cov_t)) & np.isfinite(cov_t)
-    return bool(np.all(close | (cov == cov_t)))
-
-
 @dataclass
 class GaussianBelief:
     """Mean and covariance of a real-valued state.
@@ -80,7 +65,7 @@ class GaussianBelief:
         d = self.mean.shape[-1]
         if self.cov.shape != self.mean.shape + (d,):
             raise ValueError(f"covariance must be {self.mean.shape + (d,)}, got {self.cov.shape}")
-        if d > 1 and not _is_symmetric(self.cov):
+        if d > 1 and not np.allclose(self.cov, self.cov.swapaxes(-1, -2), atol=1e-10):
             raise ValueError("covariance must be symmetric")
 
     @property
@@ -249,14 +234,14 @@ def kalman_update(
 
 
 def measurement_update(
-    belief: GaussianBelief,
+    belief,
     pilot: PilotVector,
     sounding: SoundingConfig,
     gains: np.ndarray,
     geom_rx,
     geom_tx,
     aods: np.ndarray,
-) -> GaussianBelief:
+):
     """Joint Kalman update of the L arrival angles from one pilot round.
 
     The belief stacks one arrival angle per path and `aods` holds the known
@@ -264,36 +249,48 @@ def measurement_update(
     (real parts then imaginary parts) with per-component noise variance
     pilot.noise_var / 2. A batch of episodes gives every argument the same
     leading axes, and each episode is updated from its own round.
+
+    `belief` is a GaussianBelief, and so is the posterior; or the trackers'
+    (means, variances) pair of (..., L) arrays, independent paths, and the
+    posterior comes back as its per-path marginals, the same pair.
     """
+    if isinstance(belief, GaussianBelief):
+        means, cov = belief.mean, belief.cov
+    else:
+        means, cov = np.asarray(belief[0], dtype=np.float64), _diagonal_cov(belief[1])
     gains = np.asarray(gains, dtype=np.complex128)
-    if belief.dim != gains.shape[-1]:
+    if means.shape[-1] != gains.shape[-1]:
         raise ValueError("belief must stack one arrival angle per path")
     if pilot.values.shape[-1] != sounding.num_pilots:
         raise ValueError("pilot length does not match the sounding configuration")
-    aoas = belief.mean
     aods = np.asarray(aods, dtype=np.float64)
 
     predicted, jac = _measurement_from_angles(
-        gains, aoas, aods, sounding, geom_rx, geom_tx, with_jacobian=True
+        gains, means, aods, sounding, geom_rx, geom_tx, with_jacobian=True
     )
 
     observed = np.concatenate([pilot.values.real, pilot.values.imag], axis=-1)
     predicted_r = np.concatenate([predicted.real, predicted.imag], axis=-1)
     jac_r = np.concatenate([jac.real, jac.imag], axis=-2)
-    mean, cov, _ = kalman_update(
-        belief.mean, belief.cov, observed, predicted_r, jac_r, pilot.noise_var / 2.0
-    )
-    return GaussianBelief(mean, cov)
+    mean, cov, _ = kalman_update(means, cov, observed, predicted_r, jac_r, pilot.noise_var / 2.0)
+    if isinstance(belief, GaussianBelief):
+        return GaussianBelief(mean, cov)
+    return mean, np.diagonal(cov, axis1=-2, axis2=-1).copy()
+
+
+def _diagonal_cov(variances) -> np.ndarray:
+    """(..., L, L) covariances with the (..., L) variances on the diagonal."""
+    variances = np.asarray(variances, dtype=np.float64)
+    cov = np.zeros(variances.shape + variances.shape[-1:])
+    diagonal = np.arange(variances.shape[-1])
+    cov[..., diagonal, diagonal] = variances
+    return cov
 
 
 def joint_belief(means: np.ndarray, variances: np.ndarray) -> GaussianBelief:
     """Joint belief of independent per-path arrival angles: the stacked
     means and a diagonal covariance, per episode of any leading axes."""
-    variances = np.asarray(variances, dtype=np.float64)
-    cov = np.zeros(variances.shape + variances.shape[-1:])
-    diagonal = np.arange(variances.shape[-1])
-    cov[..., diagonal, diagonal] = variances
-    return GaussianBelief(means, cov)
+    return GaussianBelief(means, _diagonal_cov(variances))
 
 
 def split_joint(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 from scipy.special import erfc
 
-from .arrays import ArrayGeometry, make_codebook
+from .arrays import ArrayGeometry, _steering, make_codebook
 from .beamctl import _check_beam_count
 from .mobility import MobilityParams, generate_trajectory, synthesize_imu
 from .predictor import (  # noqa: F401 - perfbench/tracer.py wraps load_checkpoint here
@@ -98,10 +98,12 @@ class SimConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for name in ("num_paths", "t_csi", "k_samples", "num_cycles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.t_csi % self.k_samples != 0:
             raise ValueError("t_csi must be divisible by k_samples")
-        if self.num_cycles < 1:
-            raise ValueError("num_cycles must be >= 1")
+        self.mobility_params()  # checks dt and drive_var
         if self.ber_mode not in ("analytic", "montecarlo"):
             raise ValueError(f"unknown ber_mode {self.ber_mode!r}")
         _check_beam_count(self.codebook_size, self.m_b, "m_b", receive=False)
@@ -146,24 +148,14 @@ def qfunc(x) -> np.ndarray:
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
 
 
-def _squared_norm(h: np.ndarray) -> np.ndarray:
-    """||h||_F^2 over the last two axes, rounded as np.linalg.norm(h) ** 2
-    rounds it for one matrix: BLAS dots of the real and imaginary parts, a
-    square root, then libm's pow, which differs from x * x in the last bit
-    for some x."""
-    flat = h.reshape(h.shape[:-2] + (1, -1))
-    dots = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
-    norms = np.sqrt(dots[..., 0, 0])
-    return np.array([norm**2 for norm in norms.ravel().tolist()]).reshape(norms.shape)
-
-
 def normalized_mse(h_true: np.ndarray, h_est: np.ndarray):
     """10*log10(||H - Hhat||_F^2 / ||H||_F^2), floored at -100 dB, per matrix
     of (..., N_rx, N_tx) stacks."""
-    denom = _squared_norm(h_true)
+    denom = np.sum(h_true.real**2 + h_true.imag**2, axis=(-2, -1))
     if np.any(denom == 0.0):
         raise ValueError("true channel has zero norm")
-    ratio = _squared_norm(h_true - h_est) / denom
+    err = h_true - h_est
+    ratio = np.sum(err.real**2 + err.imag**2, axis=(-2, -1)) / denom
     floor = 10.0 ** (NMSE_FLOOR_DB / 10.0)
     with np.errstate(divide="ignore"):
         nmse_db = 10.0 * np.log10(ratio)
@@ -192,19 +184,10 @@ def _noise_var(snr_db: float) -> float:
     return float(10.0 ** (-snr_db / 10.0))
 
 
-def _steering_table(geom: ArrayGeometry, thetas: np.ndarray) -> np.ndarray:
-    """Columns of steering vectors for raw (unvalidated) angles (..., L):
-    (..., N, L)."""
-    k = np.arange(geom.num_elements)[:, None]
-    return np.exp(1j * geom.spatial_freq * k * np.asarray(thetas)[..., None, :]) / np.sqrt(
-        geom.num_elements
-    )
-
-
 def _channel_from_angles(gains, aoas, geom_rx, a_t) -> np.ndarray:
     """A_r(aoas) diag(gains) A_t^H for the episode's transmit steering table
     A_t; aoas (..., L) gives one channel per row, (..., N_rx, N_tx)."""
-    a_r = _steering_table(geom_rx, aoas)
+    a_r = _steering(geom_rx, aoas)
     return (a_r * np.asarray(gains)) @ a_t.conj().swapaxes(-1, -2)
 
 
@@ -246,7 +229,7 @@ def _cycle_ber(
     Cycles of one episode stack along leading axes, est_aoas (..., L) and
     aoa_slots (..., L, slots); Monte Carlo draws follow them in order.
     """
-    q_r, r_r = np.linalg.qr(_steering_table(geom_rx, est_aoas))
+    q_r, r_r = np.linalg.qr(_steering(geom_rx, est_aoas))
     tx_h = tx_r.conj().swapaxes(-1, -2)
     u, _, vh = np.linalg.svd((r_r * gains) @ tx_h)
     w = (q_r @ u[..., :, :1])[..., 0]
@@ -421,7 +404,7 @@ _SCORE_CYCLES = 32
 def _score(config: SimConfig, episode: _Episode, estimates, truth):
     """Per-cycle NMSE and BER of one episode's (L, num_cycles) estimates."""
     geom_rx = ArrayGeometry(config.n_m)
-    a_t = _steering_table(ArrayGeometry(config.n_b), episode.aods)  # departures are fixed
+    a_t = _steering(ArrayGeometry(config.n_b), episode.aods)  # departures are fixed
     tx_r = np.linalg.qr(a_t, mode="r")
     noise_var = _noise_var(config.snr_db)
     slots = episode.aoa.reshape(config.num_paths, config.num_cycles, config.t_csi).swapaxes(0, 1)
@@ -664,8 +647,10 @@ def calibrate_estimate_noise(
     The MAD pools every error, lost paths included: where most paths are out
     of lock it measures their spread, and the table need not fall with SNR
     (ROADMAP item 3). The whole grid of episodes is tracked as one batch, and
-    nothing is scored.
+    nothing is scored. A skip_cycles that leaves no cycle raises ValueError.
     """
+    if skip_cycles >= base_config.num_cycles:
+        raise ValueError(f"skip_cycles={skip_cycles} skips all {base_config.num_cycles} cycles")
     snr_grid_db = np.sort(np.asarray(snr_grid_db, dtype=np.float64))
     configs = [
         replace(base_config, variant="ekf", snr_db=float(snr),

@@ -188,10 +188,11 @@ def init_lstm(rng: np.random.Generator, hidden: int, n_in: int) -> LstmParams:
 
 
 def _split_stack(layers):
-    """Partition into (per-step FCs, contiguous LSTMs, head FCs)."""
+    """Partition into (per-step FCs, contiguous LSTMs, head FCs); a stack
+    needs at least one LSTM layer."""
     lstm_idx = [k for k, lyr in enumerate(layers) if isinstance(lyr, LstmParams)]
     if not lstm_idx:
-        return [], [], list(layers)
+        raise ValueError("a stack needs at least one LSTM layer")
     lo, hi = lstm_idx[0], lstm_idx[-1]
     if lstm_idx != list(range(lo, hi + 1)):
         raise ValueError("LSTM layers must be contiguous in the stack")
@@ -228,26 +229,21 @@ def _forward(layers, xs: np.ndarray) -> tuple[np.ndarray, _Trace]:
         trace.pre.append((cur, out))
         cur = out
 
-    if lstms:
-        for lyr in lstms:
-            batch, steps, _ = cur.shape
-            hsize = lyr.hidden_size
-            hist = {name: np.empty((batch, steps, hsize)) for name in ("c", "tanh_c", "h")}
-            hist["gates"] = np.empty((batch, steps, 4 * hsize))
-            h = np.zeros((batch, hsize))
-            c = np.zeros((batch, hsize))
-            for t in range(steps):
-                gates, c, tc, h = _lstm_cell(lyr, cur[:, t], h, c)
-                for name, val in zip(("gates", "c", "tanh_c", "h"), (gates, c, tc, h)):
-                    hist[name][:, t] = val
-            hist["input"] = cur
-            trace.lstm.append(hist)
-            cur = hist["h"]
-        head_in = cur[:, -1]  # final hidden state
-    else:
-        if cur.shape[1] != 1:
-            raise ValueError("a stack without an LSTM only accepts single-step inputs")
-        head_in = cur[:, 0]
+    for lyr in lstms:
+        batch, steps, _ = cur.shape
+        hsize = lyr.hidden_size
+        hist = {name: np.empty((batch, steps, hsize)) for name in ("c", "tanh_c", "h")}
+        hist["gates"] = np.empty((batch, steps, 4 * hsize))
+        h = np.zeros((batch, hsize))
+        c = np.zeros((batch, hsize))
+        for t in range(steps):
+            gates, c, tc, h = _lstm_cell(lyr, cur[:, t], h, c)
+            for name, val in zip(("gates", "c", "tanh_c", "h"), (gates, c, tc, h)):
+                hist[name][:, t] = val
+        hist["input"] = cur
+        trace.lstm.append(hist)
+        cur = hist["h"]
+    head_in = cur[:, -1]  # final hidden state
 
     for lyr in post:
         out = fc_apply(lyr, head_in)
@@ -262,28 +258,11 @@ def forward_stack(layers, xs: np.ndarray) -> np.ndarray:
     xs is (steps, dim) for one window or (batch, steps, dim) for a batch.
     FC layers before the LSTM block are applied at every step, the LSTM block
     consumes the sequence, and FC layers after it map the final hidden state.
-    Inference keeps no gate or hidden-state history; it runs the same cell as
-    the training pass in `_forward`, so outputs match bit for bit.
+    This is the training pass, `_forward`, with its activation history
+    dropped, so inference and training compute the same numbers.
     """
     xs3, squeeze = _promote(xs)
-    pre, lstms, post = _split_stack(layers)
-    cur = xs3
-    for lyr in pre:
-        cur = fc_apply(lyr, cur)
-    if lstms:
-        # Step through time outermost, so no layer's hidden sequence is stored.
-        states = [(np.zeros((cur.shape[0], lyr.hidden_size)),) * 2 for lyr in lstms]
-        for t in range(cur.shape[1]):
-            out = cur[:, t]
-            for k, lyr in enumerate(lstms):
-                _, c, _, out = _lstm_cell(lyr, out, *states[k])
-                states[k] = (out, c)
-    else:
-        if cur.shape[1] != 1:
-            raise ValueError("a stack without an LSTM only accepts single-step inputs")
-        out = cur[:, 0]
-    for lyr in post:
-        out = fc_apply(lyr, out)
+    out, _ = _forward(layers, xs3)
     return out[0] if squeeze else out
 
 
@@ -318,55 +297,52 @@ def loss_and_gradients(layers, xs: np.ndarray, target: np.ndarray):
         grads_post[k] = {"weights": dz.T @ x_in, "bias": dz.sum(axis=0)}
         d_cur = dz @ lyr.weights
 
-    if lstms:
-        batch, steps, _ = xs3.shape
-        # Gradient arriving at each step of the top LSTM's hidden sequence:
-        # only the final step feeds the head.
-        d_hidden_seq = np.zeros((batch, steps, lstms[-1].hidden_size))
-        d_hidden_seq[:, -1] = d_cur
-        for k in range(len(lstms) - 1, -1, -1):
-            lyr = lstms[k]
-            tr = trace.lstm[k]
-            x_seq = tr["input"]
-            hs = lyr.hidden_size
-            g = {name: np.zeros_like(getattr(lyr, name)) for name in _LSTM_FIELDS}
-            d_x_seq = np.empty_like(x_seq)
-            dh_next = np.zeros((batch, hs))
-            dc_next = np.zeros((batch, hs))
-            for t in range(steps - 1, -1, -1):
-                gates, tc = tr["gates"][:, t], tr["tanh_c"][:, t]
-                i, f, o, gg = (gates[:, q * hs : (q + 1) * hs] for q in range(4))
-                c_prev = tr["c"][:, t - 1] if t > 0 else np.zeros_like(tc)
-                h_prev = tr["h"][:, t - 1] if t > 0 else np.zeros_like(tc)
+    batch, steps, _ = xs3.shape
+    # Gradient arriving at each step of the top LSTM's hidden sequence: only
+    # the final step feeds the head.
+    d_hidden_seq = np.zeros((batch, steps, lstms[-1].hidden_size))
+    d_hidden_seq[:, -1] = d_cur
+    for k in range(len(lstms) - 1, -1, -1):
+        lyr = lstms[k]
+        tr = trace.lstm[k]
+        x_seq = tr["input"]
+        hs = lyr.hidden_size
+        g = {name: np.zeros_like(getattr(lyr, name)) for name in _LSTM_FIELDS}
+        d_x_seq = np.empty_like(x_seq)
+        dh_next = np.zeros((batch, hs))
+        dc_next = np.zeros((batch, hs))
+        for t in range(steps - 1, -1, -1):
+            gates, tc = tr["gates"][:, t], tr["tanh_c"][:, t]
+            i, f, o, gg = (gates[:, q * hs : (q + 1) * hs] for q in range(4))
+            c_prev = tr["c"][:, t - 1] if t > 0 else np.zeros_like(tc)
+            h_prev = tr["h"][:, t - 1] if t > 0 else np.zeros_like(tc)
 
-                dh = d_hidden_seq[:, t] + dh_next
-                dc = dc_next + dh * o * (1.0 - tc**2)
-                # d loss / d z, in the gate order i, f, o, g.
-                dz = np.concatenate([dc * gg, dc * c_prev, dh * tc, dc * i], axis=1)
-                sig = gates[:, : 3 * hs]
-                dz[:, : 3 * hs] *= sig * (1.0 - sig)
-                dz[:, 3 * hs :] *= 1.0 - gg**2
+            dh = d_hidden_seq[:, t] + dh_next
+            dc = dc_next + dh * o * (1.0 - tc**2)
+            # d loss / d z, in the gate order i, f, o, g.
+            dz = np.concatenate([dc * gg, dc * c_prev, dh * tc, dc * i], axis=1)
+            sig = gates[:, : 3 * hs]
+            dz[:, : 3 * hs] *= sig * (1.0 - sig)
+            dz[:, 3 * hs :] *= 1.0 - gg**2
 
-                g["W_x"] += dz.T @ x_seq[:, t]
-                g["W_h"] += dz.T @ h_prev
-                g["b"] += dz.sum(axis=0)
-                d_x_seq[:, t] = dz @ lyr.W_x
-                dh_next = dz @ lyr.W_h
-                dc_next = dc * f
-            grads_lstm[k] = g
-            d_hidden_seq = d_x_seq
-        d_step_seq = d_hidden_seq  # (B, T, d) flowing into the per-step FCs
-    else:
-        d_step_seq = d_cur[:, None, :]
+            g["W_x"] += dz.T @ x_seq[:, t]
+            g["W_h"] += dz.T @ h_prev
+            g["b"] += dz.sum(axis=0)
+            d_x_seq[:, t] = dz @ lyr.W_x
+            dh_next = dz @ lyr.W_h
+            dc_next = dc * f
+        grads_lstm[k] = g
+        d_hidden_seq = d_x_seq
 
+    # d_hidden_seq now flows into the per-step FCs, (B, T, d).
     for k in range(len(pre) - 1, -1, -1):
         lyr = pre[k]
         x_in, out_k = trace.pre[k]
-        dz = d_step_seq * _activation_grad_from_output(out_k, lyr.activation)
+        dz = d_hidden_seq * _activation_grad_from_output(out_k, lyr.activation)
         flat_dz = dz.reshape(-1, dz.shape[-1])
         flat_in = x_in.reshape(-1, x_in.shape[-1])
         grads_pre[k] = {"weights": flat_dz.T @ flat_in, "bias": flat_dz.sum(axis=0)}
-        d_step_seq = dz @ lyr.weights
+        d_hidden_seq = dz @ lyr.weights
 
     grads = grads_pre + grads_lstm + grads_post
     return loss, grads, (out[0] if squeeze else out)

@@ -264,6 +264,8 @@ class NoiseTable:
             raise ValueError("noise table needs at least one grid point")
         if np.any(np.diff(self.snr_db) <= 0):
             raise ValueError("snr grid must be strictly increasing")
+        if not np.all(np.isfinite(self.estimate_std) & (self.estimate_std >= 0)):
+            raise ValueError(f"estimate_std must be finite and >= 0, got {self.estimate_std}")
 
     def lookup(self, snr_db: float) -> float:
         return float(np.interp(snr_db, self.snr_db, self.estimate_std))
@@ -400,7 +402,7 @@ class TrainConfig:
 
 
 # Windows per forward pass when train() evaluates prediction_var.
-_PREDICTION_VAR_CHUNK = 1024
+_PREDICTION_VAR_CHUNK = 256
 
 
 def _fit_norm_stats(raw: np.ndarray, increments: np.ndarray) -> NormStats:

@@ -27,7 +27,8 @@ import numpy as np
 from . import filtering
 from .arrays import assemble_channel
 from .beamctl import nearest_beams, select_sounding
-from .filtering import joint_belief, prediction_update, split_joint
+from .filtering import joint_belief, split_joint  # noqa: F401 - perfbench/tracer.py wraps them here
+from .filtering import prediction_update
 from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_from_angles here
     PilotVector,
     SoundingConfig,
@@ -133,18 +134,17 @@ class _KalmanTracker:
         return self.means + shift, self.variances + inflate
 
     def _measure(self, means: np.ndarray, variances: np.ndarray, channel: PilotChannel):
-        joint = joint_belief(means, variances)
+        prior = means, variances
         selection = select_sounding(
-            joint, self.codebook, self.gains, self.noise_var,
+            prior, self.codebook, self.gains, self.noise_var,
             self.geom_rx, self.geom_tx, known_aod=self.known_aod,
             num_tx=self.num_tx, num_rx=self.num_rx,
         )
         sounding = selection.to_sounding(self.codebook)
         pilot = channel.receive(sounding)
-        posterior = self._measurement_update(
-            joint, pilot, sounding, self.gains, self.geom_rx, self.geom_tx, self.aods,
+        self.means, self.variances = self._measurement_update(
+            prior, pilot, sounding, self.gains, self.geom_rx, self.geom_tx, self.aods,
         )
-        self.means, self.variances = split_joint(posterior)
         return sounding
 
     def estimates(self) -> np.ndarray:

@@ -13,9 +13,10 @@ the reference checkpoint in perfbench/.
 rewrites both, tests/data/golden_episodes.npz and tests/data/plot_data_golden/,
 from the package on the path. tests/test_golden.py asserts that the current
 package still produces them (NMSE and angle errors bit for bit, BER to
-1e-12, CSVs byte for byte). Both were last written when the mobility
-model's velocity recursion became a doubling scan, which moved their
-rounding. Bit-identity holds on the NumPy/OpenBLAS build the files were
+1e-12, CSVs byte for byte). Both were last written when scoring moved onto
+the steering vectors of `arrays` and NMSE onto a plain sum of squares,
+which moved the NMSE and BER in their last bits; the angle errors stayed
+bit for bit. Bit-identity holds on the NumPy/OpenBLAS build the files were
 written with; a different BLAS build may legitimately round differently.
 """
 

@@ -18,7 +18,7 @@ from beamtrack.beamctl import (
     select_sounding,
     spd_inverse_trace,
 )
-from beamtrack.filtering import GaussianBelief
+from beamtrack.filtering import GaussianBelief, joint_belief
 from beamtrack.measurement import SoundingConfig
 
 
@@ -381,6 +381,19 @@ def test_four_receive_beams_of_64_stay_under_the_cap(geom32, codebook64):
                           known_aod=0.0, num_rx=4)
     assert sel.rx_indices.shape == (4,) and np.all(np.diff(sel.rx_indices) > 0)
     assert np.isfinite(sel.objective_value)
+
+
+def test_select_sounding_on_a_pair_equals_the_belief_form(geom32, codebook64, rng):
+    means = rng.uniform(-0.8, 0.8, size=(5, 3))
+    variances = 10.0 ** rng.uniform(-6.0, -2.0, size=(5, 3))
+    gains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(5, 3)))
+    args = (codebook64, gains, rng.uniform(0.05, 0.5, size=5), geom32, geom32)
+    known_aod = rng.uniform(-0.8, 0.8, size=5)
+    dense = select_sounding(joint_belief(means, variances), *args, known_aod=known_aod)
+    pair = select_sounding((means, variances), *args, known_aod=known_aod)
+    assert np.array_equal(pair.tx_indices, dense.tx_indices)
+    assert np.array_equal(pair.rx_indices, dense.rx_indices)
+    assert np.array_equal(pair.objective_value, dense.objective_value)
 
 
 def test_select_sounding_rejects_a_correlated_prior(geom32, codebook64):

@@ -64,16 +64,27 @@ def test_config_injection_explicit_flags_win(tmp_path):
     parser = build_parser()
 
     argv = ["--config", str(path), "evaluate"]
-    merged = _inject_config(argv, "evaluate")
+    merged = _inject_config(argv, "evaluate", str(path))
     args = parser.parse_args(merged)
     assert args.snr_db == 3.0 and args.num_cycles == 4
 
     override = _inject_config(
-        ["--config", str(path), "evaluate", "--snr-db", "12"], "evaluate"
+        ["--config", str(path), "evaluate", "--snr-db", "12"], "evaluate", str(path)
     )
     args = parser.parse_args(override)
     assert args.snr_db == 12.0  # typed flag beats the file
     assert args.num_cycles == 4  # untouched file entry still applies
+
+
+@pytest.mark.parametrize("spelling", ["separate", "equals"])
+def test_config_file_applies_in_either_spelling(spelling, tmp_path, monkeypatch, count_calls):
+    path = tmp_path / "run.cfg"
+    path.write_text("num-cycles = 3\n")
+    option = ["--config", str(path)] if spelling == "separate" else [f"--config={path}"]
+    monkeypatch.setattr(trackers, "calibrate_process_noise", lambda *a, **kw: 1e-5)
+    calls = count_calls(harness, "run_episode")
+    assert main([*option, "evaluate", "--variants", "genie", "--t-csi", "40"]) == 0
+    assert [cfg.num_cycles for cfg, *_ in calls] == [3]
 
 
 # The arguments each subcommand that takes the sim flags requires.

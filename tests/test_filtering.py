@@ -325,6 +325,27 @@ def test_measurement_update_evaluates_the_factors_once(geom32, rng, count_calls)
     assert len(calls) == 1
 
 
+def test_measurement_update_on_a_pair_equals_the_joint_belief_form(geom32, rng):
+    # The trackers' (means, variances) pair gives the posterior marginals of
+    # the joint update on the same diagonal prior, bit for bit.
+    gains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(4, 3)))
+    aods = rng.uniform(-0.5, 0.5, size=(4, 3))
+    snd = SoundingConfig(tx_angles=rng.uniform(-0.5, 0.5, size=(4, 2)),
+                         rx_angles=rng.uniform(-0.5, 0.5, size=(4, 2)))
+    pilot = PilotVector(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
+                        rng.uniform(0.05, 0.5, size=4))
+    means = rng.uniform(-0.5, 0.5, size=(4, 3))
+    variances = 10.0 ** rng.uniform(-6.0, -2.0, size=(4, 3))
+    joint = measurement_update(
+        joint_belief(means, variances), pilot, snd, gains, geom32, geom32, aods
+    )
+    post_means, post_variances = measurement_update(
+        (means, variances), pilot, snd, gains, geom32, geom32, aods
+    )
+    assert np.array_equal(post_means, joint.mean)
+    assert np.array_equal(post_variances, np.diagonal(joint.cov, axis1=-2, axis2=-1))
+
+
 def test_measurement_update_validation(geom32, rng):
     snd = SoundingConfig(tx_angles=[0.0], rx_angles=[0.1])
     pilot = PilotVector(np.zeros(1, dtype=complex), 0.1)

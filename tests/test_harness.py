@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from beamtrack import harness
+from beamtrack import arrays, harness
 from beamtrack.arrays import ArrayGeometry
 from beamtrack.harness import (
     NMSE_FLOOR_DB,
@@ -281,9 +281,34 @@ def test_run_sweep_survives_a_point_the_config_rejects():
     assert rows[2]["mean_nmse_db"] != ""
 
 
+@pytest.mark.parametrize("axis, bad, good", [
+    ("k_samples", 0, 4), ("t_csi", 0, 40), ("num_paths", 0, 3), ("dt", 0.0, 125e-6),
+    ("t_csi", -40, 40), ("dt", -125e-6, 125e-6),
+])
+def test_run_sweep_records_a_nonpositive_size_or_step_as_error_rows(axis, bad, good):
+    rows = run_sweep(_tiny_config(num_cycles=2), axis, [bad, good], ("ekf",), trials=1)
+    assert [r["status"].split(":")[:2] for r in rows] == [
+        ["error", "ValueError"], ["aggregate"], ["ok"], ["aggregate"],
+    ]
+    with pytest.raises(ValueError):
+        _tiny_config(**{axis: bad})
+
+
 def test_run_sweep_rejects_unknown_axis():
     with pytest.raises(ValueError, match="unknown config field"):
         run_sweep(_tiny_config(), "bandwidth", [1], ("genie",), trials=1)
+
+
+@pytest.mark.parametrize("skip_cycles", [5, 6])
+def test_calibrate_estimate_noise_needs_cycles_after_the_skip(skip_cycles, count_calls):
+    # With every cycle skipped no error is left to pool: the table would be NaN.
+    calls = count_calls(harness, "calibrate_process_noise")
+    with pytest.raises(ValueError, match="skip_cycles"):
+        calibrate_estimate_noise(
+            _tiny_config(num_cycles=5), [9.0, 12.0], episodes_per_point=1,
+            skip_cycles=skip_cycles,
+        )
+    assert calls == []
 
 
 def test_calibrate_estimate_noise_grid():
@@ -355,8 +380,9 @@ def test_calibrate_estimate_noise_calibrates_process_noise_once(count_calls):
 
 
 def _oracle_steering_table(n, thetas):
+    # Phases in the order of arrays._steering: pi * theta, then times k.
     k = np.arange(n)[:, None]
-    return np.exp(1j * np.pi * k * np.asarray(thetas)[None, :]) / np.sqrt(n)
+    return np.exp(1j * (np.pi * np.asarray(thetas)[None, :] * k)) / np.sqrt(n)
 
 
 def _oracle_cycle_ber(config, h_est, gains, aoa_slots, aods, noise_var, ber_rng):
@@ -409,7 +435,7 @@ def test_cycle_ber_matches_full_svd_oracle(case, seed):
     expected = _oracle_cycle_ber(
         config, h_est, gains, aoa_slots, aods, noise_var, np.random.default_rng(99)
     )
-    a_t = harness._steering_table(geom_tx, aods)
+    a_t = arrays._steering(geom_tx, aods)
     tx_r = np.linalg.qr(a_t, mode="r")
     got = harness._cycle_ber(
         config, gains, est, aoa_slots, tx_r, noise_var, geom_rx, np.random.default_rng(99)

@@ -107,19 +107,6 @@ def test_init_fc_bounds(rng):
     np.testing.assert_array_equal(p.bias, np.zeros(5))
 
 
-def test_single_fc_gradient_closed_form(rng):
-    # loss = ||Wx + b - y||^2 gives dW = 2 r x^T and db = 2 r.
-    layer = init_fc(rng, 3, 4)
-    x = rng.normal(size=4)
-    y = rng.normal(size=3)
-    loss, grads, out = loss_and_gradients([layer], x[None, :], y)
-    r = (layer.weights @ x + layer.bias) - y
-    assert loss == pytest.approx(np.sum(r**2), rel=1e-12)
-    np.testing.assert_allclose(out, r + y, atol=1e-14)
-    np.testing.assert_allclose(grads[0]["weights"], 2.0 * np.outer(r, x), atol=1e-12)
-    np.testing.assert_allclose(grads[0]["bias"], 2.0 * r, atol=1e-12)
-
-
 def test_forward_stack_promotes_single_window(rng):
     layers = [init_fc(rng, 5, 3, "tanh"), init_lstm(rng, 4, 5), init_fc(rng, 1, 4)]
     xs = rng.normal(size=(6, 3))
@@ -131,8 +118,8 @@ def test_forward_stack_promotes_single_window(rng):
 
 @pytest.mark.parametrize("batch", [1, 9, 1000])
 def test_forward_stack_matches_training_pass_bit_for_bit(batch):
-    # Inference skips the gate history but must compute the very same numbers
-    # as the forward pass that loss_and_gradients runs for training.
+    # Inference must compute the very same numbers as the forward pass that
+    # loss_and_gradients runs for training.
     rng = np.random.default_rng(batch)
     layers = [
         init_fc(rng, 6, 3, "tanh"),
@@ -150,9 +137,14 @@ def test_forward_stack_matches_training_pass_bit_for_bit(batch):
 
 
 def test_forward_stack_without_lstm_rejects_sequences(rng):
+    # A stack needs an LSTM layer, whatever the window length.
     layers = [init_fc(rng, 2, 3)]
-    with pytest.raises(ValueError):
-        forward_stack(layers, rng.normal(size=(4, 3)))
+    for steps in (4, 1):
+        xs = rng.normal(size=(steps, 3))
+        with pytest.raises(ValueError, match="LSTM"):
+            forward_stack(layers, xs)
+        with pytest.raises(ValueError, match="LSTM"):
+            loss_and_gradients(layers, xs, np.zeros(2))
 
 
 def test_lstm_stack_must_be_contiguous(rng):

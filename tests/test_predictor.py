@@ -1,5 +1,6 @@
 """Learned angle predictor: windows, datasets, training, checkpoints."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,14 @@ def test_noise_table_interp_and_clamp():
     np.testing.assert_array_equal(round_trip.estimate_std, table.estimate_std)
     with pytest.raises(ValueError):
         NoiseTable(snr_db=[0.0, 0.0], estimate_std=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01])
+def test_noise_table_rejects_a_non_finite_or_negative_std(bad):
+    with pytest.raises(ValueError, match="estimate_std"):
+        NoiseTable(snr_db=[9.0, 12.0], estimate_std=[0.01, bad])
+    with pytest.raises(ValueError, match="estimate_std"):
+        NoiseTable.from_json(json.dumps({"snr_db": [9.0, 12.0], "estimate_std": [0.01, bad]}))
 
 
 def test_norm_stats_validation():

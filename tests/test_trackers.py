@@ -291,6 +291,18 @@ def test_proposed_episode_makes_one_predictor_call_per_warm_cycle(count_calls, n
     assert windows_built == []
 
 
+@pytest.mark.parametrize("variant", ["ekf", "proposed_csi_imu"])
+def test_kalman_episodes_build_no_dense_belief(count_calls, variant):
+    # The trackers hand beam selection and the measurement update their
+    # (means, variances) arrays; no validated joint belief is built per cycle.
+    model = build_model(np.random.default_rng(2021))
+    model.norm = NormStats(np.zeros(9), np.full(9, 0.5), np.zeros(1), np.full(1, 0.01))
+    built = count_calls(filtering.GaussianBelief, "__post_init__")
+    cfg = SimConfig(num_cycles=6, t_csi=40, seed=3, variant=variant)
+    run_episode(cfg, model=model if variant != "ekf" else None, process_noise=1e-5)
+    assert built == []
+
+
 def test_proposed_requires_a_predictor(geom32, codebook64):
     with pytest.raises(ValueError, match="predict"):
         ProposedTracker(
