@@ -78,18 +78,25 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ber-mode", choices=("analytic", "montecarlo"), default=d.ber_mode)
 
 
+def _one_line(func, *args, **kw):
+    """func(*args, **kw), a ValueError from it ending the command with its
+    one-line message instead of a traceback."""
+    try:
+        return func(*args, **kw)
+    except ValueError as err:
+        raise SystemExit(f"beamtrack: {err}") from None
+
+
 def _sim_config(args: argparse.Namespace, variant: str = "ekf") -> harness.SimConfig:
     """The SimConfig of the flags `_add_sim_args` defines; fields without a
     flag keep their defaults. A config that SimConfig rejects ends the
     command with its one-line message."""
     given = vars(args)
-    try:
-        return harness.SimConfig(
-            **{f.name: given[f.name] for f in fields(harness.SimConfig) if f.name in given},
-            variant=variant,
-        )
-    except ValueError as err:
-        raise SystemExit(f"beamtrack: {err}") from None
+    return _one_line(
+        harness.SimConfig,
+        **{f.name: given[f.name] for f in fields(harness.SimConfig) if f.name in given},
+        variant=variant,
+    )
 
 
 def _load_models(args, variants) -> dict:
@@ -106,7 +113,8 @@ def _load_models(args, variants) -> dict:
 
 def _cmd_calibrate_noise(args) -> int:
     cfg = _sim_config(args)
-    table = harness.calibrate_estimate_noise(
+    table = _one_line(
+        harness.calibrate_estimate_noise,
         cfg, _float_list(args.snr_grid), episodes_per_point=args.episodes,
         master_seed=args.seed,
     )
@@ -180,8 +188,8 @@ def _cmd_sweep(args) -> int:
     variants = args.variants.split(",")
     models = _load_models(args, variants)
     cfg = _sim_config(args)
-    rows = harness.run_sweep(
-        cfg, args.axis, _float_list(args.values), variants, args.trials,
+    rows = _one_line(
+        harness.run_sweep, cfg, args.axis, _float_list(args.values), variants, args.trials,
         master_seed=args.master_seed, models=models, out_path=args.out,
     )
     errors = sum(1 for r in rows if r["status"].startswith("error"))
@@ -193,8 +201,8 @@ def _cmd_plot_data(args) -> int:
     variants = args.variants.split(",")
     models = _load_models(args, variants)
     cfg = _sim_config(args)
-    written = harness.plot_data(
-        args.out_dir, cfg, models=models, variants=variants, trials=args.trials,
+    written = _one_line(
+        harness.plot_data, args.out_dir, cfg, models=models, variants=variants, trials=args.trials,
         master_seed=args.master_seed,
     )
     for path in written:

@@ -10,7 +10,10 @@ Reproducibility: every random stream is derived from the episode seed plus a
 fixed stream tag, and sweep episode seeds are hashes of (master seed, axis
 name, axis value, trial). Streams do not depend on the tracker variant, so
 variants compared at the same (value, trial) see identical trajectories,
-sensor noise, and pilot noise draws (paired comparisons).
+sensor noise, and pilot noise draws (paired comparisons). A sweep therefore
+draws each (value, trial) once and shares the draw (gains, angles, sensor
+blocks, initial estimates) among its variants; the pilot and BER generators
+are not part of a draw, and each variant's episode opens them fresh.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ class EpisodeResult:
     """Per-cycle metric traces for one episode."""
 
     nmse_db: np.ndarray  # (num_cycles,)
-    ber: np.ndarray  # (num_cycles,)
+    ber: np.ndarray | None  # (num_cycles,); None when the sweep scored no BER
     aoa_error: np.ndarray  # (num_paths, num_cycles), estimate - truth
     variant: str
     seed: int
@@ -289,7 +292,8 @@ def _build_tracker(
 
 @dataclass
 class _Episode:
-    """One episode's draws: the path geometry, its truth and its streams."""
+    """One episode's draws: the path geometry and its truth. It holds no
+    generator, so one draw serves every variant of a (seed, point)."""
 
     gains: np.ndarray  # (L,) unit-modulus path gains
     known_aod: float  # departure cluster centre, known to the trackers
@@ -297,8 +301,6 @@ class _Episode:
     aoa: np.ndarray  # (L, num_cycles * t_csi) true arrival angle per slot
     blocks: np.ndarray  # (L, num_cycles, 2 * k_samples) scaled sensor blocks
     init_means: np.ndarray  # (L,) trackers' initial estimates
-    pilot_rng: np.random.Generator
-    ber_rng: np.random.Generator
 
 
 def _draw_episode(config: SimConfig) -> _Episode:
@@ -325,7 +327,7 @@ def _draw_episode(config: SimConfig) -> _Episode:
     init_means = traj.aoa[:, 0] + init_rng.normal(0.0, config.init_error_std, size=num_paths)
     return _Episode(
         gains, known_aod, aods, traj.aoa, scale_sensor_block(imu, config.t_csi * config.dt),
-        init_means, _stream(config.seed, _PILOT), _stream(config.seed, _BER),
+        init_means,
     )
 
 
@@ -358,12 +360,12 @@ def _process_noises(configs, cache: dict) -> list[float]:
     return noises
 
 
-def _track(configs, model, process_noise):
+def _track(configs, model, process_noise, episodes=None):
     """Track a batch of episodes in lockstep, one tracker call per cycle.
 
-    The configs agree in the shared fields (see `run_episodes`). Returns the
-    episodes' draws, the estimates and the true angles at the cycle
-    boundaries, both (B, L, num_cycles).
+    The configs agree in the shared fields (see `run_episodes`); `episodes`
+    are their draws, made here when None. Returns the draws, the estimates
+    and the true angles at the cycle boundaries, both (B, L, num_cycles).
     """
     base = configs[0]
     if process_noise is None:
@@ -373,7 +375,8 @@ def _track(configs, model, process_noise):
         raise ValueError("process_noise must be one value or one per episode")
     geom_rx = ArrayGeometry(base.n_m)
     geom_tx = ArrayGeometry(base.n_b)
-    episodes = [_draw_episode(cfg) for cfg in configs]
+    if episodes is None:
+        episodes = [_draw_episode(cfg) for cfg in configs]
 
     gains = np.stack([ep.gains for ep in episodes])
     aods = np.stack([ep.aods for ep in episodes])
@@ -388,7 +391,7 @@ def _track(configs, model, process_noise):
         [_noise_var(cfg.snr_db) for cfg in configs], process_noise,
     )
     snr_db = np.array([cfg.snr_db for cfg in configs])
-    pilot_rngs = [ep.pilot_rng for ep in episodes]
+    pilot_rngs = [_stream(cfg.seed, _PILOT) for cfg in configs]
     no_block = np.zeros(gains.shape + blocks.shape[-1:])
     estimates = np.empty(truth.shape)
     for t in range(base.num_cycles):
@@ -401,15 +404,20 @@ def _track(configs, model, process_noise):
 _SCORE_CYCLES = 32
 
 
-def _score(config: SimConfig, episode: _Episode, estimates, truth):
-    """Per-cycle NMSE and BER of one episode's (L, num_cycles) estimates."""
+def _score(config: SimConfig, episode: _Episode, estimates, truth, with_ber: bool = True):
+    """Per-cycle NMSE and BER of one episode's (L, num_cycles) estimates;
+    the BER is None without `with_ber`."""
     geom_rx = ArrayGeometry(config.n_m)
     a_t = _steering(ArrayGeometry(config.n_b), episode.aods)  # departures are fixed
-    tx_r = np.linalg.qr(a_t, mode="r")
-    noise_var = _noise_var(config.snr_db)
-    slots = episode.aoa.reshape(config.num_paths, config.num_cycles, config.t_csi).swapaxes(0, 1)
     nmse = np.empty(config.num_cycles)
-    ber = np.empty(config.num_cycles)
+    ber = None
+    if with_ber:
+        tx_r = np.linalg.qr(a_t, mode="r")
+        noise_var = _noise_var(config.snr_db)
+        slots = episode.aoa.reshape(config.num_paths, config.num_cycles, config.t_csi)
+        slots = slots.swapaxes(0, 1)
+        ber_rng = _stream(config.seed, _BER)
+        ber = np.empty(config.num_cycles)
     for start in range(0, config.num_cycles, _SCORE_CYCLES):
         cycles = slice(start, start + _SCORE_CYCLES)
         est, true = estimates[:, cycles].T, truth[:, cycles].T  # (cycles, L)
@@ -417,9 +425,10 @@ def _score(config: SimConfig, episode: _Episode, estimates, truth):
             _channel_from_angles(episode.gains, true, geom_rx, a_t),
             _channel_from_angles(episode.gains, est, geom_rx, a_t),
         )
-        ber[cycles] = _cycle_ber(
-            config, episode.gains, est, slots[cycles], tx_r, noise_var, geom_rx, episode.ber_rng
-        )
+        if with_ber:
+            ber[cycles] = _cycle_ber(
+                config, episode.gains, est, slots[cycles], tx_r, noise_var, geom_rx, ber_rng
+            )
     return nmse, ber
 
 
@@ -427,6 +436,9 @@ def run_episodes(
     configs,
     model: PredictorModel | None = None,
     process_noise=None,
+    *,
+    _episodes=None,
+    _ber: bool = True,
 ) -> list[EpisodeResult]:
     """Simulate a batch of episodes in lockstep and score each per cycle.
 
@@ -444,6 +456,9 @@ def run_episodes(
     each episode draws from its own random streams. So every episode's
     result equals, bit for bit, the one it gives alone. Scoring does not
     feed back into tracking: it runs once per episode after the last cycle.
+
+    `_episodes` and `_ber` serve `run_sweep`: the configs' draws, made once
+    for all variants, and whether to score BER (False leaves `ber` None).
     """
     configs = list(configs)
     if not configs:
@@ -457,10 +472,10 @@ def run_episodes(
     if model is None and proposed:
         raise ValueError("proposed variants need a model")
     fingerprint = model_fingerprint(model) if proposed else None
-    episodes, estimates, truth = _track(configs, model, process_noise)
+    episodes, estimates, truth = _track(configs, model, process_noise, _episodes)
     results = []
     for cfg, episode, est, true in zip(configs, episodes, estimates, truth):
-        nmse, ber = _score(cfg, episode, est, true)
+        nmse, ber = _score(cfg, episode, est, true, _ber)
         digest = cfg.digest(fingerprint)
         results.append(EpisodeResult(nmse, ber, est - true, cfg.variant, cfg.seed, digest))
     return results
@@ -500,13 +515,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_cell(configs, model, process_noises) -> list:
+def _run_cell(configs, model, process_noises, episodes, ber: bool) -> list:
     """Each config's EpisodeResult, or the exception its episode raised. The
-    episodes run as one batch, each with its process noise; if the batch
-    raises, a RuntimeWarning names its size and the exception, and they run
-    again one at a time, so that one bad episode fails alone."""
+    episodes run as one batch, each with its process noise and draw; if the
+    batch raises, a RuntimeWarning names its size and the exception, and
+    they run again one at a time, so that one bad episode fails alone."""
     try:
-        return run_episodes(configs, model=model, process_noise=process_noises)
+        return run_episodes(
+            configs, model=model, process_noise=process_noises, _episodes=episodes, _ber=ber
+        )
     except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
         warnings.warn(
             f"a batch of {len(configs)} episodes raised {type(exc).__name__}: {exc}; "
@@ -515,28 +532,14 @@ def _run_cell(configs, model, process_noises) -> list:
             stacklevel=2,
         )
         outcomes = []
-        for cfg, noise in zip(configs, process_noises):
+        for cfg, noise, episode in zip(configs, process_noises, episodes):
             try:
-                outcomes.append(run_episode(cfg, model=model, process_noise=noise))
+                outcomes.append(run_episodes(
+                    [cfg], model=model, process_noise=noise, _episodes=[episode], _ber=ber,
+                )[0])
             except Exception as exc:  # noqa: BLE001
                 outcomes.append(exc)
         return outcomes
-
-
-def _run_batches(configs, model, process_noises) -> list:
-    """`_run_cell` outcomes of the configs in their order, the configs that
-    agree in every shared field running as one batch."""
-    groups: dict[tuple, list[int]] = {}
-    for k, cfg in enumerate(configs):
-        groups.setdefault(_shared_key(cfg), []).append(k)
-    outcomes = [None] * len(configs)
-    for members in groups.values():
-        batch = _run_cell(
-            [configs[k] for k in members], model, [process_noises[k] for k in members]
-        )
-        for k, outcome in zip(members, batch):
-            outcomes[k] = outcome
-    return outcomes
 
 
 def run_sweep(
@@ -549,23 +552,32 @@ def run_sweep(
     models: dict[str, PredictorModel] | None = None,
     out_path=None,
     process_noises: dict | None = None,
+    *,
+    ber: bool = True,
 ) -> list[dict]:
     """Grid of episodes over one config axis, with per-trial and mean rows.
 
     Returns the CSV rows as dicts and, when out_path is given, writes them.
-    For each variant, every point and trial of the sweep runs as one batch
-    of `run_episodes`; a sweep over a shared field runs one batch per point.
-    A failed episode, or every episode of a point whose config SimConfig
-    rejects, is recorded with status "error:<Type>: <message>" and empty
-    metrics; the sweep keeps going. Mean rows average the successful
+    The points that agree in every shared field form a batch group; a sweep
+    over a shared field has one group per point. A group's episodes are
+    drawn once, one draw per (point, trial), and run as one `run_episodes`
+    batch per variant; only one group's draws are held at a time. With
+    `ber=False` no BER is computed and every `mean_ber` is empty.
+    A failed draw or episode, or every episode of a point whose config
+    SimConfig rejects, is recorded with status "error:<Type>: <message>" and
+    empty metrics; the sweep keeps going. Mean rows average the successful
     trials. Rows come in (value, variant, trial) order. Process noise is
     calibrated once per distinct mobility model, cycle length and path count
     among the sweep points; a caller running several sweeps passes one
     `process_noises` dict to all of them, keyed by (mobility params, t_csi,
-    num_paths), to calibrate once across them.
+    num_paths), to calibrate once across them. An unknown axis or variant
+    raises ValueError before any work.
     """
     if axis_name not in _FIELD_TYPES:
         raise ValueError(f"unknown config field {axis_name!r}")
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     models = models or {}
     columns = [
         "axis_name", "axis_value", "variant", "trial", "seed",
@@ -585,15 +597,31 @@ def run_sweep(
         (p, episode_seed(master_seed, axis_name, value, trial))
         for p, value in enumerate(values) for trial in range(trials)
     ]
-    run = [k for k, (p, _) in enumerate(cells) if p in point_noises]
-    outcomes = {}
-    for variant in variants:
-        results = _run_batches(
-            [replace(points[cells[k][0]], variant=variant, seed=cells[k][1]) for k in run],
-            models.get(variant), [point_noises[cells[k][0]] for k in run],
-        )
-        done = dict(zip(run, results))
-        outcomes[variant] = [done.get(k, points[p]) for k, (p, _) in enumerate(cells)]
+    groups: dict[tuple, list[int]] = {}  # batch group -> its cells
+    for k, (p, _) in enumerate(cells):
+        if p in point_noises:
+            groups.setdefault(_shared_key(points[p]), []).append(k)
+    # Each variant's outcome per cell; a rejected point's cells keep its error.
+    outcomes = {variant: [points[p] for p, _ in cells] for variant in variants}
+    for members in groups.values():
+        drawn = {}  # cell -> its draw
+        for k in members:
+            p, seed = cells[k]
+            try:
+                drawn[k] = _draw_episode(replace(points[p], seed=seed))
+            except Exception as exc:  # noqa: BLE001 - a bad draw fails its own episode
+                for variant in variants:
+                    outcomes[variant][k] = exc
+        if not drawn:
+            continue
+        for variant in variants:
+            batch = _run_cell(
+                [replace(points[cells[k][0]], variant=variant, seed=cells[k][1]) for k in drawn],
+                models.get(variant), [point_noises[cells[k][0]] for k in drawn],
+                list(drawn.values()), ber,
+            )
+            for k, outcome in zip(drawn, batch):
+                outcomes[variant][k] = outcome
     rows: list[dict] = []
     for p, (value, point) in enumerate(zip(values, points)):
         cycles = point.num_cycles if isinstance(point, SimConfig) else ""
@@ -613,10 +641,11 @@ def run_sweep(
                     row["status"] = f"error:{type(result).__name__}: {result}"
                 else:
                     row["mean_nmse_db"] = _fmt(result.mean_nmse_db)
-                    row["mean_ber"] = _fmt(result.mean_ber)
+                    row["mean_ber"] = _fmt(result.mean_ber) if ber else ""
                     row["status"] = "ok"
                     ok_nmse.append(result.mean_nmse_db)
-                    ok_ber.append(result.mean_ber)
+                    if ber:
+                        ok_ber.append(result.mean_ber)
                 rows.append(row)
             rows.append({
                 "axis_name": axis_name, "axis_value": _fmt(value), "variant": variant,
@@ -647,11 +676,16 @@ def calibrate_estimate_noise(
     The MAD pools every error, lost paths included: where most paths are out
     of lock it measures their spread, and the table need not fall with SNR
     (ROADMAP item 3). The whole grid of episodes is tracked as one batch, and
-    nothing is scored. A skip_cycles that leaves no cycle raises ValueError.
+    nothing is scored. A skip_cycles that leaves no cycle, an empty grid or
+    episodes_per_point < 1 raises ValueError before any work.
     """
     if skip_cycles >= base_config.num_cycles:
         raise ValueError(f"skip_cycles={skip_cycles} skips all {base_config.num_cycles} cycles")
+    if episodes_per_point < 1:
+        raise ValueError(f"episodes_per_point must be >= 1, got {episodes_per_point}")
     snr_grid_db = np.sort(np.asarray(snr_grid_db, dtype=np.float64))
+    if snr_grid_db.size == 0:
+        raise ValueError("the SNR grid is empty")
     configs = [
         replace(base_config, variant="ekf", snr_db=float(snr),
                 seed=episode_seed(master_seed, "calibration", float(snr), ep))
@@ -679,7 +713,11 @@ def plot_data(
     trials: int = 10,
     master_seed: int = 0,
 ) -> list[str]:
-    """Write per-figure CSVs (metric vs axis, one row per variant point)."""
+    """Write per-figure CSVs (metric vs axis, one row per variant point).
+
+    BER is computed on the SNR axis only, the one figure that writes it; the
+    `t_csi` and `a_avg` sweeps run with `run_sweep(..., ber=False)`.
+    """
     import os
 
     os.makedirs(out_dir, exist_ok=True)
@@ -694,6 +732,7 @@ def plot_data(
         rows = run_sweep(
             base_config, axis, values, variants, trials,
             master_seed=master_seed, models=models, process_noises=process_noises,
+            ber=any(metric == "mean_ber" for _, metric in figures),
         )
         means = [r for r in rows if r["status"] == "aggregate"]
         for fname, metric in figures:

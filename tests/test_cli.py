@@ -180,6 +180,37 @@ def test_cli_calibrate_noise_writes_table(tmp_path, capsys):
     assert np.all(table.estimate_std > 0)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--num-cycles", "5"], "skip_cycles=10 skips all 5 cycles"),
+    (["--episodes", "0"], "episodes_per_point must be >= 1, got 0"),
+    (["--snr-grid", ""], "the SNR grid is empty"),
+], ids=["short_episodes", "no_episodes", "empty_grid"])
+def test_cli_calibrate_noise_refuses_bad_input_in_one_line(flags, message, tmp_path, capsys):
+    out = tmp_path / "noise.json"
+    with pytest.raises(SystemExit) as refused:
+        main(["calibrate-noise", "--t-csi", "40", "--out", str(out)] + flags)
+    assert refused.value.code == f"beamtrack: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "plot-data"])
+def test_cli_refuses_an_unknown_variant_before_any_work(command, tmp_path, count_calls):
+    calls = count_calls(trackers, "calibrate_process_noise")
+    count_calls(harness, "calibrate_process_noise", calls)
+    count_calls(harness, "run_episodes", calls)
+    out = ["--out", str(tmp_path / "s.csv")] if command == "sweep" else [
+        "--out-dir", str(tmp_path / "figs")]
+    axis = ["--axis", "snr_db", "--values", "9"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as refused:
+        main([command, "--variants", "ekf,bogus", "--trials", "1", "--num-cycles", "3",
+              "--t-csi", "40"] + axis + out)
+    message = refused.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith("beamtrack: ") and "'bogus'" in message
+    assert calls == []
+    assert list(tmp_path.iterdir()) in ([], [tmp_path / "figs"])
+
+
 def test_cli_proposed_needs_checkpoint(tmp_path):
     with pytest.raises(SystemExit, match="checkpoint"):
         main([

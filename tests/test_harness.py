@@ -1,6 +1,7 @@
 """Episode simulation, metrics, sweeps, and calibration glue."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,7 +232,8 @@ def test_run_sweep_survives_failing_cells(tmp_path):
     # A proposed variant without a model fails per episode; its rows carry an
     # error status while the other variant still completes.
     cfg = _tiny_config(num_cycles=2)
-    rows = run_sweep(cfg, "snr_db", [9.0], ("proposed_csi", "genie"), trials=2)
+    with pytest.warns(RuntimeWarning, match="a batch of 2 episodes raised ValueError"):
+        rows = run_sweep(cfg, "snr_db", [9.0], ("proposed_csi", "genie"), trials=2)
     failures = [r for r in rows if r["variant"] == "proposed_csi" and r["trial"] != "mean"]
     assert all(
         r["status"] == "error:ValueError: proposed variants need a model"
@@ -299,6 +301,76 @@ def test_run_sweep_rejects_unknown_axis():
         run_sweep(_tiny_config(), "bandwidth", [1], ("genie",), trials=1)
 
 
+def test_run_sweep_rejects_an_unknown_variant_before_any_work(count_calls):
+    calibrations = count_calls(harness, "calibrate_process_noise")
+    batches = count_calls(harness, "run_episodes")
+    with pytest.raises(ValueError, match="got 'bogus'"):
+        run_sweep(_tiny_config(num_cycles=3), "snr_db", [9.0], ("ekf", "bogus"), trials=1)
+    assert calibrations == [] and batches == []
+
+
+def _sweep_noises(cfg, axis, values):
+    """A fixed process noise for every point of a sweep, so that none is calibrated."""
+    points = [cfg] + [replace(cfg, **{axis: value}) for value in values]
+    return {(p.mobility_params(), p.t_csi, p.num_paths): 2e-4 for p in points}
+
+
+def test_sweep_gives_each_variant_fresh_generators():
+    # Every variant of a shared draw opens its own pilot and BER streams: a
+    # generator shared across variants would move the second variant's pilot
+    # noise (its NMSE) and Monte Carlo bits (its BER) off its lone run.
+    cfg = _tiny_config(num_cycles=4, ber_mode="montecarlo", mc_bits_per_slot=2, snr_db=3.0)
+    noises = _sweep_noises(cfg, "snr_db", [3.0, 6.0])
+    rows = run_sweep(cfg, "snr_db", [3.0, 6.0], ("ekf", "lms"), 2, master_seed=9,
+                     process_noises=noises)
+    trials = [r for r in rows if r["trial"] != "mean"]
+    assert len(trials) == 8
+    for row in trials:
+        alone = run_episode(
+            replace(cfg, snr_db=float(row["axis_value"]), variant=row["variant"],
+                    seed=int(row["seed"])),
+            process_noise=2e-4,
+        )
+        assert row["status"] == "ok"
+        assert float(row["mean_nmse_db"]) == alone.mean_nmse_db
+        assert float(row["mean_ber"]) == alone.mean_ber
+
+
+def test_run_sweep_draws_each_episode_once_for_all_variants(count_calls):
+    cfg = _tiny_config(num_cycles=3)
+    calls = count_calls(harness, "generate_trajectory")
+    run_sweep(cfg, "snr_db", [6.0, 9.0], ("ekf", "lms", "genie"), 2,
+              process_noises=_sweep_noises(cfg, "snr_db", [6.0, 9.0]))
+    assert len(calls) == 2 * 2  # (point, trial), not (point, trial, variant)
+
+
+def test_run_sweep_without_ber_leaves_mean_ber_empty(count_calls):
+    cfg = _tiny_config(num_cycles=3)
+    noises = _sweep_noises(cfg, "t_csi", [40, 80])
+    with_ber = run_sweep(cfg, "t_csi", [40, 80], ("ekf", "genie"), 2, process_noises=noises)
+    calls = count_calls(harness, "_cycle_ber")
+    without = run_sweep(cfg, "t_csi", [40, 80], ("ekf", "genie"), 2, process_noises=noises,
+                        ber=False)
+    assert calls == []
+    assert all(r["mean_ber"] != "" for r in with_ber)
+    assert all(r["mean_ber"] == "" for r in without)
+    assert [r["mean_nmse_db"] for r in without] == [r["mean_nmse_db"] for r in with_ber]
+    assert [r["status"] for r in without] == [r["status"] for r in with_ber]
+
+
+@pytest.mark.parametrize("grid, episodes, message", [
+    ([], 1, "the SNR grid is empty"),
+    ([9.0], 0, "episodes_per_point must be >= 1, got 0"),
+])
+def test_calibrate_estimate_noise_refuses_an_empty_grid_before_any_work(
+    grid, episodes, message, count_calls
+):
+    calls = count_calls(harness, "calibrate_process_noise")
+    with pytest.raises(ValueError, match=message):
+        calibrate_estimate_noise(_tiny_config(num_cycles=12), grid, episodes_per_point=episodes)
+    assert calls == []
+
+
 @pytest.mark.parametrize("skip_cycles", [5, 6])
 def test_calibrate_estimate_noise_needs_cycles_after_the_skip(skip_cycles, count_calls):
     # With every cycle skipped no error is left to pool: the table would be NaN.
@@ -338,6 +410,35 @@ def test_plot_data_writes_per_figure_csvs(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["snr_db", "variant", "mean_nmse_db"]
     assert len(rows) == 3  # header + one aggregate row per variant
+
+
+def test_plot_data_scores_ber_only_on_the_snr_axis(tmp_path, monkeypatch):
+    # Only ber_vs_snr.csv holds a BER: the t_csi and a_avg sweeps compute none.
+    axes = []
+    real_sweep, real_ber = harness.run_sweep, harness._cycle_ber
+
+    def recording_sweep(base, axis, *args, **kw):
+        axes.append(axis)
+        return real_sweep(base, axis, *args, **kw)
+
+    ber_axes = []
+
+    def recording_ber(*args, **kw):
+        ber_axes.append(axes[-1])
+        return real_ber(*args, **kw)
+
+    monkeypatch.setattr(harness, "run_sweep", recording_sweep)
+    monkeypatch.setattr(harness, "_cycle_ber", recording_ber)
+    monkeypatch.setattr(harness, "calibrate_process_noise", lambda *a, **kw: 1e-5)
+    plot_data(
+        tmp_path, _tiny_config(num_cycles=2), variants=("ekf", "genie"),
+        snr_values=(6.0, 9.0), t_csi_values=(40, 80), a_avg_values=(0.1, 0.2), trials=2,
+    )
+    assert axes == ["snr_db", "t_csi", "a_avg"]
+    # One scoring chunk per episode: 2 values x 2 variants x 2 trials.
+    assert ber_axes == ["snr_db"] * 8
+    with open(tmp_path / "ber_vs_snr.csv", newline="") as fh:
+        assert all(row["mean_ber"] != "" for row in csv.DictReader(fh))
 
 
 def test_run_sweep_mean_rows_report_the_swept_cycle_count():

@@ -135,8 +135,10 @@ def test_sweep_over_a_shared_field_runs_one_batch_per_point(count_calls):
         (cfg.mobility_params(), cfg.t_csi, cfg.num_paths): PROCESS_NOISE,
     })
     # The two num_cycles 3 points share a batch of 4; num_cycles 5 runs alone.
-    assert [[c.num_cycles for c in configs] for configs, *_ in calls] == [
-        [3, 3, 3, 3], [5, 5], [3, 3, 3, 3], [5, 5],
+    # Each batch group is drawn once and runs for every variant before the
+    # next group is drawn.
+    assert [[(c.num_cycles, c.variant) for c in configs] for configs, *_ in calls] == [
+        [(3, "ekf")] * 4, [(3, "lms")] * 4, [(5, "ekf")] * 2, [(5, "lms")] * 2,
     ]
     assert [r["cycles"] for r in rows if r["trial"] == "0"] == ["3", "3", "5", "5", "3", "3"]
     assert all(r["status"] in ("ok", "aggregate") for r in rows)
