@@ -25,21 +25,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """A uniform linear array: element count and spacing in wavelengths."""
+    """A uniform linear array of half-wavelength spaced elements."""
 
     num_elements: int
-    element_spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
         if self.num_elements < 1:
             raise ValueError(f"num_elements must be >= 1, got {self.num_elements}")
-        if not self.element_spacing_wavelengths > 0:
-            raise ValueError("element_spacing_wavelengths must be positive")
 
     @property
     def spatial_freq(self) -> float:
-        """Phase advance per element per unit sine-angle, 2*pi*(d/lambda)."""
-        return 2.0 * np.pi * self.element_spacing_wavelengths
+        """Phase advance per element per unit sine-angle, 2*pi*(d/lambda) = pi
+        at half-wavelength spacing, which the DFT codebook grid assumes."""
+        return np.pi
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ class Codebook:
 def steering_vector(geom: ArrayGeometry, theta) -> np.ndarray:
     """Unit-norm array response at sine-angle theta.
 
-    Element k carries (1/sqrt(N)) * exp(j * 2*pi*(d/lambda) * k * theta),
+    Element k carries (1/sqrt(N)) * exp(j * pi * k * theta),
     k = 0..N-1, so the vector has Euclidean norm 1 for any theta. An array of
     angles (..., M) gives its vectors as the columns of an (..., N, M) array.
     """

@@ -171,16 +171,16 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     variants = args.variants.split(",")
+    configs = [_sim_config(args, variant=variant) for variant in variants]
     models = _load_models(args, variants)
-    base = _sim_config(args)
+    base = configs[0]
     process_noise = trackers.calibrate_process_noise(
         base.mobility_params(), base.t_csi, num_paths=base.num_paths
     )
     print("variant mean_nmse_db mean_ber")
-    for variant in variants:
-        cfg = _sim_config(args, variant=variant)
-        result = harness.run_episode(cfg, model=models.get(variant), process_noise=process_noise)
-        print(f"{variant} {result.mean_nmse_db:.4f} {result.mean_ber:.6g}")
+    for cfg in configs:
+        result = harness.run_episode(cfg, models.get(cfg.variant), process_noise)
+        print(f"{cfg.variant} {result.mean_nmse_db:.4f} {result.mean_ber:.6g}")
     return 0
 
 

@@ -8,7 +8,8 @@ spread lam = alpha^2 * P - P, weights
     w0_mean = lam / (P + lam)            w0_cov = w0_mean + (1 - alpha^2 + beta)
     wi      = 1 / (2 (P + lam))          i = 1..2P
 
-with alpha = 1e-3 and beta = 2 by default. Sigma offsets perturb only the most
+with alpha = 1e-3 and beta = 2, the value that is optimal for a Gaussian
+prior (Wan & van der Merwe, 2000). Sigma offsets perturb only the most
 recent estimate entry of the input window; older entries and sensor samples
 are treated as exogenous.
 
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 1e-3
-DEFAULT_BETA = 2.0
+BETA = 2.0
 DEFAULT_JITTER = 1e-8
 
 
@@ -95,7 +96,7 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (eigvec * root[..., None, :]) @ eigvec.swapaxes(-1, -2)
 
 
-def _sigma_stack(means, covs, alpha, beta):
+def _sigma_stack(means, covs, alpha):
     """Scaled sigma points of B beliefs, means (B, P) and covs (B, P, P):
     points (B, 2P+1, P) and the mean and covariance weights they share."""
     p = means.shape[1]
@@ -111,26 +112,17 @@ def _sigma_stack(means, covs, alpha, beta):
     w_mean = np.full(2 * p + 1, 1.0 / (2.0 * scale))
     w_mean[0] = lam / scale
     w_cov = w_mean.copy()
-    w_cov[0] += 1.0 - alpha**2 + beta
+    w_cov[0] += 1.0 - alpha**2 + BETA
     return points, w_mean, w_cov
 
 
-def sigma_points(
-    belief: GaussianBelief, alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA
-) -> SigmaSet:
+def sigma_points(belief: GaussianBelief, alpha: float = DEFAULT_ALPHA) -> SigmaSet:
     """Scaled sigma set for the belief; reconstruction recovers mean and cov."""
-    points, w_mean, w_cov = _sigma_stack(belief.mean[None], belief.cov[None], alpha, beta)
+    points, w_mean, w_cov = _sigma_stack(belief.mean[None], belief.cov[None], alpha)
     return SigmaSet(points[0], w_mean, w_cov)
 
 
-def prediction_update(
-    belief,
-    window,
-    predict_fn,
-    jitter: float = DEFAULT_JITTER,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-):
+def prediction_update(belief, window, predict_fn, jitter: float = DEFAULT_JITTER):
     """Unscented propagation of path beliefs through the predictor.
 
     Batched form: `belief` is a stacked pair (means (B, P), covs (B, P, P)),
@@ -157,8 +149,7 @@ def prediction_update(
 
         means, covs = prediction_update(
             (belief.mean[None], belief.cov[None]),
-            (window.past_estimates[None], window.sensor_blocks[None]), one_by_one,
-            jitter, alpha, beta,
+            (window.past_estimates[None], window.sensor_blocks[None]), one_by_one, jitter,
         )
         return GaussianBelief(means[0], covs[0])
     means, covs = belief
@@ -168,7 +159,7 @@ def prediction_update(
     p = means.shape[1]
     if past.shape[-1] != p:
         raise ValueError("window state dimension does not match the belief")
-    points, w_mean, w_cov = _sigma_stack(means, covs, alpha, beta)
+    points, w_mean, w_cov = _sigma_stack(means, covs, DEFAULT_ALPHA)
     # Every path's window once per sigma point, in (path, point) order.
     past = np.repeat(past, points.shape[1], axis=0)
     past[:, -1] = points.reshape(-1, p)

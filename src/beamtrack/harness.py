@@ -72,6 +72,13 @@ AOD_CLUSTER_WIDTH = 2.0 / 64.0
 _TRAJ, _PILOT, _IMU, _INIT, _BER = 1, 2, 3, 4, 5
 
 
+def _check_variants(variants) -> None:
+    """A ValueError naming the first of `variants` that is not in VARIANTS."""
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
 @dataclass
 class SimConfig:
     """One episode's worth of configuration."""
@@ -99,8 +106,7 @@ class SimConfig:
     mc_bits_per_slot: int = 1
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        _check_variants([self.variant])
         for name in ("num_paths", "t_csi", "k_samples", "num_cycles"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -165,18 +171,19 @@ def normalized_mse(h_true: np.ndarray, h_est: np.ndarray):
     return np.where(ratio <= floor, NMSE_FLOOR_DB, nmse_db)[()]
 
 
-def bit_error_rate_mc(
-    gain_mag: float, noise_var: float, num_bits: int, rng: np.random.Generator
-) -> float:
-    """Monte Carlo BPSK error rate at effective amplitude |g|.
+def bit_error_rate_mc(gain_mag, noise_var: float, num_bits: int, rng: np.random.Generator):
+    """Monte Carlo BPSK error rate at effective amplitude |g|, per entry of
+    an array of amplitudes; a float gives a float.
 
     The matched-filter statistic is |g| + N(0, noise_var/2) for a +1 bit, so
-    a bit errors when the noise pushes it negative.
+    a bit errors when the noise pushes it negative. One call draws what
+    per-entry calls would, in the same order.
     """
+    gain_mag = np.asarray(gain_mag, dtype=np.float64)
     if noise_var == 0.0:
-        return 0.0
-    noise = rng.normal(0.0, np.sqrt(noise_var / 2.0), size=num_bits)
-    return float(np.mean(gain_mag + noise < 0.0))
+        return np.zeros(gain_mag.shape)[()]
+    noise = rng.normal(0.0, np.sqrt(noise_var / 2.0), size=gain_mag.shape + (num_bits,))
+    return np.mean(gain_mag[..., None] + noise < 0.0, axis=-1)[()]
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
@@ -230,7 +237,8 @@ def _cycle_ber(
     The transmit gains A_t^H f reduce to R_t^H v.
 
     Cycles of one episode stack along leading axes, est_aoas (..., L) and
-    aoa_slots (..., L, slots); Monte Carlo draws follow them in order.
+    aoa_slots (..., L, slots); Monte Carlo draws follow them in order, one
+    `bit_error_rate_mc` call per cycle.
     """
     q_r, r_r = np.linalg.qr(_steering(geom_rx, est_aoas))
     tx_h = tx_r.conj().swapaxes(-1, -2)
@@ -241,18 +249,16 @@ def _cycle_ber(
     g = ((gains * tx_gain)[..., None, :] @ rx)[..., 0, :]
     if noise_var == 0.0:
         return np.zeros(g.shape[:-1])[()]
+    mag = np.abs(g)  # (..., slots)
     if config.ber_mode == "analytic":
-        return np.mean(qfunc(np.sqrt(2.0 * np.abs(g) ** 2 / noise_var)), axis=-1)[()]
-    errs = [
-        [bit_error_rate_mc(float(np.abs(gv)), noise_var, config.mc_bits_per_slot, ber_rng)
-         for gv in cycle]
-        for cycle in g.reshape(-1, g.shape[-1])
-    ]
-    return np.mean(errs, axis=-1).reshape(g.shape[:-1])[()]
+        return np.mean(qfunc(np.sqrt(2.0 * mag**2 / noise_var)), axis=-1)[()]
+    rates = [bit_error_rate_mc(cycle, noise_var, config.mc_bits_per_slot, ber_rng)
+             for cycle in mag.reshape(-1, mag.shape[-1])]
+    return np.mean(rates, axis=-1).reshape(mag.shape[:-1])[()]
 
 
 def _build_tracker(
-    config: SimConfig,
+    configs,
     model: PredictorModel | None,
     means: np.ndarray,
     variances: np.ndarray,
@@ -265,6 +271,8 @@ def _build_tracker(
     noise_var,
     process_noise,
 ):
+    """The tracker of a batch; an LMS tracker takes each episode's `lms_step`."""
+    config = configs[0]
     common = dict(
         codebook=codebook, gains=gains, aods=aods, known_aod=known_aod,
         geom_rx=geom_rx, geom_tx=geom_tx,
@@ -284,7 +292,7 @@ def _build_tracker(
         )
     if config.variant == "lms":
         return LmsTracker(
-            means, step_size=config.lms_step,
+            means, step_size=[cfg.lms_step for cfg in configs],
             num_tx=config.m_b, num_rx=config.m_m, **common,
         )
     return GenieTracker()
@@ -331,12 +339,12 @@ def _draw_episode(config: SimConfig) -> _Episode:
     )
 
 
-# The fields that fix a batch's array shapes or build its tracker. Every other
-# field feeds only an episode's own draws, truth, process noise or scoring,
-# and may differ between the episodes of one batch.
+# The fields that fix a batch's array shapes, and the variant, which picks its
+# tracker. Every other field feeds only an episode's own draws, truth, tracker
+# parameters, process noise or scoring, and may differ within a batch.
 _SHARED_FIELDS = frozenset({
     "variant", "n_b", "n_m", "num_paths", "m_b", "m_m", "codebook_size", "k_samples",
-    "num_cycles", "lms_step",
+    "num_cycles",
 })
 
 
@@ -385,7 +393,7 @@ def _track(configs, model, process_noise, episodes=None):
     blocks = np.stack([ep.blocks for ep in episodes])
     init_var = np.array([[max(cfg.init_error_std**2, 1e-6)] for cfg in configs])
     tracker = _build_tracker(
-        base, model, np.stack([ep.init_means for ep in episodes]),
+        configs, model, np.stack([ep.init_means for ep in episodes]),
         np.broadcast_to(init_var, gains.shape), make_codebook(base.codebook_size), gains, aods,
         [ep.known_aod for ep in episodes], geom_rx, geom_tx,
         [_noise_var(cfg.snr_db) for cfg in configs], process_noise,
@@ -442,12 +450,12 @@ def run_episodes(
 ) -> list[EpisodeResult]:
     """Simulate a batch of episodes in lockstep and score each per cycle.
 
-    The configs must agree in the shared fields, those that fix the batch's
-    array shapes or build its tracker: `variant`, `n_b`, `n_m`,
-    `num_paths`, `m_b`, `m_m`, `codebook_size`, `k_samples`, `num_cycles`
-    and `lms_step`. A difference in one of them raises a
-    ValueError that names it. Every other field, `seed`, `snr_db`, `t_csi`
-    and `a_avg` among them, may differ from episode to episode.
+    The configs must agree in the shared fields: `variant`, which picks the
+    tracker, and those that fix the batch's array shapes, `n_b`, `n_m`,
+    `num_paths`, `m_b`, `m_m`, `codebook_size`, `k_samples` and
+    `num_cycles`. A difference in one of them raises a ValueError that
+    names it. Every other field, `seed`, `snr_db`, `t_csi`, `a_avg` and
+    `lms_step` among them, may differ from episode to episode.
     `process_noise` is one value for the batch or one per episode; None
     calibrates it once per distinct mobility and cycle length in the batch.
 
@@ -575,9 +583,7 @@ def run_sweep(
     """
     if axis_name not in _FIELD_TYPES:
         raise ValueError(f"unknown config field {axis_name!r}")
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    _check_variants(variants)
     models = models or {}
     columns = [
         "axis_name", "axis_value", "variant", "trial", "seed",
@@ -716,10 +722,12 @@ def plot_data(
     """Write per-figure CSVs (metric vs axis, one row per variant point).
 
     BER is computed on the SNR axis only, the one figure that writes it; the
-    `t_csi` and `a_avg` sweeps run with `run_sweep(..., ber=False)`.
+    `t_csi` and `a_avg` sweeps run with `run_sweep(..., ber=False)`. An
+    unknown variant raises ValueError before `out_dir` is made.
     """
     import os
 
+    _check_variants(variants)
     os.makedirs(out_dir, exist_ok=True)
     jobs = [
         ("snr_db", snr_values, [("nmse_vs_snr.csv", "mean_nmse_db"), ("ber_vs_snr.csv", "mean_ber")]),

@@ -38,6 +38,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_RHO",
     "DEFAULT_DRIVE_VAR",
+    "IMU_CHANNELS",
     "MobilityParams",
     "Trajectory",
     "generate_trajectory",
@@ -47,6 +48,8 @@ __all__ = [
 DEFAULT_RHO = 0.9999
 # Chosen so the stationary velocity variance drive_var / (1 - rho^2) is 0.2.
 DEFAULT_DRIVE_VAR = 0.2 * (1.0 - DEFAULT_RHO**2)
+
+IMU_CHANNELS = 2  # inertial channels: angular velocity and angular acceleration
 
 # Chunk sizes of the angle stream, in slots. Reflections are thousands of
 # slots apart at walking rates, so most slots run in full-size chunks; a

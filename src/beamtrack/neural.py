@@ -372,6 +372,10 @@ def grads_as_dict(layers, grads) -> dict[str, np.ndarray]:
     return out
 
 
+# Adam's decay rates and denominator offset, the defaults of Kingma & Ba (2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moment accumulators for Adam."""
@@ -379,15 +383,12 @@ class AdamState:
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(params: dict[str, np.ndarray], **kwargs) -> AdamState:
+def init_adam(params: dict[str, np.ndarray]) -> AdamState:
     zeros = {name: np.zeros_like(arr) for name, arr in params.items()}
     zeros2 = {name: np.zeros_like(arr) for name, arr in params.items()}
-    return AdamState(first_moment=zeros, second_moment=zeros2, **kwargs)
+    return AdamState(first_moment=zeros, second_moment=zeros2)
 
 
 def adam_update(
@@ -399,7 +400,7 @@ def adam_update(
     """One bias-corrected Adam step, applied in place to the parameter arrays."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     for name, p in params.items():
@@ -410,4 +411,4 @@ def adam_update(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g**2
-        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPSILON)

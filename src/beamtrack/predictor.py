@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .mobility import MobilityParams, generate_trajectory, synthesize_imu
+from .mobility import IMU_CHANNELS, MobilityParams, generate_trajectory, synthesize_imu
 from .neural import FcParams, LstmParams
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _CHECKPOINT_MAGIC = "beamtrack-checkpoint v1"
+
+INPUT_HIDDEN, OUTPUT_HIDDEN = 16, 32  # dense widths before and after the LSTM stack
 
 
 def scale_sensor_block(blocks: np.ndarray, cycle_seconds: float) -> np.ndarray:
@@ -143,25 +145,22 @@ def build_model(
     rng: np.random.Generator,
     delta: int = 3,
     k_samples: int = 4,
-    j_channels: int = 2,
-    input_hidden: int = 16,
     lstm_hidden: int = 32,
-    output_hidden: int = 32,
     lstm_layers: int = 1,
 ) -> PredictorModel:
     """Fresh model with fan-in uniform initialization (forget bias at +1)."""
     if lstm_layers < 1:
         raise ValueError("lstm_layers must be >= 1")
-    input_dim = 1 + k_samples * j_channels
-    input_fc = neural.init_fc(rng, input_hidden, input_dim, activation="tanh")
+    input_dim = 1 + k_samples * IMU_CHANNELS
+    input_fc = neural.init_fc(rng, INPUT_HIDDEN, input_dim, activation="tanh")
     lstms = []
-    in_size = input_hidden
+    in_size = INPUT_HIDDEN
     for _ in range(lstm_layers):
         lstms.append(neural.init_lstm(rng, lstm_hidden, in_size))
         in_size = lstm_hidden
     output_fcs = [
-        neural.init_fc(rng, output_hidden, lstm_hidden, activation="tanh"),
-        neural.init_fc(rng, 1, output_hidden, activation="identity"),
+        neural.init_fc(rng, OUTPUT_HIDDEN, lstm_hidden, activation="tanh"),
+        neural.init_fc(rng, 1, OUTPUT_HIDDEN, activation="identity"),
     ]
     return PredictorModel(
         input_fc=input_fc,
@@ -169,7 +168,7 @@ def build_model(
         output_fcs=output_fcs,
         delta=delta,
         k_samples=k_samples,
-        j_channels=j_channels,
+        j_channels=IMU_CHANNELS,
     )
 
 
@@ -287,6 +286,7 @@ class DatasetConfig:
 
     Episodes draw their cycle length, mean angular rate, and SNRs
     independently, so one model generalizes across the evaluation sweeps.
+    Slots last MobilityParams' default duration.
     """
 
     num_windows: int = 100_000
@@ -298,7 +298,6 @@ class DatasetConfig:
     a_avg_range: tuple[float, float] = (0.05 * np.pi, 0.45 * np.pi)
     snr_range_db: tuple[float, float] = (6.0, 15.0)
     imu_snr_db: float | None = None  # None: draw per episode from snr_range_db
-    dt: float = 125e-6
     include_imu: bool = True
 
 
@@ -347,22 +346,21 @@ def generate_dataset(
         raise ValueError("cycles_per_episode must exceed delta")
     episodes = -(-cfg.num_windows // (cfg.num_paths * (cycles - delta)))
 
-    j_channels = 2
-    dim = 1 + k * j_channels
+    dim = 1 + k * IMU_CHANNELS
     chunks_x, chunks_last, chunks_y = [], [], []
     for _ in range(episodes):
         t_csi = int(rng.choice(np.asarray(cfg.t_csi_choices)))
         a_avg = rng.uniform(*cfg.a_avg_range)
         snr = rng.uniform(*cfg.snr_range_db)
         imu_snr = cfg.imu_snr_db if cfg.imu_snr_db is not None else rng.uniform(*cfg.snr_range_db)
-        params = MobilityParams(a_avg=a_avg, dt=cfg.dt)
+        params = MobilityParams(a_avg=a_avg)
         traj = generate_trajectory(params, cfg.num_paths, cycles * t_csi, rng)
         if cfg.include_imu:
             blocks = scale_sensor_block(
-                synthesize_imu(traj, k, t_csi, imu_snr, rng), t_csi * cfg.dt
+                synthesize_imu(traj, k, t_csi, imu_snr, rng), t_csi * params.dt
             )
         else:
-            blocks = np.zeros((cfg.num_paths, cycles, k * j_channels))
+            blocks = np.zeros((cfg.num_paths, cycles, k * IMU_CHANNELS))
         truth = traj.aoa[:, ::t_csi]  # (L, cycles), angle at each cycle boundary
         est = truth + rng.normal(0.0, noise_table.lookup(snr), size=truth.shape)
 
@@ -382,7 +380,7 @@ def generate_dataset(
         "state_dim": 1,
         "delta": delta,
         "k_samples": k,
-        "j_channels": j_channels,
+        "j_channels": IMU_CHANNELS,
         "include_imu": cfg.include_imu,
         "snr_range_db": list(cfg.snr_range_db),
     }
@@ -391,18 +389,19 @@ def generate_dataset(
 
 @dataclass
 class TrainConfig:
-    """Minibatch Adam training schedule."""
+    """Minibatch Adam schedule; the learning rate decays by `decay_rate` every 3 epochs."""
 
     epochs: int = 30
     minibatch: int = 64
     initial_lr: float = 0.01
-    decay_epoch: int = 3
     decay_rate: float = 0.1
     seed: int = 0
 
 
 # Windows per forward pass when train() evaluates prediction_var.
 _PREDICTION_VAR_CHUNK = 256
+# Epochs between learning-rate decays.
+_DECAY_EPOCHS = 3
 
 
 def _fit_norm_stats(raw: np.ndarray, increments: np.ndarray) -> NormStats:
@@ -450,7 +449,7 @@ def train(
 
     losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
-        lr = config.initial_lr * config.decay_rate ** ((epoch - 1) // config.decay_epoch)
+        lr = config.initial_lr * config.decay_rate ** ((epoch - 1) // _DECAY_EPOCHS)
         order = shuffle.permutation(n)
         total = 0.0
         for start in range(0, n, config.minibatch):

@@ -176,13 +176,14 @@ class ProposedTracker(_KalmanTracker):
 
     A `predict_fn` given in place of a model takes the stacked windows
     (past (N, delta, 1), sensors (N, delta, KJ)) and returns the (N, 1)
-    next-cycle states, as partial(predict, model) does.
+    next-cycle states, as partial(predict, model) does. The sensor width KJ
+    is that of the blocks `step` is given; a step without a block uses
+    zeros of the model's width, or of width 0 with a bare `predict_fn`.
     """
 
     def __init__(self, means, variances, codebook, gains, aods, known_aod, geom_rx, geom_tx,
                  noise_var, process_noise, model: PredictorModel | None = None,
-                 predict_fn=None, delta=None, use_imu=True, block_width=None,
-                 prediction_noise=None, **kw):
+                 predict_fn=None, delta=None, use_imu=True, prediction_noise=None, **kw):
         super().__init__(means, variances, codebook, gains, aods, known_aod, geom_rx, geom_tx,
                          noise_var, process_noise, **kw)
         if model is None and predict_fn is None:
@@ -191,9 +192,7 @@ class ProposedTracker(_KalmanTracker):
             raise ValueError("a predict_fn needs delta, the number of cycles its windows cover")
         self.predict_fn = partial(predict, model) if predict_fn is None else predict_fn
         self.delta = int(delta if delta is not None else model.delta)
-        if block_width is None:
-            block_width = model.k_samples * model.j_channels if model is not None else 0
-        self.block_width = int(block_width)
+        self._no_block_width = model.k_samples * model.j_channels if model is not None else 0
         self.use_imu = use_imu
         if prediction_noise is None:
             if model is not None and model.prediction_var is not None:
@@ -206,19 +205,19 @@ class ProposedTracker(_KalmanTracker):
 
     def step(self, channel: PilotChannel, sensor_block=None) -> CycleRecord:
         if sensor_block is None:
-            sensor_block = np.zeros(self.means.shape + (self.block_width,))
+            sensor_block = np.zeros(self.means.shape + (self._no_block_width,))
         sensor_block = np.asarray(sensor_block, dtype=np.float64)
         if not self.use_imu:
             sensor_block = np.zeros_like(sensor_block)
         self._blocks_hist.append(sensor_block)
 
+        width = sensor_block.shape[-1]
         warm = len(self._estimates_hist) >= self.delta
         if warm:
             # One window per path of every episode, in (episode, path) order.
-            past = np.stack(list(self._estimates_hist), axis=-1).reshape(-1, self.delta, 1)
-            sensors = np.stack(list(self._blocks_hist), axis=-2).reshape(
-                -1, self.delta, sensor_block.shape[-1]
-            )
+            windows = self.means.size
+            past = np.stack(list(self._estimates_hist), axis=-1).reshape(windows, self.delta, 1)
+            sensors = np.stack(list(self._blocks_hist), axis=-2).reshape(windows, self.delta, width)
             means, covs = prediction_update(
                 (self.means.reshape(-1, 1), self.variances.reshape(-1, 1, 1)),
                 (past, sensors), self.predict_fn,
@@ -227,9 +226,8 @@ class ProposedTracker(_KalmanTracker):
             predicted = means.reshape(shape), covs.reshape(shape) + self.prediction_noise
         else:
             shift = 0.0
-            if self.use_imu and self._steps > 0 and self.block_width:
-                k = self.block_width // 2
-                shift = sensor_block[..., :k].mean(axis=-1)  # per-cycle angle units
+            if self.use_imu and self._steps > 0 and width:
+                shift = sensor_block[..., : width // 2].mean(axis=-1)  # per-cycle angle units
             predicted = self._identity_prediction(shift)
         sounding = self._measure(*predicted, channel)
         self._steps += 1
@@ -243,7 +241,8 @@ class LmsTracker:
     Receive beams are the codebook entries nearest the strongest path's
     current estimate; the update is est_l += mu * Re(o_l^H residual) with o_l
     the arrival-angle pilot Jacobian column. Arrays may carry a leading
-    batch axis, as in the Kalman trackers.
+    batch axis, as in the Kalman trackers; `step_size` is then one value
+    per episode or one for all.
     """
 
     def __init__(self, estimates, codebook, gains, aods, known_aod, geom_rx, geom_tx,
@@ -254,7 +253,7 @@ class LmsTracker:
         self.aods = np.asarray(aods, dtype=np.float64)
         self.geom_rx = geom_rx
         self.geom_tx = geom_tx
-        self.step_size = float(step_size)
+        self.step_size = np.asarray(step_size, dtype=np.float64)
         self.num_rx = num_rx
         self._ref_path = np.argmax(np.abs(self.gains), axis=-1)[..., None]
         self._tx_idx = nearest_beams(known_aod, codebook, num_tx)
@@ -273,7 +272,7 @@ class LmsTracker:
         )
         residual = pilot.values - predicted
         slope = (jac.conj().swapaxes(-1, -2) @ residual[..., None])[..., 0]
-        self.est += self.step_size * slope.real
+        self.est += self.step_size[..., None] * slope.real
         return CycleRecord(self.est.copy(), sounding)
 
 

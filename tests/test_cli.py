@@ -193,22 +193,25 @@ def test_cli_calibrate_noise_refuses_bad_input_in_one_line(flags, message, tmp_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["sweep", "plot-data"])
-def test_cli_refuses_an_unknown_variant_before_any_work(command, tmp_path, count_calls):
+@pytest.mark.parametrize("command", ["sweep", "plot-data", "evaluate"])
+def test_cli_refuses_an_unknown_variant_before_any_work(command, tmp_path, count_calls, capsys):
     calls = count_calls(trackers, "calibrate_process_noise")
     count_calls(harness, "calibrate_process_noise", calls)
     count_calls(harness, "run_episodes", calls)
-    out = ["--out", str(tmp_path / "s.csv")] if command == "sweep" else [
-        "--out-dir", str(tmp_path / "figs")]
-    axis = ["--axis", "snr_db", "--values", "9"] if command == "sweep" else []
+    own = {
+        "sweep": ["--trials", "1", "--axis", "snr_db", "--values", "9",
+                  "--out", str(tmp_path / "s.csv")],
+        "plot-data": ["--trials", "1", "--out-dir", str(tmp_path / "figs")],
+        "evaluate": [],
+    }[command]
     with pytest.raises(SystemExit) as refused:
-        main([command, "--variants", "ekf,bogus", "--trials", "1", "--num-cycles", "3",
-              "--t-csi", "40"] + axis + out)
+        main([command, "--variants", "ekf,bogus", "--num-cycles", "3", "--t-csi", "40"] + own)
     message = refused.value.code
     assert isinstance(message, str) and "\n" not in message
     assert message.startswith("beamtrack: ") and "'bogus'" in message
     assert calls == []
-    assert list(tmp_path.iterdir()) in ([], [tmp_path / "figs"])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_proposed_needs_checkpoint(tmp_path):

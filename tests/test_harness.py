@@ -57,6 +57,17 @@ def test_bit_error_rate_mc_matches_tail_probability():
     assert bit_error_rate_mc(1.0, 0.0, 100, rng) == 0.0
 
 
+def test_bit_error_rate_mc_array_equals_per_entry_calls():
+    mags = np.array([[0.1, 0.5, 1.0], [0.0, 2.0, 0.3]])
+    rng, per_entry_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = bit_error_rate_mc(mags, 0.8, 7, rng)
+    want = [[bit_error_rate_mc(float(m), 0.8, 7, per_entry_rng) for m in row] for row in mags]
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == per_entry_rng.bit_generator.state
+    assert isinstance(bit_error_rate_mc(0.5, 0.8, 7, rng), float)
+    np.testing.assert_array_equal(bit_error_rate_mc(mags, 0.0, 7, rng), np.zeros(mags.shape))
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError, match="variant"):
         SimConfig(variant="oracle")
@@ -172,7 +183,8 @@ def test_run_episode_is_deterministic():
     assert a.variant == "ekf" and a.seed == 7
 
 
-def test_run_episode_montecarlo_ber_mode():
+def test_run_episode_montecarlo_ber_mode(count_calls):
+    calls = count_calls(harness, "bit_error_rate_mc")
     cfg = _tiny_config(
         variant="genie", num_paths=1, a_avg=0.0, drive_var=0.0,
         init_velocity_std=0.0, num_cycles=2, ber_mode="montecarlo",
@@ -180,6 +192,8 @@ def test_run_episode_montecarlo_ber_mode():
     )
     result = run_episode(cfg)
     assert np.all(result.ber >= 0.0) and np.all(result.ber <= 1.0)
+    # One call per cycle, for the cycle's t_csi slots.
+    assert [np.shape(args[0]) for args in calls] == [(cfg.t_csi,)] * cfg.num_cycles
 
 
 def test_proposed_variant_needs_checkpoint():

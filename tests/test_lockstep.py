@@ -98,7 +98,9 @@ def test_a_batch_must_agree_in_the_shared_fields(field, value):
         run_episodes(configs[:1], process_noise=[PROCESS_NOISE] * 2)
 
 
-@pytest.mark.parametrize("axis, values", [("t_csi", [40, 80]), ("a_avg", [0.3, 0.6, 0.3])])
+@pytest.mark.parametrize("axis, values", [
+    ("t_csi", [40, 80]), ("a_avg", [0.3, 0.6, 0.3]), ("lms_step", [0.02, 0.005]),
+])
 def test_sweep_rows_equal_their_episodes_alone(axis, values, count_calls):
     cfg = replace(BASE, num_cycles=5)
     # A distinct process noise per point's mobility, so that no calibration runs.
@@ -109,13 +111,13 @@ def test_sweep_rows_equal_their_episodes_alone(axis, values, count_calls):
     }
     calls = count_calls(harness, "run_episodes")
     rows = run_sweep(
-        cfg, axis, values, ("ekf", "proposed_csi_imu"), 2, master_seed=7,
+        cfg, axis, values, ("ekf", "lms", "proposed_csi_imu"), 2, master_seed=7,
         models={"proposed_csi_imu": MODEL}, process_noises=noises,
     )
     # One batch per variant, of every point and trial.
-    assert [len(configs) for configs, *_ in calls] == [2 * len(values)] * 2
+    assert [len(configs) for configs, *_ in calls] == [2 * len(values)] * 3
     trials = [r for r in rows if r["trial"] != "mean"]
-    assert len(trials) == 2 * 2 * len(values)
+    assert len(trials) == 3 * 2 * len(values)
     for row in trials:
         point = replace(cfg, **{axis: type(getattr(cfg, axis))(row["axis_value"])})
         alone = run_episode(

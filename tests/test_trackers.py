@@ -152,7 +152,7 @@ def test_proposed_warmup_schedule(geom32, codebook64):
     tracker = ProposedTracker(
         [0.1], [1e-4], codebook64, gains, aods, known_aod=-0.2,
         geom_rx=geom32, geom_tx=geom32, noise_var=1e-3, process_noise=1e-6,
-        predict_fn=_hold, delta=3, block_width=8,
+        predict_fn=_hold, delta=3,
     )
     flags = [
         tracker.step(_channel([0.1], aods, gains, 30.0, rng, geom32)).used_predictor
@@ -176,7 +176,7 @@ def test_proposed_warmup_dead_reckons_from_sensors(geom32, codebook64):
         tracker = ProposedTracker(
             [0.2], [1e-9], codebook64, gains, aods, known_aod=0.0,
             geom_rx=geom32, geom_tx=geom32, noise_var=1e-2, process_noise=0.0,
-            predict_fn=_hold, delta=10, block_width=8,
+            predict_fn=_hold, delta=10,
             use_imu=use_imu,
         )
         for t in range(4):
@@ -202,7 +202,7 @@ def test_proposed_csi_only_blanks_sensor_blocks(geom32, codebook64):
     tracker = ProposedTracker(
         [0.0], [1e-4], codebook64, gains, aods, known_aod=0.2,
         geom_rx=geom32, geom_tx=geom32, noise_var=1e-3, process_noise=1e-6,
-        predict_fn=spy, delta=1, block_width=8, use_imu=False,
+        predict_fn=spy, delta=1, use_imu=False,
     )
     block = np.full((1, 8), 0.7)
     for _ in range(3):
@@ -225,7 +225,7 @@ def test_proposed_passes_sensor_blocks_through(geom32, codebook64):
     tracker = ProposedTracker(
         [0.0], [1e-4], codebook64, gains, aods, known_aod=0.2,
         geom_rx=geom32, geom_tx=geom32, noise_var=1e-3, process_noise=1e-6,
-        predict_fn=spy, delta=1, block_width=8, use_imu=True,
+        predict_fn=spy, delta=1, use_imu=True,
     )
     block = np.arange(8.0)[None, :]
     tracker.step(_channel([0.0], aods, gains, 30.0, rng, geom32), block)
@@ -245,7 +245,7 @@ def test_proposed_prediction_noise_widens_prior(geom32, codebook64):
         tracker = ProposedTracker(
             [0.3], [1e-6], codebook64, gains, aods, known_aod=0.0,
             geom_rx=geom32, geom_tx=geom32, noise_var=1.0, process_noise=0.0,
-            predict_fn=_hold, delta=1, block_width=8,
+            predict_fn=_hold, delta=1,
             prediction_noise=pn,
         )
         tracker.step(_channel([0.3], aods, gains, 0.0, rng, geom32))
@@ -267,7 +267,7 @@ def test_proposed_with_perfect_oracle_keeps_lock(geom32, codebook64):
     tracker = ProposedTracker(
         [truth[0]], [1e-6], codebook64, gains, aods, known_aod=-0.1,
         geom_rx=geom32, geom_tx=geom32, noise_var=10 ** (-1.5), process_noise=1e-5,
-        predict_fn=oracle, delta=2, block_width=8,
+        predict_fn=oracle, delta=2,
     )
     errs = []
     for t in range(12):
