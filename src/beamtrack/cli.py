@@ -173,6 +173,8 @@ def _cmd_evaluate(args) -> int:
     variants = args.variants.split(",")
     configs = [_sim_config(args, variant=variant) for variant in variants]
     models = _load_models(args, variants)
+    for cfg in configs:
+        _one_line(harness.check_model, models.get(cfg.variant), cfg.variant, cfg.k_samples)
     base = configs[0]
     process_noise = trackers.calibrate_process_noise(
         base.mobility_params(), base.t_csi, num_paths=base.num_paths

@@ -56,6 +56,7 @@ __all__ = [
     "run_episode",
     "run_episodes",
     "run_sweep",
+    "check_model",
     "calibrate_estimate_noise",
     "plot_data",
     "episode_seed",
@@ -298,6 +299,17 @@ def _build_tracker(
     return GenieTracker()
 
 
+def check_model(model: PredictorModel | None, variant: str, k_samples: int) -> None:
+    """Refuse a model that `variant` would run on sensor blocks it was not
+    built for: a ValueError names both sample counts. A baseline variant runs
+    no model, so any model passes for it."""
+    if model is not None and variant.startswith("proposed") and model.k_samples != k_samples:
+        raise ValueError(
+            f"the {variant} model takes k_samples={model.k_samples} sensor samples per "
+            f"cycle; the config sets k_samples={k_samples}"
+        )
+
+
 @dataclass
 class _Episode:
     """One episode's draws: the path geometry and its truth. It holds no
@@ -454,10 +466,12 @@ def run_episodes(
     tracker, and those that fix the batch's array shapes, `n_b`, `n_m`,
     `num_paths`, `m_b`, `m_m`, `codebook_size`, `k_samples` and
     `num_cycles`. A difference in one of them raises a ValueError that
-    names it. Every other field, `seed`, `snr_db`, `t_csi`, `a_avg` and
-    `lms_step` among them, may differ from episode to episode.
-    `process_noise` is one value for the batch or one per episode; None
-    calibrates it once per distinct mobility and cycle length in the batch.
+    names it, and so does a model that `check_model` refuses; both come
+    before any draw or calibration. Every other field, `seed`, `snr_db`,
+    `t_csi`, `a_avg` and `lms_step` among them, may differ from episode to
+    episode. `process_noise` is one value for the batch or one per
+    episode; None calibrates it once per distinct mobility and cycle length
+    in the batch.
 
     Trackers hold (B, L) state and every stage of a tracking cycle is one
     call for the whole batch, built from per-episode operations only, and
@@ -479,6 +493,7 @@ def run_episodes(
     proposed = base.variant.startswith("proposed")
     if model is None and proposed:
         raise ValueError("proposed variants need a model")
+    check_model(model, base.variant, base.k_samples)
     fingerprint = model_fingerprint(model) if proposed else None
     episodes, estimates, truth = _track(configs, model, process_noise, _episodes)
     results = []
@@ -578,8 +593,9 @@ def run_sweep(
     calibrated once per distinct mobility model, cycle length and path count
     among the sweep points; a caller running several sweeps passes one
     `process_noises` dict to all of them, keyed by (mobility params, t_csi,
-    num_paths), to calibrate once across them. An unknown axis or variant
-    raises ValueError before any work.
+    num_paths), to calibrate once across them. An unknown axis or variant,
+    or a model whose `k_samples` differs from a point's, raises ValueError
+    before any work.
     """
     if axis_name not in _FIELD_TYPES:
         raise ValueError(f"unknown config field {axis_name!r}")
@@ -597,6 +613,9 @@ def run_sweep(
         except ValueError as err:
             points.append(err)
     valid = [p for p, point in enumerate(points) if isinstance(point, SimConfig)]
+    for variant in variants:
+        for p in valid:
+            check_model(models.get(variant), variant, points[p].k_samples)
     cache = {} if process_noises is None else process_noises
     point_noises = dict(zip(valid, _process_noises([points[p] for p in valid], cache)))
     cells = [  # (point index, seed), in (value, trial) order
@@ -723,11 +742,14 @@ def plot_data(
 
     BER is computed on the SNR axis only, the one figure that writes it; the
     `t_csi` and `a_avg` sweeps run with `run_sweep(..., ber=False)`. An
-    unknown variant raises ValueError before `out_dir` is made.
+    unknown variant, or a model that `check_model` refuses, raises
+    ValueError before `out_dir` is made.
     """
     import os
 
     _check_variants(variants)
+    for variant in variants:
+        check_model((models or {}).get(variant), variant, base_config.k_samples)
     os.makedirs(out_dir, exist_ok=True)
     jobs = [
         ("snr_db", snr_values, [("nmse_vs_snr.csv", "mean_nmse_db"), ("ber_vs_snr.csv", "mean_ber")]),

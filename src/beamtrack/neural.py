@@ -12,6 +12,13 @@ exact backpropagation-through-time gradients of a squared-error loss for a
 and a bias-corrected Adam optimizer. Everything is float64 on purpose: the
 gradients are validated against central finite differences, which needs the
 headroom.
+
+Every pass starts from the zero state h_-1 = c_-1 = 0 without computing with
+it: `_lstm_cell` takes None for both and then forms no W_h product and no
+f * c_prev, and backpropagation skips the products with h_-1 and the
+gradients that flow into the state before t = 0. `pack_params` moves a
+stack's parameters into one flat buffer, so that training can take one Adam
+step over all of them.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = [
     "forward_stack",
     "loss_and_gradients",
     "layer_param_dict",
+    "pack_params",
     "grads_as_dict",
     "init_adam",
     "adam_update",
@@ -140,21 +148,26 @@ def fc_apply(params: FcParams, x: np.ndarray) -> np.ndarray:
     return _activate(z + params.bias, params.activation)
 
 
-def _lstm_cell(params: LstmParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+def _lstm_cell(params: LstmParams, x: np.ndarray, h_prev, c_prev):
     """One LSTM recursion: (gates, c, tanh(c), h), gates = [i, f, o, g] along the last axis.
 
     Rows of x, h_prev and c_prev are windows; the input and recurrent terms
     are per-row products, so a batched step equals per-window steps bit for
-    bit.
+    bit. h_prev = c_prev = None is the zero initial state: the cell then
+    forms no W_h product and no f * c_prev. Those terms are exact zeros, and
+    adding an exact ±0 changes no non-zero float, so the results equal those
+    of explicit zero states; at most the sign of a zero pre-activation, and
+    of a zero c or h it yields, can differ, and such zeros compare equal.
     """
     hs = params.hidden_size
     gates = _per_row(x, params.W_x)
-    gates += _per_row(h_prev, params.W_h)
+    if h_prev is not None:
+        gates += _per_row(h_prev, params.W_h)
     gates += params.b
     expit(gates[..., : 3 * hs], out=gates[..., : 3 * hs])
     np.tanh(gates[..., 3 * hs :], out=gates[..., 3 * hs :])
     i, f, o, g = (gates[..., q * hs : (q + 1) * hs] for q in range(4))
-    c = f * c_prev + i * g
+    c = i * g if c_prev is None else f * c_prev + i * g
     tanh_c = np.tanh(c)
     return gates, c, tanh_c, o * tanh_c
 
@@ -234,8 +247,7 @@ def _forward(layers, xs: np.ndarray) -> tuple[np.ndarray, _Trace]:
         hsize = lyr.hidden_size
         hist = {name: np.empty((batch, steps, hsize)) for name in ("c", "tanh_c", "h")}
         hist["gates"] = np.empty((batch, steps, 4 * hsize))
-        h = np.zeros((batch, hsize))
-        c = np.zeros((batch, hsize))
+        h = c = None  # the zero initial state
         for t in range(steps):
             gates, c, tc, h = _lstm_cell(lyr, cur[:, t], h, c)
             for name, val in zip(("gates", "c", "tanh_c", "h"), (gates, c, tc, h)):
@@ -311,26 +323,28 @@ def loss_and_gradients(layers, xs: np.ndarray, target: np.ndarray):
         d_x_seq = np.empty_like(x_seq)
         dh_next = np.zeros((batch, hs))
         dc_next = np.zeros((batch, hs))
+        c_init = np.zeros((batch, hs))  # c at t = -1
+        dz = np.empty((batch, 4 * hs))  # d loss / d z, in the gate order i, f, o, g
         for t in range(steps - 1, -1, -1):
             gates, tc = tr["gates"][:, t], tr["tanh_c"][:, t]
             i, f, o, gg = (gates[:, q * hs : (q + 1) * hs] for q in range(4))
-            c_prev = tr["c"][:, t - 1] if t > 0 else np.zeros_like(tc)
-            h_prev = tr["h"][:, t - 1] if t > 0 else np.zeros_like(tc)
-
             dh = d_hidden_seq[:, t] + dh_next
             dc = dc_next + dh * o * (1.0 - tc**2)
-            # d loss / d z, in the gate order i, f, o, g.
-            dz = np.concatenate([dc * gg, dc * c_prev, dh * tc, dc * i], axis=1)
+            np.multiply(dc, gg, out=dz[:, :hs])
+            np.multiply(dc, tr["c"][:, t - 1] if t else c_init, out=dz[:, hs : 2 * hs])
+            np.multiply(dh, tc, out=dz[:, 2 * hs : 3 * hs])
+            np.multiply(dc, i, out=dz[:, 3 * hs :])
             sig = gates[:, : 3 * hs]
             dz[:, : 3 * hs] *= sig * (1.0 - sig)
             dz[:, 3 * hs :] *= 1.0 - gg**2
 
             g["W_x"] += dz.T @ x_seq[:, t]
-            g["W_h"] += dz.T @ h_prev
             g["b"] += dz.sum(axis=0)
             d_x_seq[:, t] = dz @ lyr.W_x
-            dh_next = dz @ lyr.W_h
-            dc_next = dc * f
+            if t:  # at t = 0, h_prev is zero and nothing reads dh_next or dc_next
+                g["W_h"] += dz.T @ tr["h"][:, t - 1]
+                dh_next = dz @ lyr.W_h
+                dc_next = dc * f
         grads_lstm[k] = g
         d_hidden_seq = d_x_seq
 
@@ -361,6 +375,25 @@ def layer_param_dict(layers) -> dict[str, np.ndarray]:
         else:
             raise TypeError(f"unsupported layer type {type(lyr)!r}")
     return out
+
+
+def pack_params(layers) -> np.ndarray:
+    """Move the stack's parameters into one float64 buffer and return it.
+
+    The buffer holds every array of `layer_param_dict`, flattened, in that
+    order; each layer field is rebound to a C-contiguous view of its slice,
+    with the same shape and values. The gradient dicts of
+    `loss_and_gradients` come in the same order, so one concatenation of
+    them lines up with the buffer element for element.
+    """
+    flat = np.concatenate(list(layer_param_dict(layers).values()), axis=None)
+    at = 0
+    for lyr in layers:
+        for name in ("weights", "bias") if isinstance(lyr, FcParams) else _LSTM_FIELDS:
+            arr = getattr(lyr, name)
+            setattr(lyr, name, flat[at : at + arr.size].reshape(arr.shape))
+            at += arr.size
+    return flat
 
 
 def grads_as_dict(layers, grads) -> dict[str, np.ndarray]:

@@ -423,7 +423,9 @@ def train(
     Normalization statistics are fitted from the dataset on entry (unless the
     model already carries some, e.g. when resuming). Returns the model and the
     per-epoch mean loss in standardized units. Raises RuntimeError if the loss
-    goes non-finite.
+    goes non-finite. The model's parameter fields become views of one flat
+    buffer (`neural.pack_params`), which each minibatch updates in one Adam
+    step.
     """
     raw, last, targets = dataset.inputs, dataset.last_estimates, dataset.targets
     n = raw.shape[0]
@@ -443,7 +445,8 @@ def train(
     y = (increments - norm.target_mean) / norm.target_std
 
     layers = model.layers
-    params = neural.layer_param_dict(layers)
+    # One flat buffer for the parameters, and so one array per Adam moment.
+    params = {"all": neural.pack_params(layers)}
     adam = neural.init_adam(params)
     shuffle = np.random.default_rng(config.seed)
 
@@ -455,11 +458,10 @@ def train(
         for start in range(0, n, config.minibatch):
             idx = order[start : start + config.minibatch]
             loss, grads, _ = neural.loss_and_gradients(layers, x[idx], y[idx])
-            scale = 1.0 / idx.size
-            flat = neural.grads_as_dict(layers, grads)
-            for arr in flat.values():
-                arr *= scale
-            neural.adam_update(params, flat, adam, lr)
+            # The gradient dicts run in the buffer's order (see pack_params).
+            flat = np.concatenate([arr for g in grads for arr in g.values()], axis=None)
+            flat *= 1.0 / idx.size
+            neural.adam_update(params, {"all": flat}, adam, lr)
             total += loss
         mean_loss = total / n
         if not np.isfinite(mean_loss):

@@ -319,6 +319,39 @@ def test_cli_refuses_a_receive_search_over_the_cap_before_calibrating(count_call
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("command", ["sweep", "plot-data", "evaluate"])
+def test_cli_refuses_a_model_with_other_k_samples_before_any_work(
+    command, tmp_path, count_calls, capsys
+):
+    # The checkpoint's model takes 4 sensor samples per cycle; k_samples=8
+    # ends the command with one line naming both counts, before calibration,
+    # any episode or any output.
+    ckpt = tmp_path / "model.ckpt"
+    model = build_model(np.random.default_rng(0))
+    model.norm = NormStats(np.zeros(9), np.ones(9), np.zeros(1), np.ones(1))
+    save_checkpoint(model, ckpt)
+    calls = count_calls(trackers, "calibrate_process_noise")
+    count_calls(harness, "calibrate_process_noise", calls)
+    count_calls(harness, "run_episodes", calls)
+    own = {
+        "sweep": ["--trials", "1", "--axis", "snr_db", "--values", "9",
+                  "--out", str(tmp_path / "s.csv")],
+        "plot-data": ["--trials", "1", "--out-dir", str(tmp_path / "figs")],
+        "evaluate": [],
+    }[command]
+    with pytest.raises(SystemExit) as refused:
+        main([
+            command, "--variants", "ekf,proposed_csi_imu", "--num-cycles", "3",
+            "--t-csi", "40", "--k-samples", "8", "--checkpoint", str(ckpt),
+        ] + own)
+    message = refused.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert "k_samples=4" in message and "k_samples=8" in message
+    assert calls == []
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == [ckpt]
+
+
 def test_cli_plot_data_parses_the_checkpoint_once(tmp_path, monkeypatch, count_calls, capsys):
     ckpt = tmp_path / "model.ckpt"
     model = build_model(np.random.default_rng(0))

@@ -141,6 +141,36 @@ def test_episode_digest_ignores_the_model_for_baselines():
     assert plain.config_digest == with_model.config_digest == cfg.digest()
 
 
+def _refuse_work(monkeypatch):
+    """Make process-noise calibration and episode draws fail the test."""
+    def refused(*args, **kw):
+        raise AssertionError("work ran before the model was checked")
+
+    monkeypatch.setattr(harness, "calibrate_process_noise", refused)
+    monkeypatch.setattr(harness, "_draw_episode", refused)
+
+
+def test_run_episode_refuses_a_model_with_other_k_samples_before_any_work(monkeypatch):
+    # A model trained on 4 sensor samples per cycle cannot serve k_samples=8;
+    # the refusal comes before calibration or tracking and names both counts.
+    _refuse_work(monkeypatch)
+    cfg = _tiny_config(variant="proposed_csi_imu", k_samples=8, num_cycles=6)
+    with pytest.raises(ValueError, match="k_samples=4 .* k_samples=8"):
+        run_episode(cfg, model=_normalized_model(1))
+
+
+def test_run_sweep_refuses_a_model_with_other_k_samples_before_any_work(monkeypatch):
+    _refuse_work(monkeypatch)
+    cfg = _tiny_config(k_samples=8, num_cycles=3)
+    with pytest.raises(ValueError, match="k_samples=4 .* k_samples=8"):
+        run_sweep(cfg, "snr_db", [6.0], ("ekf", "proposed_csi"), trials=1,
+                  models={"proposed_csi": _normalized_model(1)})
+    # A baseline variant ignores a model it does not run.
+    monkeypatch.undo()
+    rows = run_sweep(cfg, "snr_db", [6.0], ("ekf",), trials=1, models={"ekf": _normalized_model(1)})
+    assert rows[0]["status"] == "ok"
+
+
 def test_episode_seed_properties():
     s = episode_seed(42, "snr_db", 9.0, 0)
     assert s == episode_seed(42, "snr_db", 9.0, 0)

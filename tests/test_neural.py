@@ -19,6 +19,7 @@ from beamtrack.neural import (
     init_lstm,
     layer_param_dict,
     loss_and_gradients,
+    pack_params,
 )
 
 
@@ -68,6 +69,18 @@ def test_lstm_step_batch_matches_loop(rng):
         _, c1, _, h1 = _lstm_cell(p, xs[k], h0[k], c0[k])
         np.testing.assert_allclose(h_b[k], h1, atol=1e-14)
         np.testing.assert_allclose(c_b[k], c1, atol=1e-14)
+
+
+def test_lstm_cell_zero_initial_state_equals_explicit_zeros(rng):
+    # None for h_prev and c_prev skips the W_h product and f * c_prev, which
+    # only add exact zeros: gates, c, tanh(c) and h keep every bit.
+    p = init_lstm(rng, 6, 4)
+    xs = rng.normal(size=(5, 4))
+    zeros = np.zeros((5, 6))
+    explicit = _lstm_cell(p, xs, zeros, zeros)
+    implicit = _lstm_cell(p, xs, None, None)
+    for name, a, b in zip(("gates", "c", "tanh_c", "h"), explicit, implicit):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_init_lstm_forget_bias_and_bounds(rng):
@@ -202,6 +215,23 @@ def test_bptt_batch_is_sum_of_windows(rng):
             summed[name] += per[name]
     for name in batched:
         np.testing.assert_allclose(batched[name], summed[name], atol=1e-12)
+
+
+def test_pack_params_rebinds_every_field_to_a_view_of_one_buffer(rng):
+    layers = [init_fc(rng, 5, 3, "tanh"), init_lstm(rng, 4, 5), init_fc(rng, 1, 4)]
+    before = {name: arr.copy() for name, arr in layer_param_dict(layers).items()}
+    flat = pack_params(layers)
+    after = layer_param_dict(layers)
+    assert flat.dtype == np.float64 and flat.size == sum(a.size for a in before.values())
+    np.testing.assert_array_equal(flat, np.concatenate(list(before.values()), axis=None))
+    at = 0
+    for name, arr in after.items():
+        assert arr.shape == before[name].shape and arr.flags.c_contiguous, name
+        assert np.shares_memory(arr, flat[at : at + arr.size]), name
+        np.testing.assert_array_equal(arr, before[name])
+        at += arr.size
+    flat[:] = 0.0  # the fields are live views
+    assert all(not arr.any() for arr in layer_param_dict(layers).values())
 
 
 def test_adam_two_step_hand_recursion():

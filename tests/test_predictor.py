@@ -164,6 +164,74 @@ def test_training_is_deterministic(tmp_path):
     assert runs[0][1] == runs[1][1]
 
 
+def _per_tensor_train(model, ds, config):
+    """The training loop before the flat buffer, kept as the oracle of
+    `train`: gradients go through grads_as_dict, each tensor keeps its own
+    Adam moments and takes its own adam_update step."""
+    raw, last, targets = ds.inputs, ds.last_estimates, ds.targets
+    n = raw.shape[0]
+    model.norm = predictor._fit_norm_stats(raw, targets - last)
+    norm, layers = model.norm, model.layers
+    x = (raw - norm.input_mean) / norm.input_std
+    y = (targets - last - norm.target_mean) / norm.target_std
+    params = neural.layer_param_dict(layers)
+    adam = neural.init_adam(params)
+    shuffle = np.random.default_rng(config.seed)
+    losses = []
+    for epoch in range(1, config.epochs + 1):
+        lr = config.initial_lr * config.decay_rate ** ((epoch - 1) // predictor._DECAY_EPOCHS)
+        order = shuffle.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.minibatch):
+            idx = order[start : start + config.minibatch]
+            loss, grads, _ = neural.loss_and_gradients(layers, x[idx], y[idx])
+            flat = neural.grads_as_dict(layers, grads)
+            for arr in flat.values():
+                arr *= 1.0 / idx.size
+            neural.adam_update(params, flat, adam, lr)
+            total += loss
+        losses.append(total / n)
+    idx = np.random.default_rng(config.seed).choice(n, size=min(n, 20_000), replace=False)
+    pred = predictor._forward_raw_batch(model, raw[idx], last[idx])
+    model.prediction_var = np.var(pred - targets[idx], axis=0)
+    return model, losses
+
+
+def test_train_equals_the_per_tensor_loop_bit_for_bit():
+    # 5 epochs cross the learning-rate decay after epoch 3; 600 windows in
+    # minibatches of 64 end each epoch on a partial batch of 24.
+    ds = generate_dataset(
+        DatasetConfig(num_windows=600, cycles_per_episode=40), _table(), np.random.default_rng(8)
+    )
+    schedule = TrainConfig(epochs=5, seed=2)
+    flat, flat_losses = train(build_model(np.random.default_rng(5)), ds, schedule)
+    oracle, oracle_losses = _per_tensor_train(build_model(np.random.default_rng(5)), ds, schedule)
+    assert flat_losses == oracle_losses
+    for name, arr in neural.layer_param_dict(oracle.layers).items():
+        assert arr.tobytes() == neural.layer_param_dict(flat.layers)[name].tobytes(), name
+    assert flat.prediction_var.tobytes() == oracle.prediction_var.tobytes()
+
+
+def test_train_takes_one_flat_adam_step_per_minibatch(count_calls):
+    # 300 windows in minibatches of 64 are 5 steps per epoch; each step hands
+    # Adam one gradient array for the one parameter buffer.
+    ds = generate_dataset(
+        DatasetConfig(num_windows=300, cycles_per_episode=40), _table(), np.random.default_rng(8)
+    )
+    steps = count_calls(neural, "adam_update")
+    as_dict = count_calls(neural, "grads_as_dict")
+    model, _ = train(build_model(np.random.default_rng(5)), ds, TrainConfig(epochs=2))
+    assert len(steps) == 10
+    buffer = next(iter(steps[0][0].values()))
+    for params, grads, *_ in steps:
+        assert len(params) == len(grads) == 1
+        assert next(iter(params.values())) is buffer
+        assert next(iter(grads.values())).shape == buffer.shape
+    fields = neural.layer_param_dict(model.layers).values()
+    assert all(np.shares_memory(arr, buffer) for arr in fields)
+    assert as_dict == []
+
+
 def test_training_reduces_loss_and_sets_residual_var():
     cfg = DatasetConfig(num_windows=2000, cycles_per_episode=40)
     ds = generate_dataset(cfg, _table(), np.random.default_rng(14))
