@@ -351,7 +351,8 @@ def select_sounding(
     geom_rx,
     geom_tx,
     mode: str = "aoa_only",
-    known_aod=None,
+    *,
+    known_aod,
     aods: np.ndarray | None = None,
     num_tx: int = 2,
     num_rx: int = 2,
@@ -369,8 +370,9 @@ def select_sounding(
     2**20 subsets raise ValueError before any is scored. `aods` defaults
     to `known_aod` for every path. `mode` accepts only "aoa_only", the one
     tracked state. Objective ties resolve toward the lexicographically
-    smallest index tuple. `belief` is a GaussianBelief with a diagonal
-    covariance, or the same prior as the trackers' (means, variances) pair.
+    smallest index tuple. `belief` is the trackers' (means, variances)
+    pair; a GaussianBelief with a diagonal covariance, the same prior in
+    dense form, stays accepted for callers outside the package.
 
     A batch of episodes stacks the belief (..., L) and gives gains, aods,
     noise_var and known_aod the same leading axes; the indices and scores
@@ -379,8 +381,6 @@ def select_sounding(
     if mode != "aoa_only":
         raise ValueError(f"unknown mode {mode!r}: only 'aoa_only' is tracked")
     _check_beam_count(len(codebook), num_rx, "num_rx", receive=True)
-    if known_aod is None:
-        raise ValueError("select_sounding needs known_aod for the transmit side")
     if isinstance(belief, GaussianBelief):
         means, variances = belief.mean, np.diagonal(belief.cov, axis1=-2, axis2=-1)
         if np.count_nonzero(belief.cov) > np.count_nonzero(variances):

@@ -126,6 +126,14 @@ def _cmd_calibrate_noise(args) -> int:
 
 
 def _cmd_generate_data(args) -> int:
+    cfg = _one_line(
+        DatasetConfig,
+        num_windows=args.num_windows, cycles_per_episode=args.cycles_per_episode,
+        num_paths=args.num_paths, delta=args.delta, k_samples=args.k_samples,
+        a_avg_range=(args.a_avg_min, args.a_avg_max),
+        snr_range_db=(args.snr_min, args.snr_max), imu_snr_db=args.imu_snr_db,
+        include_imu=not args.no_imu,
+    )
     if args.noise_table:
         with open(args.noise_table) as fh:
             table = NoiseTable.from_json(fh.read())
@@ -134,35 +142,29 @@ def _cmd_generate_data(args) -> int:
         cal_cfg = harness.SimConfig(num_cycles=100, seed=args.seed)
         table = harness.calibrate_estimate_noise(cal_cfg, (6.0, 9.0, 12.0, 15.0),
                                                  episodes_per_point=2)
-    cfg = DatasetConfig(
-        num_windows=args.num_windows, cycles_per_episode=args.cycles_per_episode,
-        num_paths=args.num_paths, delta=args.delta, k_samples=args.k_samples,
-        a_avg_range=(args.a_avg_min, args.a_avg_max),
-        snr_range_db=(args.snr_min, args.snr_max), imu_snr_db=args.imu_snr_db,
-        include_imu=not args.no_imu,
-    )
     rng = np.random.default_rng(args.seed)
-    data = predictor.generate_dataset(cfg, table, rng)
+    data = _one_line(predictor.generate_dataset, cfg, table, rng)
     data.save(args.out)
     print(f"wrote {args.out}: {len(data)} windows of shape {data.inputs.shape[1:]}")
     return 0
 
 
 def _cmd_train(args) -> int:
+    train_cfg = _one_line(
+        TrainConfig,
+        epochs=args.epochs, minibatch=args.minibatch, initial_lr=args.lr, seed=args.seed,
+    )
     data = predictor.Dataset.load(args.dataset)
     meta = data.meta
-    model = predictor.build_model(
+    model = _one_line(
+        predictor.build_model,
         np.random.default_rng(args.seed),
         delta=int(meta["delta"]),
         k_samples=int(meta["k_samples"]),
         lstm_layers=args.lstm_layers,
         lstm_hidden=args.hidden_size,
     )
-    train_cfg = TrainConfig(
-        epochs=args.epochs, minibatch=args.minibatch, initial_lr=args.lr,
-        seed=args.seed,
-    )
-    model, losses = predictor.train(model, data, train_cfg)
+    model, losses = _one_line(predictor.train, model, data, train_cfg)
     predictor.save_checkpoint(model, args.out)
     print(f"wrote {args.out}: loss {losses[0]:.5g} -> {losses[-1]:.5g} "
           f"over {len(losses)} epochs")

@@ -1,9 +1,10 @@
 """Gaussian beliefs, scaled sigma points, and the tracking-cycle updates.
 
-The prediction step propagates each path's belief through the (nonlinear)
-learned predictor with the scaled unscented transform, the sigma points of
-all paths in one predictor call: 2P+1 sigma points for state dimension P,
-spread lam = alpha^2 * P - P, weights
+Both updates take the trackers' arrays. The prediction step propagates each
+path's belief, a row of the stacked (means, covs) pair, through the
+(nonlinear) learned predictor with the scaled unscented transform, the
+sigma points of all paths in one predictor call: 2P+1 sigma points for
+state dimension P, spread lam = alpha^2 * P - P, weights
 
     w0_mean = lam / (P + lam)            w0_cov = w0_mean + (1 - alpha^2 + beta)
     wi      = 1 / (2 (P + lam))          i = 1..2P
@@ -13,10 +14,10 @@ prior (Wan & van der Merwe, 2000). Sigma offsets perturb only the most
 recent estimate entry of the input window; older entries and sensor samples
 are treated as exogenous.
 
-The measurement step is a joint Kalman update of the L arrival angles on
-the real-stacked pilot vector, with the departure angles known: a complex
-pilot with noise variance sigma^2 becomes two real measurements with
-variance sigma^2/2 each.
+The measurement step is a joint Kalman update of the L arrival angles, held
+as the (means, variances) pair, on the real-stacked pilot vector, with the
+departure angles known: a complex pilot with noise variance sigma^2 becomes
+two real measurements with variance sigma^2/2 each.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_f
     _jacobian_from_angles,
     _measurement_from_angles,
 )
-from .predictor import InputWindow
 
 __all__ = [
     "GaussianBelief",
@@ -125,17 +125,12 @@ def sigma_points(belief: GaussianBelief, alpha: float = DEFAULT_ALPHA) -> SigmaS
 def prediction_update(belief, window, predict_fn, jitter: float = DEFAULT_JITTER):
     """Unscented propagation of path beliefs through the predictor.
 
-    Batched form: `belief` is a stacked pair (means (B, P), covs (B, P, P)),
-    one row per path, and `window` the stacked pair (past (B, delta, P),
-    sensors (B, delta, KJ)) of the paths' input windows. predict_fn maps the
-    pair of every path's sigma-point windows to an (n, P) array of
-    next-cycle states in one call, as partial(predictor.predict, model)
-    does. Returns the predicted (means, covs) pair.
-
-    One path: `belief` is a GaussianBelief, `window` an InputWindow and
-    predict_fn maps one window to a state. This is the batch of one, with
-    predict_fn called once per sigma-point window; it returns one
-    GaussianBelief.
+    `belief` is a stacked pair (means (B, P), covs (B, P, P)), one row per
+    path, and `window` the stacked pair (past (B, delta, P), sensors
+    (B, delta, KJ)) of the paths' input windows. predict_fn maps the pair of
+    every path's sigma-point windows to an (n, P) array of next-cycle states
+    in one call, as partial(predictor.predict, model) does. Returns the
+    predicted (means, covs) pair.
 
     Each sigma point replaces its window's most recent estimate entry; each
     path's propagated set is recombined with the standard weighted sums and
@@ -143,15 +138,6 @@ def prediction_update(belief, window, predict_fn, jitter: float = DEFAULT_JITTER
     Every product is a stack of per-path products, so a path's prediction
     does not depend on the other rows of the batch.
     """
-    if isinstance(belief, GaussianBelief):
-        def one_by_one(pair):
-            return np.array([np.atleast_1d(predict_fn(InputWindow(*w))) for w in zip(*pair)])
-
-        means, covs = prediction_update(
-            (belief.mean[None], belief.cov[None]),
-            (window.past_estimates[None], window.sensor_blocks[None]), one_by_one, jitter,
-        )
-        return GaussianBelief(means[0], covs[0])
     means, covs = belief
     past, sensors = (np.asarray(a, dtype=np.float64) for a in window)
     if means.shape[0] != past.shape[0]:
@@ -235,20 +221,15 @@ def measurement_update(
 ):
     """Joint Kalman update of the L arrival angles from one pilot round.
 
-    The belief stacks one arrival angle per path and `aods` holds the known
+    `belief` is the trackers' (means, variances) pair of (..., L) arrays,
+    one arrival angle per independent path, and `aods` holds the known
     departure angles. The complex pilot vector and Jacobian are real-stacked
     (real parts then imaginary parts) with per-component noise variance
-    pilot.noise_var / 2. A batch of episodes gives every argument the same
-    leading axes, and each episode is updated from its own round.
-
-    `belief` is a GaussianBelief, and so is the posterior; or the trackers'
-    (means, variances) pair of (..., L) arrays, independent paths, and the
-    posterior comes back as its per-path marginals, the same pair.
+    pilot.noise_var / 2. The posterior comes back as its per-path marginals,
+    the same pair. A batch of episodes gives every argument the same leading
+    axes, and each episode is updated from its own round.
     """
-    if isinstance(belief, GaussianBelief):
-        means, cov = belief.mean, belief.cov
-    else:
-        means, cov = np.asarray(belief[0], dtype=np.float64), _diagonal_cov(belief[1])
+    means, cov = np.asarray(belief[0], dtype=np.float64), _diagonal_cov(belief[1])
     gains = np.asarray(gains, dtype=np.complex128)
     if means.shape[-1] != gains.shape[-1]:
         raise ValueError("belief must stack one arrival angle per path")
@@ -264,8 +245,6 @@ def measurement_update(
     predicted_r = np.concatenate([predicted.real, predicted.imag], axis=-1)
     jac_r = np.concatenate([jac.real, jac.imag], axis=-2)
     mean, cov, _ = kalman_update(means, cov, observed, predicted_r, jac_r, pilot.noise_var / 2.0)
-    if isinstance(belief, GaussianBelief):
-        return GaussianBelief(mean, cov)
     return mean, np.diagonal(cov, axis1=-2, axis2=-1).copy()
 
 

@@ -279,8 +279,6 @@ def _build_tracker(
         geom_rx=geom_rx, geom_tx=geom_tx,
     )
     if config.variant in ("proposed_csi_imu", "proposed_csi"):
-        if model is None:
-            raise ValueError(f"variant {config.variant!r} needs a predictor model")
         return ProposedTracker(
             means, variances, noise_var=noise_var, process_noise=process_noise, model=model,
             use_imu=(config.variant == "proposed_csi_imu"),
@@ -300,10 +298,15 @@ def _build_tracker(
 
 
 def check_model(model: PredictorModel | None, variant: str, k_samples: int) -> None:
-    """Refuse a model that `variant` would run on sensor blocks it was not
-    built for: a ValueError names both sample counts. A baseline variant runs
-    no model, so any model passes for it."""
-    if model is not None and variant.startswith("proposed") and model.k_samples != k_samples:
+    """Refuse to run `variant` on `model`: a proposed variant needs a model,
+    built for the config's sensor blocks (a ValueError names both sample
+    counts). A baseline variant runs no model, so any model, or none, passes
+    for it."""
+    if not variant.startswith("proposed"):
+        return
+    if model is None:
+        raise ValueError("proposed variants need a model")
+    if model.k_samples != k_samples:
         raise ValueError(
             f"the {variant} model takes k_samples={model.k_samples} sensor samples per "
             f"cycle; the config sets k_samples={k_samples}"
@@ -490,11 +493,8 @@ def run_episodes(
         differ = [name for (name, a), (_, b) in zip(_shared_key(cfg), _shared_key(base)) if a != b]
         if differ:
             raise ValueError(f"episodes of one batch must share {differ}")
-    proposed = base.variant.startswith("proposed")
-    if model is None and proposed:
-        raise ValueError("proposed variants need a model")
     check_model(model, base.variant, base.k_samples)
-    fingerprint = model_fingerprint(model) if proposed else None
+    fingerprint = model_fingerprint(model) if base.variant.startswith("proposed") else None
     episodes, estimates, truth = _track(configs, model, process_noise, _episodes)
     results = []
     for cfg, episode, est, true in zip(configs, episodes, estimates, truth):
@@ -594,12 +594,14 @@ def run_sweep(
     among the sweep points; a caller running several sweeps passes one
     `process_noises` dict to all of them, keyed by (mobility params, t_csi,
     num_paths), to calibrate once across them. An unknown axis or variant,
-    or a model whose `k_samples` differs from a point's, raises ValueError
-    before any work.
+    trials < 1, or a model that `check_model` refuses for a point raises
+    ValueError before any work.
     """
     if axis_name not in _FIELD_TYPES:
         raise ValueError(f"unknown config field {axis_name!r}")
     _check_variants(variants)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     models = models or {}
     columns = [
         "axis_name", "axis_value", "variant", "trial", "seed",
@@ -742,12 +744,14 @@ def plot_data(
 
     BER is computed on the SNR axis only, the one figure that writes it; the
     `t_csi` and `a_avg` sweeps run with `run_sweep(..., ber=False)`. An
-    unknown variant, or a model that `check_model` refuses, raises
-    ValueError before `out_dir` is made.
+    unknown variant, trials < 1, or a model that `check_model` refuses
+    raises ValueError before `out_dir` is made.
     """
     import os
 
     _check_variants(variants)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     for variant in variants:
         check_model((models or {}).get(variant), variant, base_config.k_samples)
     os.makedirs(out_dir, exist_ok=True)

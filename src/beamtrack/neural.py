@@ -411,37 +411,27 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators for Adam."""
+    """First/second moment accumulators for Adam, shaped like the parameters."""
 
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
 
 
-def init_adam(params: dict[str, np.ndarray]) -> AdamState:
-    zeros = {name: np.zeros_like(arr) for name, arr in params.items()}
-    zeros2 = {name: np.zeros_like(arr) for name, arr in params.items()}
-    return AdamState(first_moment=zeros, second_moment=zeros2)
+def init_adam(params: np.ndarray) -> AdamState:
+    return AdamState(first_moment=np.zeros_like(params), second_moment=np.zeros_like(params))
 
 
-def adam_update(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> None:
-    """One bias-corrected Adam step, applied in place to the parameter arrays."""
+def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam step, applied in place to the parameter array."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g**2
-        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPSILON)
+    m, v = state.first_moment, state.second_moment
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads**2
+    params -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPSILON)

@@ -149,8 +149,9 @@ def build_model(
     lstm_layers: int = 1,
 ) -> PredictorModel:
     """Fresh model with fan-in uniform initialization (forget bias at +1)."""
-    if lstm_layers < 1:
-        raise ValueError("lstm_layers must be >= 1")
+    for name, size in (("lstm_hidden", lstm_hidden), ("lstm_layers", lstm_layers)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     input_dim = 1 + k_samples * IMU_CHANNELS
     input_fc = neural.init_fc(rng, INPUT_HIDDEN, input_dim, activation="tanh")
     lstms = []
@@ -300,6 +301,11 @@ class DatasetConfig:
     imu_snr_db: float | None = None  # None: draw per episode from snr_range_db
     include_imu: bool = True
 
+    def __post_init__(self):
+        for name in ("num_windows", "num_paths"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class Dataset:
@@ -397,6 +403,13 @@ class TrainConfig:
     decay_rate: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("epochs", "minibatch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.initial_lr) and self.initial_lr > 0):
+            raise ValueError(f"initial_lr must be positive and finite, got {self.initial_lr}")
+
 
 # Windows per forward pass when train() evaluates prediction_var.
 _PREDICTION_VAR_CHUNK = 256
@@ -446,7 +459,7 @@ def train(
 
     layers = model.layers
     # One flat buffer for the parameters, and so one array per Adam moment.
-    params = {"all": neural.pack_params(layers)}
+    params = neural.pack_params(layers)
     adam = neural.init_adam(params)
     shuffle = np.random.default_rng(config.seed)
 
@@ -461,7 +474,7 @@ def train(
             # The gradient dicts run in the buffer's order (see pack_params).
             flat = np.concatenate([arr for g in grads for arr in g.values()], axis=None)
             flat *= 1.0 / idx.size
-            neural.adam_update(params, {"all": flat}, adam, lr)
+            neural.adam_update(params, flat, adam, lr)
             total += loss
         mean_loss = total / n
         if not np.isfinite(mean_loss):

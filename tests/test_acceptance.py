@@ -46,7 +46,6 @@ from beamtrack.measurement import (
 from beamtrack.neural import forward_stack, grads_as_dict, layer_param_dict, loss_and_gradients
 from beamtrack.predictor import (
     DatasetConfig,
-    InputWindow,
     TrainConfig,
     build_model,
     generate_dataset,
@@ -221,15 +220,13 @@ def test_sigma_propagation_is_exact_for_affine_maps():
         cov = m @ m.T + 0.5 * np.eye(dim)
         a = rng.normal(size=(dim, dim))
         b = rng.normal(size=dim)
-        window = InputWindow(
-            past_estimates=np.tile(mean, (3, 1)),
-            sensor_blocks=rng.normal(size=(3, 4)),
+        past, sensors = np.tile(mean, (3, 1)), rng.normal(size=(3, 4))
+        means, covs = prediction_update(
+            (mean[None], cov[None]), (past[None], sensors[None]),
+            lambda pair: np.array([a @ p[-1] + b for p in pair[0]]), jitter=0.0,
         )
-        posterior = prediction_update(
-            GaussianBelief(mean, cov), window, lambda w: a @ w.past_estimates[-1] + b, jitter=0.0
-        )
-        worst_mean = max(worst_mean, float(np.max(np.abs(posterior.mean - (a @ mean + b)))))
-        worst_cov = max(worst_cov, float(np.max(np.abs(posterior.cov - a @ cov @ a.T))))
+        worst_mean = max(worst_mean, float(np.max(np.abs(means[0] - (a @ mean + b)))))
+        worst_cov = max(worst_cov, float(np.max(np.abs(covs[0] - a @ cov @ a.T))))
 
     # The weight-sum identity holds analytically for any spread parameter; in
     # float64 it is only representable down to 1e-14 when the weights are O(1),

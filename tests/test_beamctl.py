@@ -320,8 +320,11 @@ def test_confident_prior_selects_bracketing_beams(geom32, codebook64, rng):
 
 def test_select_sounding_validation(geom32, codebook64):
     belief = GaussianBelief([0.0], [[0.01]])
-    with pytest.raises(ValueError, match="known_aod"):
+    with pytest.raises(TypeError, match="known_aod"):
         select_sounding(belief, codebook64, np.ones(1, dtype=complex), 0.1, geom32, geom32)
+    with pytest.raises(TypeError):  # known_aod is keyword-only
+        select_sounding(belief, codebook64, np.ones(1, dtype=complex), 0.1, geom32, geom32,
+                        "aoa_only", 0.0)
     for mode in ("bogus", "full"):
         with pytest.raises(ValueError, match="unknown mode"):
             select_sounding(

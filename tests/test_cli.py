@@ -257,6 +257,60 @@ def test_cli_pipeline_data_train_evaluate(tmp_path, capsys):
         assert math.isfinite(nmse)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["--minibatch", "0"], "minibatch must be >= 1, got 0"),
+    (["--lr", "-1"], "initial_lr must be positive and finite, got -1.0"),
+    (["--hidden-size", "0"], "lstm_hidden must be >= 1, got 0"),
+    (["--lstm-layers", "0"], "lstm_layers must be >= 1, got 0"),
+], ids=["epochs", "minibatch", "lr", "hidden_size", "lstm_layers"])
+def test_cli_train_refuses_bad_sizes_in_one_line(flags, message, tmp_path, count_calls, capsys):
+    data_path = tmp_path / "train.npz"
+    predictor.generate_dataset(
+        predictor.DatasetConfig(num_windows=20, cycles_per_episode=20),
+        NoiseTable(snr_db=[0.0], estimate_std=[0.01]), np.random.default_rng(0),
+    ).save(data_path)
+    calls = count_calls(predictor, "train")
+    out = tmp_path / "model.ckpt"
+    with pytest.raises(SystemExit) as refused:
+        main(["train", "--dataset", str(data_path), "--out", str(out)] + flags)
+    assert refused.value.code == f"beamtrack: {message}"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--num-windows", "--num-paths"])
+def test_cli_generate_data_refuses_an_empty_dataset_before_calibrating(
+    flag, tmp_path, count_calls, capsys
+):
+    # Without --noise-table the command calibrates first; the refusal comes
+    # before that, in one line, and writes no file.
+    calls = count_calls(harness, "calibrate_estimate_noise")
+    out = tmp_path / "train.npz"
+    with pytest.raises(SystemExit) as refused:
+        main(["generate-data", flag, "0", "--out", str(out)])
+    name = flag[2:].replace("-", "_")
+    assert refused.value.code == f"beamtrack: {name} must be >= 1, got 0"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "plot-data"])
+def test_cli_refuses_zero_trials_before_any_work(command, tmp_path, count_calls, capsys):
+    calls = count_calls(trackers, "calibrate_process_noise")
+    count_calls(harness, "calibrate_process_noise", calls)
+    own = {
+        "sweep": ["--axis", "snr_db", "--values", "9", "--out", str(tmp_path / "s.csv")],
+        "plot-data": ["--out-dir", str(tmp_path / "figs")],
+    }[command]
+    with pytest.raises(SystemExit) as refused:
+        main([command, "--variants", "ekf", "--trials", "0", "--num-cycles", "3"] + own)
+    assert refused.value.code == "beamtrack: trials must be >= 1, got 0"
+    assert calls == []
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_generate_data_reports_the_window_shape(tmp_path, capsys):
     # Each window is (delta cycles, per-cycle features): 3 x (1 angle + 4
     # samples x 2 sensor channels). The state itself is one angle per path.

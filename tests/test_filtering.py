@@ -21,7 +21,7 @@ from beamtrack.filtering import (
 )
 from beamtrack import measurement
 from beamtrack.measurement import PilotVector, SoundingConfig, receive
-from beamtrack.predictor import InputWindow, NormStats, build_model, predict
+from beamtrack.predictor import NormStats, build_model, predict
 
 
 def _random_psd(rng, n):
@@ -30,9 +30,15 @@ def _random_psd(rng, n):
 
 
 def _window(mean, delta=3, sensors=8):
-    mean = np.atleast_1d(mean)
-    est = np.tile(mean, (delta, 1))
-    return InputWindow(past_estimates=est, sensor_blocks=np.zeros((delta, sensors)))
+    """The (past, sensors) pair of one path's window that holds `mean` in
+    every entry: a batch of one."""
+    est = np.tile(np.atleast_1d(mean), (1, delta, 1))
+    return est, np.zeros((1, delta, sensors))
+
+
+def _affine(a, b):
+    """A predictor that maps each window's newest estimate x to a x + b."""
+    return lambda pair: np.array([a @ past[-1] + b for past in pair[0]])
 
 
 def test_belief_validation():
@@ -144,50 +150,42 @@ def test_prediction_update_exact_for_affine_map(rng):
     # covariance A P A^T, plus the stabilizing jitter on the diagonal.
     a = rng.normal(size=(2, 2))
     b = rng.normal(size=2)
-    belief = GaussianBelief(rng.normal(size=2), _random_psd(rng, 2))
-
-    def predict_fn(window):
-        return a @ window.past_estimates[-1] + b
-
-    post = prediction_update(belief, _window(belief.mean), predict_fn, jitter=1e-8)
-    np.testing.assert_allclose(post.mean, a @ belief.mean + b, atol=1e-8)
-    np.testing.assert_allclose(
-        post.cov, a @ belief.cov @ a.T + 1e-8 * np.eye(2), atol=1e-8
+    mean, cov = rng.normal(size=2), _random_psd(rng, 2)
+    means, covs = prediction_update(
+        (mean[None], cov[None]), _window(mean), _affine(a, b), jitter=1e-8
     )
+    np.testing.assert_allclose(means[0], a @ mean + b, atol=1e-8)
+    np.testing.assert_allclose(covs[0], a @ cov @ a.T + 1e-8 * np.eye(2), atol=1e-8)
 
 
 def test_prediction_update_identity_map_keeps_belief(rng):
-    belief = GaussianBelief([0.4], [[0.003]])
-    post = prediction_update(
-        belief, _window(belief.mean), lambda w: w.past_estimates[-1], jitter=1e-9
+    means, covs = prediction_update(
+        (np.array([[0.4]]), np.array([[[0.003]]])), _window(0.4), lambda pair: pair[0][:, -1],
+        jitter=1e-9,
     )
-    np.testing.assert_allclose(post.mean, belief.mean, atol=1e-12)
-    np.testing.assert_allclose(post.cov, belief.cov + 1e-9, atol=1e-12)
+    np.testing.assert_allclose(means, [[0.4]], atol=1e-12)
+    np.testing.assert_allclose(covs, [[[0.003 + 1e-9]]], atol=1e-12)
 
 
 def test_prediction_update_zero_cov_collapses_to_point():
-    belief = GaussianBelief([0.2], [[0.0]])
-    post = prediction_update(belief, _window(belief.mean), lambda w: w.past_estimates[-1] + 0.05)
-    np.testing.assert_allclose(post.mean, [0.25], atol=1e-14)
-    np.testing.assert_allclose(post.cov, [[1e-8]], atol=1e-20)
+    means, covs = prediction_update(
+        (np.array([[0.2]]), np.array([[[0.0]]])), _window(0.2), lambda pair: pair[0][:, -1] + 0.05
+    )
+    np.testing.assert_allclose(means, [[0.25]], atol=1e-14)
+    np.testing.assert_allclose(covs, [[[1e-8]]], atol=1e-20)
 
 
 def test_prediction_update_only_moves_latest_entry():
     seen = []
 
-    def spy(window):
-        seen.append(window.past_estimates.copy())
-        return window.past_estimates[-1]
+    def spy(pair):
+        seen.append(pair[0].copy())
+        return pair[0][:, -1]
 
-    belief = GaussianBelief([0.1], [[0.04]])
-    prediction_update(belief, _window(belief.mean), spy)
-    stacked = np.stack(seen)  # (2P+1, delta, 1)
+    prediction_update((np.array([[0.1]]), np.array([[[0.04]]])), _window(0.1), spy)
+    (stacked,) = seen  # (2P+1, delta, 1)
     np.testing.assert_array_equal(stacked[:, :-1, 0], 0.1)
     assert np.ptp(stacked[:, -1, 0]) > 0  # sigma spread applied to the newest entry
-
-
-def _affine(a, b):
-    return lambda window: a @ window.past_estimates[-1] + b
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,7 +198,7 @@ def _affine(a, b):
 )
 def test_batched_prediction_equals_one_path_at_a_time(case, num_paths, delta, seed, log_var):
     # One stacked update for every path's sigma points must give each path
-    # the belief its own single-path update gives, bit for bit.
+    # the belief its own batch of one gives, bit for bit.
     dim, kind = case
     rng = np.random.default_rng(seed)
     means = rng.uniform(-0.9, 0.9, (num_paths, dim))
@@ -212,17 +210,18 @@ def test_batched_prediction_equals_one_path_at_a_time(case, num_paths, delta, se
         d = model.input_dim
         # A unit target scale keeps the network's last bits in the prediction.
         model.norm = NormStats(np.zeros(d), np.full(d, 0.5), np.zeros(1), np.ones(1))
-        one = batched = partial(predict, model)
+        predict_fn = partial(predict, model)
     else:
-        one = _affine(rng.normal(size=(dim, dim)), rng.normal(size=dim))
-        batched = lambda pair: np.array([one(InputWindow(*w)) for w in zip(*pair)])  # noqa: E731
-    got_means, got_covs = prediction_update((means, covs), (past, sensors), batched)
+        predict_fn = _affine(rng.normal(size=(dim, dim)), rng.normal(size=dim))
+    got_means, got_covs = prediction_update((means, covs), (past, sensors), predict_fn)
     assert got_means.shape == (num_paths, dim) and got_covs.shape == (num_paths, dim, dim)
     for l in range(num_paths):
-        window = InputWindow(past[l], sensors[l])
-        single = prediction_update(GaussianBelief(means[l], covs[l]), window, one)
-        assert np.array_equal(got_means[l], single.mean)
-        assert np.array_equal(got_covs[l], single.cov)
+        row = slice(l, l + 1)
+        alone_means, alone_covs = prediction_update(
+            (means[row], covs[row]), (past[row], sensors[row]), predict_fn
+        )
+        assert np.array_equal(got_means[l], alone_means[0])
+        assert np.array_equal(got_covs[l], alone_covs[0])
 
 
 def test_prediction_update_passes_sigma_windows_as_one_pair():
@@ -300,16 +299,16 @@ def test_measurement_update_pulls_angle_toward_truth(geom32, rng):
     channel = assemble_channel([path], geom32, geom32)
     snd = SoundingConfig(tx_angles=[known_aod], rx_angles=[0.29 + 1 / 64])
     pilot = receive(channel, snd, np.inf, rng, geom32, geom32)
-    prior = GaussianBelief([0.29], [[1e-3]])
+    prior = np.array([0.29]), np.array([1e-3])
     # A noiseless pilot makes the real-stacked innovation covariance rank
     # deficient (R = 0), so the ridge path fires by design.
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-        post = measurement_update(
+        post_means, post_variances = measurement_update(
             prior, pilot, snd, np.array([path.gain]), geom32, geom32,
             aods=np.array([known_aod]),
         )
-    assert abs(post.mean[0] - true_aoa) < abs(prior.mean[0] - true_aoa)
-    assert post.cov[0, 0] < prior.cov[0, 0]
+    assert abs(post_means[0] - true_aoa) < abs(prior[0][0] - true_aoa)
+    assert post_variances[0] < prior[1][0]
 
 
 def test_measurement_update_evaluates_the_factors_once(geom32, rng, count_calls):
@@ -320,36 +319,15 @@ def test_measurement_update_evaluates_the_factors_once(geom32, rng, count_calls)
     snd = SoundingConfig(tx_angles=[[0.1, 0.2], [-0.3, 0.0]], rx_angles=[[0.3, 0.4], [0.5, 0.6]])
     values = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     pilot = PilotVector(values, np.array([0.1, 0.2]))
-    prior = joint_belief(rng.uniform(-0.5, 0.5, size=(2, 3)), np.full((2, 3), 1e-3))
+    prior = rng.uniform(-0.5, 0.5, size=(2, 3)), np.full((2, 3), 1e-3)
     measurement_update(prior, pilot, snd, gains, geom32, geom32, aods)
     assert len(calls) == 1
-
-
-def test_measurement_update_on_a_pair_equals_the_joint_belief_form(geom32, rng):
-    # The trackers' (means, variances) pair gives the posterior marginals of
-    # the joint update on the same diagonal prior, bit for bit.
-    gains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(4, 3)))
-    aods = rng.uniform(-0.5, 0.5, size=(4, 3))
-    snd = SoundingConfig(tx_angles=rng.uniform(-0.5, 0.5, size=(4, 2)),
-                         rx_angles=rng.uniform(-0.5, 0.5, size=(4, 2)))
-    pilot = PilotVector(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
-                        rng.uniform(0.05, 0.5, size=4))
-    means = rng.uniform(-0.5, 0.5, size=(4, 3))
-    variances = 10.0 ** rng.uniform(-6.0, -2.0, size=(4, 3))
-    joint = measurement_update(
-        joint_belief(means, variances), pilot, snd, gains, geom32, geom32, aods
-    )
-    post_means, post_variances = measurement_update(
-        (means, variances), pilot, snd, gains, geom32, geom32, aods
-    )
-    assert np.array_equal(post_means, joint.mean)
-    assert np.array_equal(post_variances, np.diagonal(joint.cov, axis1=-2, axis2=-1))
 
 
 def test_measurement_update_validation(geom32, rng):
     snd = SoundingConfig(tx_angles=[0.0], rx_angles=[0.1])
     pilot = PilotVector(np.zeros(1, dtype=complex), 0.1)
-    prior = GaussianBelief([0.1], [[0.01]])
+    prior = np.array([0.1]), np.array([0.01])
     gains = np.array([1.0 + 0j])
     with pytest.raises(TypeError, match="aods"):
         measurement_update(prior, pilot, snd, gains, geom32, geom32)

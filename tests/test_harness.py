@@ -171,6 +171,33 @@ def test_run_sweep_refuses_a_model_with_other_k_samples_before_any_work(monkeypa
     assert rows[0]["status"] == "ok"
 
 
+def test_run_sweep_and_plot_data_refuse_a_proposed_variant_without_a_model(
+    monkeypatch, tmp_path
+):
+    # The refusal comes before calibration, any draw or the output directory,
+    # not as one error row per episode.
+    _refuse_work(monkeypatch)
+    cfg = _tiny_config(num_cycles=3)
+    with pytest.raises(ValueError, match="proposed variants need a model"):
+        run_sweep(cfg, "snr_db", [6.0], ("ekf", "proposed_csi"), trials=1)
+    out_dir = tmp_path / "figs"
+    with pytest.raises(ValueError, match="proposed variants need a model"):
+        plot_data(out_dir, cfg, variants=("ekf", "proposed_csi_imu"), trials=1)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_sweep_and_plot_data_refuse_trials_below_one(monkeypatch, tmp_path, trials):
+    _refuse_work(monkeypatch)
+    cfg = _tiny_config(num_cycles=3)
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        run_sweep(cfg, "snr_db", [6.0], ("ekf",), trials=trials)
+    out_dir = tmp_path / "figs"
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        plot_data(out_dir, cfg, variants=("ekf",), trials=trials)
+    assert not out_dir.exists()
+
+
 def test_episode_seed_properties():
     s = episode_seed(42, "snr_db", 9.0, 0)
     assert s == episode_seed(42, "snr_db", 9.0, 0)
@@ -272,19 +299,25 @@ def test_run_sweep_shape_pairing_and_csv(tmp_path):
     assert back == rows
 
 
-def test_run_sweep_survives_failing_cells(tmp_path):
-    # A proposed variant without a model fails per episode; its rows carry an
+def test_run_sweep_survives_failing_cells(monkeypatch):
+    # A variant whose tracker fails fails per episode; its rows carry an
     # error status while the other variant still completes.
+    build = harness._build_tracker
+
+    def ekf_breaks(configs, *args, **kw):
+        if configs[0].variant == "ekf":
+            raise ValueError("the ekf tracker broke")
+        return build(configs, *args, **kw)
+
+    monkeypatch.setattr(harness, "_build_tracker", ekf_breaks)
     cfg = _tiny_config(num_cycles=2)
     with pytest.warns(RuntimeWarning, match="a batch of 2 episodes raised ValueError"):
-        rows = run_sweep(cfg, "snr_db", [9.0], ("proposed_csi", "genie"), trials=2)
-    failures = [r for r in rows if r["variant"] == "proposed_csi" and r["trial"] != "mean"]
-    assert all(
-        r["status"] == "error:ValueError: proposed variants need a model"
-        for r in failures
-    )
+        rows = run_sweep(cfg, "snr_db", [9.0], ("ekf", "genie"), trials=2)
+    failures = [r for r in rows if r["variant"] == "ekf" and r["trial"] != "mean"]
+    assert len(failures) == 2
+    assert all(r["status"] == "error:ValueError: the ekf tracker broke" for r in failures)
     assert all(r["mean_nmse_db"] == "" for r in failures)
-    empty_mean = [r for r in rows if r["variant"] == "proposed_csi" and r["trial"] == "mean"]
+    empty_mean = [r for r in rows if r["variant"] == "ekf" and r["trial"] == "mean"]
     assert empty_mean[0]["mean_nmse_db"] == ""
     ok = [r for r in rows if r["variant"] == "genie" and r["status"] == "ok"]
     assert len(ok) == 2

@@ -235,27 +235,27 @@ def test_pack_params_rebinds_every_field_to_a_view_of_one_buffer(rng):
 
 
 def test_adam_two_step_hand_recursion():
-    params = {"w": np.array([1.0])}
+    params = np.array([1.0])
     state = init_adam(params)
     lr = 0.1
     m = v = 0.0
     w = 1.0
     for t, g in enumerate([0.5, -0.25], start=1):
-        adam_update(params, {"w": np.array([g])}, state, lr)
+        adam_update(params, np.array([g]), state, lr)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g**2
         m_hat = m / (1 - 0.9**t)
         v_hat = v / (1 - 0.999**t)
         w -= lr * m_hat / (math.sqrt(v_hat) + 1e-8)
-        assert params["w"][0] == pytest.approx(w, rel=1e-14)
+        assert params[0] == pytest.approx(w, rel=1e-14)
     assert state.step_count == 2
 
 
 def test_adam_zero_gradient_is_noop():
-    params = {"w": np.array([2.0, -3.0])}
+    params = np.array([2.0, -3.0])
     state = init_adam(params)
-    adam_update(params, {"w": np.zeros(2)}, state, 0.5)
-    np.testing.assert_array_equal(params["w"], [2.0, -3.0])
+    adam_update(params, np.zeros(2), state, 0.5)
+    np.testing.assert_array_equal(params, [2.0, -3.0])
 
 
 def test_loss_target_shape_validation(rng):

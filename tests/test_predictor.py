@@ -102,6 +102,31 @@ def test_build_model_shapes(rng):
     assert model.state_dim == 1
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", 0, "epochs must be >= 1, got 0"),
+    ("minibatch", 0, "minibatch must be >= 1, got 0"),
+    ("initial_lr", 0.0, "initial_lr must be positive and finite, got 0.0"),
+    ("initial_lr", -1.0, "initial_lr must be positive and finite, got -1.0"),
+    ("initial_lr", float("nan"), "initial_lr must be positive and finite, got nan"),
+    ("initial_lr", float("inf"), "initial_lr must be positive and finite, got inf"),
+])
+def test_train_config_refuses_sizes_and_rates_that_cannot_train(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["num_windows", "num_paths"])
+def test_dataset_config_refuses_an_empty_dataset(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+        DatasetConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("field", ["lstm_hidden", "lstm_layers"])
+def test_build_model_refuses_an_empty_lstm(rng, field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+        build_model(rng, **{field: 0})
+
+
 def test_dataset_generation_invariants():
     cfg = DatasetConfig(
         num_windows=600,
@@ -167,7 +192,7 @@ def test_training_is_deterministic(tmp_path):
 def _per_tensor_train(model, ds, config):
     """The training loop before the flat buffer, kept as the oracle of
     `train`: gradients go through grads_as_dict, each tensor keeps its own
-    Adam moments and takes its own adam_update step."""
+    AdamState and takes its own adam_update step."""
     raw, last, targets = ds.inputs, ds.last_estimates, ds.targets
     n = raw.shape[0]
     model.norm = predictor._fit_norm_stats(raw, targets - last)
@@ -175,7 +200,7 @@ def _per_tensor_train(model, ds, config):
     x = (raw - norm.input_mean) / norm.input_std
     y = (targets - last - norm.target_mean) / norm.target_std
     params = neural.layer_param_dict(layers)
-    adam = neural.init_adam(params)
+    adams = {name: neural.init_adam(arr) for name, arr in params.items()}
     shuffle = np.random.default_rng(config.seed)
     losses = []
     for epoch in range(1, config.epochs + 1):
@@ -188,7 +213,8 @@ def _per_tensor_train(model, ds, config):
             flat = neural.grads_as_dict(layers, grads)
             for arr in flat.values():
                 arr *= 1.0 / idx.size
-            neural.adam_update(params, flat, adam, lr)
+            for name, arr in params.items():
+                neural.adam_update(arr, flat[name], adams[name], lr)
             total += loss
         losses.append(total / n)
     idx = np.random.default_rng(config.seed).choice(n, size=min(n, 20_000), replace=False)
@@ -222,11 +248,10 @@ def test_train_takes_one_flat_adam_step_per_minibatch(count_calls):
     as_dict = count_calls(neural, "grads_as_dict")
     model, _ = train(build_model(np.random.default_rng(5)), ds, TrainConfig(epochs=2))
     assert len(steps) == 10
-    buffer = next(iter(steps[0][0].values()))
+    buffer = steps[0][0]
     for params, grads, *_ in steps:
-        assert len(params) == len(grads) == 1
-        assert next(iter(params.values())) is buffer
-        assert next(iter(grads.values())).shape == buffer.shape
+        assert params is buffer
+        assert grads.shape == buffer.shape
     fields = neural.layer_param_dict(model.layers).values()
     assert all(np.shares_memory(arr, buffer) for arr in fields)
     assert as_dict == []
@@ -318,7 +343,8 @@ def test_prediction_var_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     # Targets a hair off the model's own predictions make prediction_var hang
     # on the last bit of every prediction. The 2,500 probe windows split into
     # chunks (1024 + 1024 + 452, or 357 x 7 + 1); the reference is one pass
-    # over all of them. With epochs=0 the weights stay as built.
+    # over all of them. With Adam's step made a no-op the weights stay as
+    # built through the one epoch.
     assert 2_500 % chunk != 0
     cfg = DatasetConfig(num_windows=2_500, cycles_per_episode=40)
     ds = generate_dataset(cfg, _table(), np.random.default_rng(21))
@@ -326,10 +352,11 @@ def test_prediction_var_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     model.norm = NormStats(np.zeros(9), np.full(9, 0.5), np.zeros(1), np.ones(1))
     pred = predict(model, (ds.inputs[..., :1], ds.inputs[..., 1:]))
     ds.targets = pred + np.random.default_rng(4).normal(0.0, 1e-12, pred.shape)
+    monkeypatch.setattr(neural, "adam_update", lambda *args: None)
     runs = []
     for size in (chunk, len(ds)):
         monkeypatch.setattr(predictor, "_PREDICTION_VAR_CHUNK", size)
-        runs.append(train(model, ds, TrainConfig(epochs=0))[0].prediction_var)
+        runs.append(train(model, ds, TrainConfig(epochs=1))[0].prediction_var)
     assert np.array_equal(runs[0], runs[1])
 
 
