@@ -29,10 +29,12 @@ import numpy as np
 
 from .arrays import Codebook
 from .filtering import GaussianBelief
-from .measurement import (
+from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _measurement_factors here
     SoundingConfig,
     _jacobian_from_angles,
     _measurement_factors,
+    _receive_factors,
+    _transmit_factors,
 )
 
 __all__ = [
@@ -50,11 +52,14 @@ _MIN_NOISE_VAR = 1e-12
 @dataclass
 class BeamSelection:
     """Chosen codebook indices for one sounding round and their score; a
-    batch of rounds stacks them along leading axes."""
+    batch of rounds stacks them along leading axes. `rx_factors` holds the
+    receive factors (gr, dgr) of the chosen beams at the prior means,
+    (..., L, num_rx) each, as the measurement update needs them."""
 
     tx_indices: np.ndarray
     rx_indices: np.ndarray
     objective_value: float | np.ndarray
+    rx_factors: tuple[np.ndarray, np.ndarray] | None = None
 
     def to_sounding(self, codebook: Codebook) -> SoundingConfig:
         return SoundingConfig(
@@ -194,35 +199,39 @@ def _subset_table(n: int, k: int) -> np.ndarray:
     return table
 
 
+def _transmit_side(codebook: Codebook, gains, geom_rx, geom_tx, known_aod, aods=None,
+                   num_tx: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Selection's per-episode constants: the transmit beams, the `num_tx`
+    codebook entries nearest `known_aod`, (..., num_tx), and the transmit
+    Gram matrix T[l, l'] = sum_i conj(t[l, i]) t[l', i] of the transmit
+    factors t = scale * gt at the departures `aods`, (..., L, L). `aods`
+    defaults to `known_aod` for every path."""
+    gains = np.asarray(gains, dtype=np.complex128)
+    if aods is None:
+        aods = np.broadcast_to(np.asarray(known_aod, dtype=np.float64)[..., None], gains.shape)
+    tx_idx = nearest_beams(known_aod, codebook, num_tx)
+    scale, gt = _transmit_factors(
+        gains, np.asarray(aods, dtype=np.float64), codebook.angles[tx_idx], geom_rx, geom_tx
+    )
+    t = scale[..., None] * gt  # (..., L, M_b)
+    return tx_idx, t.conj() @ t.swapaxes(-1, -2)
+
+
 def _subset_factors(
-    means: np.ndarray,
-    variances: np.ndarray,
-    tx_angles: np.ndarray,
-    codebook: Codebook,
-    gains: np.ndarray,
-    noise_var,
-    geom_rx,
-    geom_tx,
-    aods: np.ndarray,
+    t_mat: np.ndarray, dgr: np.ndarray, noise_var, variances: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factors of every receive subset's information matrix, episodes flattened.
 
     The information matrix separates per subset: with transmit factors
     t[l, i] and receive derivative factors d[l, j], Re(O^H O)[l, l'] is the
-    real part of the product of T[l, l'] = sum_i conj(t) t and the sum over
-    the subset's beams of D[l, l', j] = conj(d) d. Returns T, (E, L, L), D,
+    real part of the product of T[l, l'] = sum_i conj(t) t, `t_mat`, and
+    the sum over the subset's beams of D[l, l', j] = conj(d) d, d being
+    `dgr` over the codebook, (..., L, n_beams). Returns T, (E, L, L), D,
     (L, L, E, n_beams), the information weight 2 / sigma^2, (E,), and the
     prior's inverse, 1 / variances, (E, L): the prior is diagonal.
     """
-    probe = SoundingConfig(tx_angles=tx_angles, rx_angles=codebook.angles)
-    scale, gt, _, dgr = _measurement_factors(
-        gains, means, aods, probe, geom_rx, geom_tx, with_derivatives=True
-    )
-    t = scale[..., None] * gt  # (..., L, M_b)
-    t_mat = t.conj() @ t.swapaxes(-1, -2)  # (..., L, L): sum over tx beams
     d_mat = np.einsum("...lj,...mj->lm...j", dgr.conj(), dgr)  # (L, L, ..., n_beams)
-
-    lead, num_paths = means.shape[:-1], means.shape[-1]
+    lead, num_paths = variances.shape[:-1], variances.shape[-1]
     episodes = math.prod(lead)
     return (
         t_mat.reshape(episodes, num_paths, num_paths),
@@ -278,19 +287,11 @@ def _subset_bounds(factors, members: np.ndarray, part: slice) -> np.ndarray:
 
 
 def _best_rx_subsets(
-    means: np.ndarray,
-    variances: np.ndarray,
-    tx_angles: np.ndarray,
-    codebook: Codebook,
-    gains: np.ndarray,
-    noise_var,
-    geom_rx,
-    geom_tx,
-    aods: np.ndarray,
-    num_rx: int,
+    t_mat: np.ndarray, dgr: np.ndarray, noise_var, variances: np.ndarray, num_rx: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The receive subset of least objective and that objective, (..., num_rx)
-    and (...).
+    and (...), from the transmit Gram matrix and the receive derivative
+    factors over the codebook (see `_subset_factors`).
 
     A one-level branch and bound (Land & Doig, Econometrica 28(3), 1960) that
     returns the exhaustive search's result bit for bit. Per episode:
@@ -311,12 +312,10 @@ def _best_rx_subsets(
     entries, at least one episode each; every stage is per episode, so the
     slicing changes no result.
     """
-    factors = _subset_factors(
-        means, variances, tx_angles, codebook, gains, noise_var, geom_rx, geom_tx, aods
-    )
-    lead = means.shape[:-1]
+    factors = _subset_factors(t_mat, dgr, noise_var, variances)
+    lead = variances.shape[:-1]
     episodes = math.prod(lead)
-    members = _subset_table(len(codebook), num_rx)
+    members = _subset_table(dgr.shape[-1], num_rx)
     subsets = members.shape[1]
     seeds = min(_SEED_SUBSETS, subsets)
     best = np.empty(episodes, dtype=np.intp)
@@ -356,6 +355,7 @@ def select_sounding(
     aods: np.ndarray | None = None,
     num_tx: int = 2,
     num_rx: int = 2,
+    transmit: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BeamSelection:
     """Pick the sounding beams that minimize the predicted error bound.
 
@@ -377,6 +377,12 @@ def select_sounding(
     A batch of episodes stacks the belief (..., L) and gives gains, aods,
     noise_var and known_aod the same leading axes; the indices and scores
     of the selection then carry them too.
+
+    The receive factors are evaluated once over the codebook, and the
+    chosen beams' columns come back in `rx_factors`. `transmit` is the pair
+    `_transmit_side` returns for these arguments; the trackers compute it
+    once per episode and pass it, and the transmit side is then not
+    evaluated here.
     """
     if mode != "aoa_only":
         raise ValueError(f"unknown mode {mode!r}: only 'aoa_only' is tracked")
@@ -387,12 +393,11 @@ def select_sounding(
             raise ValueError("select_sounding needs a diagonal prior covariance")
     else:
         means, variances = (np.asarray(a, dtype=np.float64) for a in belief)
-    gains = np.asarray(gains, dtype=np.complex128)
-    if aods is None:
-        aods = np.broadcast_to(np.asarray(known_aod, dtype=np.float64)[..., None], gains.shape)
-    tx_idx = nearest_beams(known_aod, codebook, num_tx)
-    rx_idx, value = _best_rx_subsets(
-        means, variances, codebook.angles[tx_idx], codebook, gains, noise_var,
-        geom_rx, geom_tx, aods, num_rx,
-    )
-    return BeamSelection(tx_idx, rx_idx, value)
+    if transmit is None:
+        transmit = _transmit_side(codebook, gains, geom_rx, geom_tx, known_aod, aods, num_tx)
+    tx_idx, t_mat = transmit
+    gr, dgr = _receive_factors(means, codebook.angles, geom_rx, with_derivatives=True)
+    rx_idx, value = _best_rx_subsets(t_mat, dgr, noise_var, variances, num_rx)
+    columns = rx_idx[..., None, :]
+    chosen = np.take_along_axis(gr, columns, -1), np.take_along_axis(dgr, columns, -1)
+    return BeamSelection(tx_idx, rx_idx, value, chosen)

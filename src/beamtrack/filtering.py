@@ -32,6 +32,7 @@ from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_f
     SoundingConfig,
     _jacobian_from_angles,
     _measurement_from_angles,
+    _pilot_map,
 )
 
 __all__ = [
@@ -218,6 +219,8 @@ def measurement_update(
     geom_rx,
     geom_tx,
     aods: np.ndarray,
+    *,
+    factors=None,
 ):
     """Joint Kalman update of the L arrival angles from one pilot round.
 
@@ -228,6 +231,11 @@ def measurement_update(
     pilot.noise_var / 2. The posterior comes back as its per-path marginals,
     the same pair. A batch of episodes gives every argument the same leading
     axes, and each episode is updated from its own round.
+
+    `factors`, the pilot map's (scale, gt, gr, dgr) at these means for this
+    sounding, are used as given instead of being evaluated; the trackers
+    pass their per-episode transmit factors with the receive factors that
+    selection evaluated.
     """
     means, cov = np.asarray(belief[0], dtype=np.float64), _diagonal_cov(belief[1])
     gains = np.asarray(gains, dtype=np.complex128)
@@ -237,9 +245,12 @@ def measurement_update(
         raise ValueError("pilot length does not match the sounding configuration")
     aods = np.asarray(aods, dtype=np.float64)
 
-    predicted, jac = _measurement_from_angles(
-        gains, means, aods, sounding, geom_rx, geom_tx, with_jacobian=True
-    )
+    if factors is None:
+        predicted, jac = _measurement_from_angles(
+            gains, means, aods, sounding, geom_rx, geom_tx, with_jacobian=True
+        )
+    else:
+        predicted, jac = _pilot_map(*factors)
 
     observed = np.concatenate([pilot.values.real, pilot.values.imag], axis=-1)
     predicted_r = np.concatenate([predicted.real, predicted.imag], axis=-1)

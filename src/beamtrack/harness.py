@@ -594,8 +594,9 @@ def run_sweep(
     among the sweep points; a caller running several sweeps passes one
     `process_noises` dict to all of them, keyed by (mobility params, t_csi,
     num_paths), to calibrate once across them. An unknown axis or variant,
-    trials < 1, or a model that `check_model` refuses for a point raises
-    ValueError before any work.
+    trials < 1, or a model that `check_model` refuses for a point (for the
+    base config when SimConfig rejects every point) raises ValueError before
+    any work.
     """
     if axis_name not in _FIELD_TYPES:
         raise ValueError(f"unknown config field {axis_name!r}")
@@ -615,9 +616,9 @@ def run_sweep(
         except ValueError as err:
             points.append(err)
     valid = [p for p, point in enumerate(points) if isinstance(point, SimConfig)]
-    for variant in variants:
-        for p in valid:
-            check_model(models.get(variant), variant, points[p].k_samples)
+    for variant in variants:  # the base config stands in when every point is rejected
+        for config in [points[p] for p in valid] or [base_config]:
+            check_model(models.get(variant), variant, config.k_samples)
     cache = {} if process_noises is None else process_noises
     point_noises = dict(zip(valid, _process_noises([points[p] for p in valid], cache)))
     cells = [  # (point index, seed), in (value, trial) order

@@ -162,6 +162,30 @@ def _geometric_sum(n: int, kappa: float, x: np.ndarray, with_derivative: bool = 
     return (out, deriv) if with_derivative else out
 
 
+def _transmit_factors(gains: np.ndarray, aods: np.ndarray, tx_angles: np.ndarray,
+                      geom_rx: ArrayGeometry, geom_tx: ArrayGeometry):
+    """The transmit half of the pilot map's factors: (scale, gt), the path
+    weights gain_l / (N_b * N_m), (..., L), and conj(G_b(aod_l - nu_i)),
+    (..., L, M_b). Gains, departures and transmit beams stay fixed over an
+    episode, so a tracker computes these once."""
+    n_b = geom_tx.num_elements
+    dx_t = aods[..., :, None] - tx_angles[..., None, :]  # (..., L, M_b)
+    gt = _geometric_sum(n_b, geom_tx.spatial_freq, dx_t).conj()
+    return gains / (n_b * geom_rx.num_elements), gt
+
+
+def _receive_factors(aoas: np.ndarray, rx_angles: np.ndarray, geom_rx: ArrayGeometry,
+                     with_derivatives: bool = False):
+    """The receive half: gr = G_m(aoa_l - mu_j), (..., L, M_m), or with
+    `with_derivatives` the pair (gr, dgr), dgr its arrival-angle derivative.
+    Each entry is computed on its own, so the columns of an evaluation over
+    a whole codebook equal an evaluation over those beams alone, bit for bit."""
+    dx_r = aoas[..., :, None] - rx_angles[..., None, :]  # (..., L, M_m)
+    return _geometric_sum(
+        geom_rx.num_elements, geom_rx.spatial_freq, dx_r, with_derivative=with_derivatives
+    )
+
+
 def _measurement_factors(
     gains: np.ndarray,
     aoas: np.ndarray,
@@ -178,17 +202,22 @@ def _measurement_factors(
         q_(i,j) = sum_l gain_l / (N_b * N_m) * conj(G_b(aod_l - nu_i)) * G_m(aoa_l - mu_j)
 
     where G_n is the n-term geometric sum above. Returns (scale, gt, gr) and,
-    when requested, the arrival-angle derivative factor dgr.
+    when requested, the arrival-angle derivative factor dgr: the transmit
+    half `_transmit_factors` followed by the receive half `_receive_factors`.
     """
-    n_b, n_m = geom_tx.num_elements, geom_rx.num_elements
-    kb, km = geom_tx.spatial_freq, geom_rx.spatial_freq
-    dx_t = aods[..., :, None] - sounding.tx_angles[..., None, :]  # (..., L, M_b)
-    dx_r = aoas[..., :, None] - sounding.rx_angles[..., None, :]  # (..., L, M_m)
-    gt = _geometric_sum(n_b, kb, dx_t).conj()
-    scale = gains / (n_b * n_m)
-    if not with_derivatives:
-        return scale, gt, _geometric_sum(n_m, km, dx_r)
-    return (scale, gt) + _geometric_sum(n_m, km, dx_r, with_derivative=True)
+    received = _receive_factors(aoas, sounding.rx_angles, geom_rx, with_derivatives)
+    transmit = _transmit_factors(gains, aods, sounding.tx_angles, geom_rx, geom_tx)
+    return transmit + (received if with_derivatives else (received,))
+
+
+def _pilot_map(scale, gt, gr, dgr=None):
+    """The pilot map (..., M_b*M_m) from its factors and, given dgr, the
+    pair (pilot map, arrival-angle Jacobian)."""
+    entries = np.einsum("...l,...li,...lj->...ij", scale, gt, gr)  # (..., M_b, M_m)
+    predicted = entries.reshape(entries.shape[:-2] + (-1,))
+    if dgr is None:
+        return predicted
+    return predicted, _jacobian_from_factors(scale, gt, dgr)
 
 
 def _measurement_from_angles(
@@ -208,15 +237,9 @@ def _measurement_from_angles(
     With `with_jacobian`, returns (pilot map, arrival-angle Jacobian) from one
     evaluation of the factors; the Jacobian is `_jacobian_from_angles`'s.
     """
-    factors = _measurement_factors(
+    return _pilot_map(*_measurement_factors(
         gains, aoas, aods, sounding, geom_rx, geom_tx, with_derivatives=with_jacobian
-    )
-    scale, gt, gr = factors[:3]
-    entries = np.einsum("...l,...li,...lj->...ij", scale, gt, gr)  # (..., M_b, M_m)
-    predicted = entries.reshape(entries.shape[:-2] + (-1,))
-    if not with_jacobian:
-        return predicted
-    return predicted, _jacobian_from_factors(scale, gt, factors[3])
+    ))
 
 
 def _jacobian_from_factors(scale, gt, dgr) -> np.ndarray:

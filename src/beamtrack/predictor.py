@@ -305,6 +305,9 @@ class DatasetConfig:
         for name in ("num_windows", "num_paths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.cycles_per_episode <= self.delta:
+            raise ValueError(f"cycles_per_episode must exceed delta ({self.delta}), "
+                             f"got {self.cycles_per_episode}")
 
 
 @dataclass
@@ -348,8 +351,6 @@ def generate_dataset(
     """
     delta, k = cfg.delta, cfg.k_samples
     cycles = cfg.cycles_per_episode
-    if cycles <= delta:
-        raise ValueError("cycles_per_episode must exceed delta")
     episodes = -(-cfg.num_windows // (cfg.num_paths * (cycles - delta)))
 
     dim = 1 + k * IMU_CHANNELS

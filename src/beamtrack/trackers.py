@@ -26,7 +26,7 @@ import numpy as np
 
 from . import filtering
 from .arrays import assemble_channel
-from .beamctl import nearest_beams, select_sounding
+from .beamctl import _transmit_side, nearest_beams, select_sounding
 from .filtering import joint_belief, split_joint  # noqa: F401 - perfbench/tracer.py wraps them here
 from .filtering import prediction_update
 from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_from_angles here
@@ -34,6 +34,7 @@ from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_f
     SoundingConfig,
     _jacobian_from_angles,
     _measurement_from_angles,
+    _transmit_factors,
     receive,
 )
 from .mobility import (  # noqa: F401 - perfbench/tracer.py wraps generate_trajectory here
@@ -94,6 +95,12 @@ class _KalmanTracker:
     update is joint over the paths; its cross-path terms are dropped after
     it. For a batch, `known_aod` and `noise_var` hold one value per episode,
     and `process_noise` one value per episode or one for all.
+
+    The transmit side stays fixed over an episode, so it is computed once
+    here: the transmit beams and selection's transmit Gram matrix, which
+    scores every path at the cluster centre `known_aod`, and the
+    measurement update's transmit factors at the per-path `aods`. Each
+    cycle then evaluates only the receive factors, once, in selection.
     """
 
     # One shared function object on purpose: the proposed tracker and the EKF
@@ -112,13 +119,18 @@ class _KalmanTracker:
         self.geom_tx = geom_tx
         self.noise_var = np.asarray(noise_var, dtype=np.float64)
         self.process_noise = np.asarray(process_noise, dtype=np.float64)
-        self.num_tx = num_tx
         self.num_rx = num_rx
         self._steps = 0
         if self.means.shape != self.gains.shape or self.variances.shape != self.gains.shape:
             raise ValueError("need one mean and one variance per path")
         if self.process_noise.shape not in ((), self.gains.shape[:-1]):
             raise ValueError("process_noise must be one value or one per episode")
+        self._selection_tx = _transmit_side(
+            codebook, self.gains, geom_rx, geom_tx, self.known_aod, num_tx=num_tx
+        )
+        self._update_tx = _transmit_factors(
+            self.gains, self.aods, codebook.angles[self._selection_tx[0]], geom_rx, geom_tx
+        )
 
     @property
     def num_paths(self) -> int:
@@ -138,12 +150,13 @@ class _KalmanTracker:
         selection = select_sounding(
             prior, self.codebook, self.gains, self.noise_var,
             self.geom_rx, self.geom_tx, known_aod=self.known_aod,
-            num_tx=self.num_tx, num_rx=self.num_rx,
+            num_rx=self.num_rx, transmit=self._selection_tx,
         )
         sounding = selection.to_sounding(self.codebook)
         pilot = channel.receive(sounding)
         self.means, self.variances = self._measurement_update(
             prior, pilot, sounding, self.gains, self.geom_rx, self.geom_tx, self.aods,
+            factors=self._update_tx + selection.rx_factors,
         )
         return sounding
 

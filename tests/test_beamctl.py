@@ -19,7 +19,7 @@ from beamtrack.beamctl import (
     spd_inverse_trace,
 )
 from beamtrack.filtering import GaussianBelief, joint_belief
-from beamtrack.measurement import SoundingConfig
+from beamtrack.measurement import SoundingConfig, _receive_factors
 
 
 def test_nearest_beams_hand_oracles():
@@ -196,10 +196,9 @@ def _every_entry(belief, cb, gains, noise_var, geom, known_aod, aods, num_rx):
     """The exhaustive search: every (episode, subset) entry scored by
     `_entry_scores`, (episodes, subsets), with the factors and subset table."""
     variances = np.diagonal(belief.cov, axis1=-2, axis2=-1)
-    factors = beamctl._subset_factors(
-        belief.mean, variances, cb.angles[nearest_beams(known_aod, cb, 2)], cb, gains,
-        noise_var, geom, geom, aods,
-    )
+    _, t_mat = beamctl._transmit_side(cb, gains, geom, geom, known_aod, aods)
+    _, dgr = _receive_factors(belief.mean, cb.angles, geom, with_derivatives=True)
+    factors = beamctl._subset_factors(t_mat, dgr, noise_var, variances)
     members = beamctl._subset_table(len(cb), num_rx)
     episodes, subsets = belief.mean.shape[0], members.shape[1]
     scores = beamctl._entry_scores(

@@ -279,20 +279,27 @@ def test_cli_train_refuses_bad_sizes_in_one_line(flags, message, tmp_path, count
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--num-windows", "--num-paths"])
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--num-windows", "0"], "num_windows must be >= 1, got 0", id="--num-windows"),
+    pytest.param(["--num-paths", "0"], "num_paths must be >= 1, got 0", id="--num-paths"),
+    pytest.param(
+        ["--cycles-per-episode", "3", "--num-windows", "10"],
+        "cycles_per_episode must exceed delta (3), got 3", id="--cycles-per-episode",
+    ),
+])
 def test_cli_generate_data_refuses_an_empty_dataset_before_calibrating(
-    flag, tmp_path, count_calls, capsys
+    flags, message, tmp_path, count_calls, capsys
 ):
     # Without --noise-table the command calibrates first; the refusal comes
     # before that, in one line, and writes no file.
     calls = count_calls(harness, "calibrate_estimate_noise")
     out = tmp_path / "train.npz"
     with pytest.raises(SystemExit) as refused:
-        main(["generate-data", flag, "0", "--out", str(out)])
-    name = flag[2:].replace("-", "_")
-    assert refused.value.code == f"beamtrack: {name} must be >= 1, got 0"
+        main(["generate-data", *flags, "--out", str(out)])
+    assert refused.value.code == f"beamtrack: {message}"
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+    assert "calibration" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "plot-data"])

@@ -184,6 +184,15 @@ def test_run_sweep_and_plot_data_refuse_a_proposed_variant_without_a_model(
     with pytest.raises(ValueError, match="proposed variants need a model"):
         plot_data(out_dir, cfg, variants=("ekf", "proposed_csi_imu"), trials=1)
     assert not out_dir.exists()
+    # Also when SimConfig rejects every point: no error rows stand in for it.
+    with pytest.raises(ValueError, match="proposed variants need a model"):
+        run_sweep(SimConfig(num_cycles=2, t_csi=40), "t_csi", [0], ("proposed_csi",), trials=1)
+    with pytest.raises(ValueError, match="proposed variants need a model"):
+        plot_data(
+            out_dir, cfg, variants=("proposed_csi",), snr_values=(), t_csi_values=(0,),
+            a_avg_values=(), trials=1,
+        )
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("trials", [0, -1])

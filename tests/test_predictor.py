@@ -115,10 +115,18 @@ def test_train_config_refuses_sizes_and_rates_that_cannot_train(field, value, me
         TrainConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["num_windows", "num_paths"])
-def test_dataset_config_refuses_an_empty_dataset(field):
-    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
-        DatasetConfig(**{field: 0})
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("num_windows", 0, "num_windows must be >= 1, got 0", id="num_windows"),
+    pytest.param("num_paths", 0, "num_paths must be >= 1, got 0", id="num_paths"),
+    # An episode no longer than a window yields no window.
+    pytest.param(
+        "cycles_per_episode", 3, r"cycles_per_episode must exceed delta \(3\), got 3",
+        id="cycles_per_episode",
+    ),
+])
+def test_dataset_config_refuses_an_empty_dataset(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DatasetConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["lstm_hidden", "lstm_layers"])

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamtrack import filtering, measurement, mobility, neural
+from beamtrack.arrays import ArrayGeometry, make_codebook
+from beamtrack.beamctl import select_sounding
+from beamtrack.filtering import measurement_update
 from beamtrack.harness import SimConfig, run_episode
 from beamtrack.mobility import MobilityParams, generate_trajectory
 from beamtrack.predictor import InputWindow, NormStats, build_model
@@ -347,6 +350,97 @@ def test_lms_step_evaluates_the_factors_once(geom32, codebook64, count_calls):
     )
     tracker.step(_channel([0.2, -0.1], aods, gains, 10.0, np.random.default_rng(3), geom32))
     assert len(calls) == 1
+
+
+def _kalman_batch(seed, episodes, num_paths, on_codebook, cb):
+    """Tracker arguments for a batch of episodes with distinct cluster
+    centres, and the true arrival angles: estimates reach past +-1, and with
+    `on_codebook` some lie exactly on a codebook angle, as do the centres,
+    so that both factor halves meet their singular-alignment branch."""
+    rng = np.random.default_rng(seed)
+    shape = (episodes, num_paths)
+    known_aod = rng.permutation(np.linspace(-0.8, 0.8, 9))[:episodes]
+    aods = known_aod[:, None] + rng.uniform(-1 / 64, 1 / 64, shape)
+    means = rng.uniform(-1.3, 1.3, shape)
+    if on_codebook:
+        known_aod[0] = cb.angles[rng.integers(len(cb))]
+        means[rng.random(shape) < 0.5] = cb.angles[rng.integers(len(cb))]
+    args = dict(
+        means=means, variances=10.0 ** rng.uniform(-5.0, -1.0, shape), codebook=cb,
+        gains=np.exp(2j * np.pi * rng.random(shape)) * rng.uniform(0.3, 1.0, shape),
+        aods=aods, known_aod=known_aod, noise_var=10.0 ** rng.uniform(-2.0, 0.0, episodes),
+        process_noise=1e-4,
+    )
+    return args, np.clip(means + rng.normal(0.0, 0.02, shape), -0.95, 0.95)
+
+
+@pytest.mark.filterwarnings("ignore:innovation covariance:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), episodes=st.integers(1, 4), num_paths=st.integers(1, 3),
+    num_rx=st.integers(1, 3), on_codebook=st.booleans(),
+)
+def test_the_per_episode_transmit_side_changes_no_cycle(
+    seed, episodes, num_paths, num_rx, on_codebook
+):
+    # The tracker evaluates the transmit factors once per episode and hands
+    # selection's receive factors to the update; each cycle must still pick
+    # the public select_sounding's beams and objective and give the public
+    # measurement_update's posterior, bit for bit.
+    geom_rx, geom_tx, cb = ArrayGeometry(16), ArrayGeometry(32), make_codebook(32)
+    args, truth = _kalman_batch(seed, episodes, num_paths, on_codebook, cb)
+    tracker = EkfTracker(**args, geom_rx=geom_rx, geom_tx=geom_tx, num_rx=num_rx)
+    means, variances = args["means"], args["variances"]
+    for cycle in range(2):
+        prior = means + 0.0, variances + (args["process_noise"] if cycle else 0.0)
+        shared = (prior, cb, args["gains"], args["noise_var"], geom_rx, geom_tx)
+        public = select_sounding(*shared, known_aod=args["known_aod"], num_rx=num_rx)
+        reused = select_sounding(
+            *shared, known_aod=args["known_aod"], num_rx=num_rx, transmit=tracker._selection_tx
+        )
+        np.testing.assert_array_equal(reused.tx_indices, public.tx_indices)
+        np.testing.assert_array_equal(reused.rx_indices, public.rx_indices)
+        np.testing.assert_array_equal(reused.objective_value, public.objective_value)
+        sounding = public.to_sounding(cb)
+        direct = measurement._receive_factors(prior[0], sounding.rx_angles, geom_rx, True)
+        for got, want in zip(reused.rx_factors, direct):
+            np.testing.assert_array_equal(got, want)
+
+        def channel():
+            rngs = [np.random.default_rng([seed, cycle, k]) for k in range(episodes)]
+            snrs = np.full(episodes, 12.0)
+            return PilotChannel(args["gains"], truth, args["aods"], snrs, rngs, geom_rx, geom_tx)
+
+        pilot = channel().receive(sounding)
+        means, variances = measurement_update(
+            prior, pilot, sounding, args["gains"], geom_rx, geom_tx, args["aods"]
+        )
+        record = tracker.step(channel())
+        np.testing.assert_array_equal(record.sounding.tx_angles, sounding.tx_angles)
+        np.testing.assert_array_equal(record.sounding.rx_angles, sounding.rx_angles)
+        np.testing.assert_array_equal(tracker.means, means)
+        np.testing.assert_array_equal(tracker.variances, variances)
+
+
+@pytest.mark.parametrize("variant", ["ekf", "proposed"])
+def test_kalman_cycles_evaluate_the_receive_factors_once(count_calls, variant):
+    # Transmit sums (N_b = 32 terms) run when the tracker is built, never in
+    # a cycle; each cycle runs one receive evaluation (N_m = 16 terms), over
+    # the codebook in selection, and the measurement update runs none.
+    calls = count_calls(measurement, "_geometric_sum")
+    geom_rx, geom_tx, cb = ArrayGeometry(16), ArrayGeometry(32), make_codebook(32)
+    args, truth = _kalman_batch(4, 3, 2, False, cb)
+    extra = dict(predict_fn=_hold, delta=2) if variant == "proposed" else {}
+    tracker = (ProposedTracker if variant == "proposed" else EkfTracker)(
+        **args, geom_rx=geom_rx, geom_tx=geom_tx, **extra
+    )
+    assert [c[0] for c in calls] == [32, 32]
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    for _ in range(4):
+        del calls[:]
+        tracker.step(PilotChannel(args["gains"], truth, args["aods"], np.full(3, 9.0), rngs,
+                                  geom_rx, geom_tx))
+        assert [(c[0], c[2].shape) for c in calls] == [(16, (3, 2, len(cb)))]
 
 
 def test_genie_reads_truth_without_aliasing(geom32):
