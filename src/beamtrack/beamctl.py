@@ -54,12 +54,12 @@ class BeamSelection:
     """Chosen codebook indices for one sounding round and their score; a
     batch of rounds stacks them along leading axes. `rx_factors` holds the
     receive factors (gr, dgr) of the chosen beams at the prior means,
-    (..., L, num_rx) each, as the measurement update needs them."""
+    (..., L, num_rx) each, from which the trackers form the pilot map."""
 
     tx_indices: np.ndarray
     rx_indices: np.ndarray
     objective_value: float | np.ndarray
-    rx_factors: tuple[np.ndarray, np.ndarray] | None = None
+    rx_factors: tuple[np.ndarray, np.ndarray]
 
     def to_sounding(self, codebook: Codebook) -> SoundingConfig:
         return SoundingConfig(

@@ -15,9 +15,11 @@ recent estimate entry of the input window; older entries and sensor samples
 are treated as exogenous.
 
 The measurement step is a joint Kalman update of the L arrival angles, held
-as the (means, variances) pair, on the real-stacked pilot vector, with the
-departure angles known: a complex pilot with noise variance sigma^2 becomes
-two real measurements with variance sigma^2/2 each.
+as the (means, variances) pair, on the real-stacked pilot vector: a complex
+pilot with noise variance sigma^2 becomes two real measurements with
+variance sigma^2/2 each. The update takes the pilot map and its Jacobian at
+the prior means as arrays; the trackers evaluate them from the pilot
+model's factors, and this module does Gaussian updates only.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_from_angles here
-    PilotVector,
-    SoundingConfig,
+from .measurement import PilotVector
+from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps them here
     _jacobian_from_angles,
     _measurement_from_angles,
-    _pilot_map,
 )
 
 __all__ = [
@@ -211,47 +211,25 @@ def kalman_update(
     return new_mean, new_cov, regularized
 
 
-def measurement_update(
-    belief,
-    pilot: PilotVector,
-    sounding: SoundingConfig,
-    gains: np.ndarray,
-    geom_rx,
-    geom_tx,
-    aods: np.ndarray,
-    *,
-    factors=None,
-):
+def measurement_update(belief, pilot: PilotVector, predicted: np.ndarray, jac: np.ndarray):
     """Joint Kalman update of the L arrival angles from one pilot round.
 
     `belief` is the trackers' (means, variances) pair of (..., L) arrays,
-    one arrival angle per independent path, and `aods` holds the known
-    departure angles. The complex pilot vector and Jacobian are real-stacked
+    one arrival angle per independent path. `predicted` (..., M) and `jac`
+    (..., M, L) are the pilot map and its arrival-angle Jacobian at the
+    prior means for the round's sounding, as `measurement._pilot_map`
+    returns them. The complex pilot vector and Jacobian are real-stacked
     (real parts then imaginary parts) with per-component noise variance
     pilot.noise_var / 2. The posterior comes back as its per-path marginals,
     the same pair. A batch of episodes gives every argument the same leading
     axes, and each episode is updated from its own round.
-
-    `factors`, the pilot map's (scale, gt, gr, dgr) at these means for this
-    sounding, are used as given instead of being evaluated; the trackers
-    pass their per-episode transmit factors with the receive factors that
-    selection evaluated.
     """
     means, cov = np.asarray(belief[0], dtype=np.float64), _diagonal_cov(belief[1])
-    gains = np.asarray(gains, dtype=np.complex128)
-    if means.shape[-1] != gains.shape[-1]:
-        raise ValueError("belief must stack one arrival angle per path")
-    if pilot.values.shape[-1] != sounding.num_pilots:
-        raise ValueError("pilot length does not match the sounding configuration")
-    aods = np.asarray(aods, dtype=np.float64)
-
-    if factors is None:
-        predicted, jac = _measurement_from_angles(
-            gains, means, aods, sounding, geom_rx, geom_tx, with_jacobian=True
+    expected = (pilot.values.shape[-1], means.shape[-1])
+    if jac.shape[-2:] != expected:
+        raise ValueError(
+            f"the Jacobian must be (pilot length, L) = {expected}, got {jac.shape[-2:]}"
         )
-    else:
-        predicted, jac = _pilot_map(*factors)
-
     observed = np.concatenate([pilot.values.real, pilot.values.imag], axis=-1)
     predicted_r = np.concatenate([predicted.real, predicted.imag], axis=-1)
     jac_r = np.concatenate([jac.real, jac.imag], axis=-2)

@@ -108,7 +108,7 @@ class SimConfig:
 
     def __post_init__(self):
         _check_variants([self.variant])
-        for name in ("num_paths", "t_csi", "k_samples", "num_cycles"):
+        for name in ("num_paths", "t_csi", "k_samples", "num_cycles", "mc_bits_per_slot"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.t_csi % self.k_samples != 0:

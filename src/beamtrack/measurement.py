@@ -227,19 +227,14 @@ def _measurement_from_angles(
     sounding: SoundingConfig,
     geom_rx: ArrayGeometry,
     geom_tx: ArrayGeometry,
-    with_jacobian: bool = False,
 ):
     """Closed-form pilot map on raw angle arrays (no [-1, 1] validation).
 
-    Used by the tracking filters, whose angle estimates may transiently leave
-    the physical range; the expression stays well defined there. Leading
-    batch axes of the angles and the sounding carry through to the result.
-    With `with_jacobian`, returns (pilot map, arrival-angle Jacobian) from one
-    evaluation of the factors; the Jacobian is `_jacobian_from_angles`'s.
+    The angles may leave the physical range, as tracking estimates
+    transiently do; the expression stays well defined there. Leading batch axes of the angles
+    and the sounding carry through to the result.
     """
-    return _pilot_map(*_measurement_factors(
-        gains, aoas, aods, sounding, geom_rx, geom_tx, with_derivatives=with_jacobian
-    ))
+    return _pilot_map(*_measurement_factors(gains, aoas, aods, sounding, geom_rx, geom_tx))
 
 
 def _jacobian_from_factors(scale, gt, dgr) -> np.ndarray:

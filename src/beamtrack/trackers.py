@@ -29,11 +29,13 @@ from .arrays import assemble_channel
 from .beamctl import _transmit_side, nearest_beams, select_sounding
 from .filtering import joint_belief, split_joint  # noqa: F401 - perfbench/tracer.py wraps them here
 from .filtering import prediction_update
-from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps _jacobian_from_angles here
+from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps the two from-angles maps here
     PilotVector,
     SoundingConfig,
     _jacobian_from_angles,
     _measurement_from_angles,
+    _pilot_map,
+    _receive_factors,
     _transmit_factors,
     receive,
 )
@@ -113,7 +115,6 @@ class _KalmanTracker:
         self.variances = np.array(variances, dtype=np.float64)
         self.codebook = codebook
         self.gains = np.asarray(gains, dtype=np.complex128)
-        self.aods = np.asarray(aods, dtype=np.float64)
         self.known_aod = np.asarray(known_aod, dtype=np.float64)
         self.geom_rx = geom_rx
         self.geom_tx = geom_tx
@@ -128,9 +129,9 @@ class _KalmanTracker:
         self._selection_tx = _transmit_side(
             codebook, self.gains, geom_rx, geom_tx, self.known_aod, num_tx=num_tx
         )
-        self._update_tx = _transmit_factors(
-            self.gains, self.aods, codebook.angles[self._selection_tx[0]], geom_rx, geom_tx
-        )
+        aods = np.asarray(aods, dtype=np.float64)
+        tx_angles = codebook.angles[self._selection_tx[0]]
+        self._update_tx = _transmit_factors(self.gains, aods, tx_angles, geom_rx, geom_tx)
 
     @property
     def num_paths(self) -> int:
@@ -155,8 +156,7 @@ class _KalmanTracker:
         sounding = selection.to_sounding(self.codebook)
         pilot = channel.receive(sounding)
         self.means, self.variances = self._measurement_update(
-            prior, pilot, sounding, self.gains, self.geom_rx, self.geom_tx, self.aods,
-            factors=self._update_tx + selection.rx_factors,
+            prior, pilot, *_pilot_map(*self._update_tx, *selection.rx_factors)
         )
         return sounding
 
@@ -256,20 +256,25 @@ class LmsTracker:
     the arrival-angle pilot Jacobian column. Arrays may carry a leading
     batch axis, as in the Kalman trackers; `step_size` is then one value
     per episode or one for all.
+
+    The transmit beams, nearest `known_aod`, stay fixed over an episode, so
+    the pilot map's transmit factors are computed once here, as in the
+    Kalman trackers; each step evaluates only the receive factors.
     """
 
     def __init__(self, estimates, codebook, gains, aods, known_aod, geom_rx, geom_tx,
                  step_size=0.01, num_tx=2, num_rx=2):
         self.est = np.array(estimates, dtype=np.float64)
         self.codebook = codebook
-        self.gains = np.asarray(gains, dtype=np.complex128)
-        self.aods = np.asarray(aods, dtype=np.float64)
         self.geom_rx = geom_rx
-        self.geom_tx = geom_tx
         self.step_size = np.asarray(step_size, dtype=np.float64)
         self.num_rx = num_rx
-        self._ref_path = np.argmax(np.abs(self.gains), axis=-1)[..., None]
+        gains = np.asarray(gains, dtype=np.complex128)
+        aods = np.asarray(aods, dtype=np.float64)
+        self._ref_path = np.argmax(np.abs(gains), axis=-1)[..., None]
         self._tx_idx = nearest_beams(known_aod, codebook, num_tx)
+        tx_angles = codebook.angles[self._tx_idx]
+        self._tx_factors = _transmit_factors(gains, aods, tx_angles, geom_rx, geom_tx)
 
     def step(self, channel: PilotChannel, sensor_block=None) -> CycleRecord:
         ref = np.take_along_axis(self.est, self._ref_path, axis=-1)[..., 0]
@@ -279,10 +284,9 @@ class LmsTracker:
             rx_angles=self.codebook.angles[rx_idx],
         )
         pilot = channel.receive(sounding)
-        predicted, jac = _measurement_from_angles(
-            self.gains, self.est, self.aods, sounding, self.geom_rx, self.geom_tx,
-            with_jacobian=True,
-        )
+        predicted, jac = _pilot_map(*self._tx_factors, *_receive_factors(
+            self.est, sounding.rx_angles, self.geom_rx, with_derivatives=True
+        ))
         residual = pilot.values - predicted
         slope = (jac.conj().swapaxes(-1, -2) @ residual[..., None])[..., 0]
         self.est += self.step_size[..., None] * slope.real
@@ -320,8 +324,13 @@ def calibrate_process_noise(
     mobility model's chunk stream into a (num_paths, num_cycles) array, and
     the whole trajectory is never held. The result equals the quantile taken
     on `generate_trajectory(...).aoa[:, ::t_csi]` with the same generator,
-    bit for bit.
+    bit for bit. It needs `t_csi` >= 1 and two cycles at least, for one
+    increment.
     """
+    if t_csi < 1:
+        raise ValueError(f"t_csi must be >= 1, got {t_csi}")
+    if num_cycles < 2:
+        raise ValueError(f"num_cycles must be >= 2, got {num_cycles}")
     rng = np.random.default_rng(seed)
     boundary = np.empty((num_paths, num_cycles))
     for l, n, chunk in _angle_chunks(params, num_paths, num_cycles * t_csi, rng):

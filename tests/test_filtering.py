@@ -293,6 +293,15 @@ def test_kalman_ill_conditioned_ridge_and_flag():
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
 
 
+def _pilot_model(gains, means, aods, snd, geom_rx, geom_tx):
+    """The (pilot map, Jacobian) pair at the prior means, from the factors
+    as the trackers evaluate them."""
+    factors = measurement._measurement_factors(
+        gains, means, aods, snd, geom_rx, geom_tx, with_derivatives=True
+    )
+    return measurement._pilot_map(*factors)
+
+
 def test_measurement_update_pulls_angle_toward_truth(geom32, rng):
     true_aoa, known_aod = 0.3, -0.4
     path = PathState(np.exp(0.7j), true_aoa, known_aod)
@@ -300,42 +309,28 @@ def test_measurement_update_pulls_angle_toward_truth(geom32, rng):
     snd = SoundingConfig(tx_angles=[known_aod], rx_angles=[0.29 + 1 / 64])
     pilot = receive(channel, snd, np.inf, rng, geom32, geom32)
     prior = np.array([0.29]), np.array([1e-3])
+    model = _pilot_model(np.array([path.gain]), prior[0], np.array([known_aod]), snd, geom32, geom32)
     # A noiseless pilot makes the real-stacked innovation covariance rank
     # deficient (R = 0), so the ridge path fires by design.
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-        post_means, post_variances = measurement_update(
-            prior, pilot, snd, np.array([path.gain]), geom32, geom32,
-            aods=np.array([known_aod]),
-        )
+        post_means, post_variances = measurement_update(prior, pilot, *model)
     assert abs(post_means[0] - true_aoa) < abs(prior[0][0] - true_aoa)
     assert post_variances[0] < prior[1][0]
-
-
-def test_measurement_update_evaluates_the_factors_once(geom32, rng, count_calls):
-    # The prediction and the Jacobian are built from one factor evaluation.
-    calls = count_calls(measurement, "_measurement_factors")
-    gains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(2, 3)))
-    aods = rng.uniform(-0.5, 0.5, size=(2, 3))
-    snd = SoundingConfig(tx_angles=[[0.1, 0.2], [-0.3, 0.0]], rx_angles=[[0.3, 0.4], [0.5, 0.6]])
-    values = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    pilot = PilotVector(values, np.array([0.1, 0.2]))
-    prior = rng.uniform(-0.5, 0.5, size=(2, 3)), np.full((2, 3), 1e-3)
-    measurement_update(prior, pilot, snd, gains, geom32, geom32, aods)
-    assert len(calls) == 1
 
 
 def test_measurement_update_validation(geom32, rng):
     snd = SoundingConfig(tx_angles=[0.0], rx_angles=[0.1])
     pilot = PilotVector(np.zeros(1, dtype=complex), 0.1)
     prior = np.array([0.1]), np.array([0.01])
-    gains = np.array([1.0 + 0j])
-    with pytest.raises(TypeError, match="aods"):
-        measurement_update(prior, pilot, snd, gains, geom32, geom32)
-    with pytest.raises(ValueError, match="one arrival angle per path"):
-        measurement_update(prior, pilot, snd, np.ones(2, dtype=complex), geom32, geom32, [0.0, 0.0])
+    predicted, jac = _pilot_model(np.array([1.0 + 0j]), prior[0], np.zeros(1), snd, geom32, geom32)
+    with pytest.raises(TypeError, match="jac"):
+        measurement_update(prior, pilot, predicted)
+    two_paths = np.zeros((2,)), np.ones(2)
+    with pytest.raises(ValueError, match=r"Jacobian must be \(pilot length, L\)"):
+        measurement_update(two_paths, pilot, predicted, jac)
     bad = PilotVector(np.zeros(3, dtype=complex), 0.1)
-    with pytest.raises(ValueError, match="pilot length"):
-        measurement_update(prior, bad, snd, gains, geom32, geom32, aods=[0.0])
+    with pytest.raises(ValueError, match=r"Jacobian must be \(pilot length, L\)"):
+        measurement_update(prior, bad, predicted, jac)
 
 
 def test_joint_split_round_trip(rng):

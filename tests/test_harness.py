@@ -77,6 +77,9 @@ def test_sim_config_validation():
         SimConfig(ber_mode="exact")
     with pytest.raises(ValueError, match="num_cycles"):
         SimConfig(num_cycles=0)
+    # Zero Monte Carlo bits per slot gave a NaN BER on every cycle.
+    with pytest.raises(ValueError, match="mc_bits_per_slot must be >= 1, got 0"):
+        SimConfig(ber_mode="montecarlo", mc_bits_per_slot=0)
 
 
 @pytest.mark.parametrize(

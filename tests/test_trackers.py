@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from beamtrack import filtering, measurement, mobility, neural
 from beamtrack.arrays import ArrayGeometry, make_codebook
-from beamtrack.beamctl import select_sounding
+from beamtrack.beamctl import nearest_beams, select_sounding
 from beamtrack.filtering import measurement_update
 from beamtrack.harness import SimConfig, run_episode
+from beamtrack.measurement import SoundingConfig
 from beamtrack.mobility import MobilityParams, generate_trajectory
 from beamtrack.predictor import InputWindow, NormStats, build_model
 from beamtrack.trackers import (
@@ -63,6 +64,19 @@ def test_calibrate_process_noise_quantile_and_determinism():
     assert lo < hi
     assert hi == again
     assert hi > 0
+
+
+@pytest.mark.parametrize(
+    "t_csi, num_cycles, message",
+    [(160, 1, "num_cycles must be >= 2, got 1"), (160, 0, "num_cycles must be >= 2, got 0"),
+     (0, 10, "t_csi must be >= 1, got 0")],
+    ids=["one_cycle", "no_cycle", "t_csi=0"],
+)
+def test_calibrate_process_noise_refuses_what_gives_no_increment(t_csi, num_cycles, message):
+    # One cycle has no increment (np.quantile of an empty array raised an
+    # IndexError), and t_csi = 0 was reported as a bad num_slots.
+    with pytest.raises(ValueError, match=message):
+        calibrate_process_noise(MobilityParams(a_avg=1.0), t_csi, num_cycles=num_cycles)
 
 
 # Cycle lengths that put boundaries on, just before and just after the ends
@@ -340,18 +354,6 @@ def test_lms_pulls_static_estimate_toward_truth(geom32, codebook64):
     np.testing.assert_array_equal(rec.sounding.tx_angles, np.sort(rec.sounding.tx_angles))
 
 
-def test_lms_step_evaluates_the_factors_once(geom32, codebook64, count_calls):
-    calls = count_calls(measurement, "_measurement_factors")
-    gains = np.ones(2, dtype=complex)
-    aods = np.array([0.3, 0.31])
-    tracker = LmsTracker(
-        [0.2, -0.1], codebook64, gains, aods, known_aod=0.3,
-        geom_rx=geom32, geom_tx=geom32, step_size=2e-4,
-    )
-    tracker.step(_channel([0.2, -0.1], aods, gains, 10.0, np.random.default_rng(3), geom32))
-    assert len(calls) == 1
-
-
 def _kalman_batch(seed, episodes, num_paths, on_codebook, cb):
     """Tracker arguments for a batch of episodes with distinct cluster
     centres, and the true arrival angles: estimates reach past +-1, and with
@@ -412,9 +414,11 @@ def test_the_per_episode_transmit_side_changes_no_cycle(
             return PilotChannel(args["gains"], truth, args["aods"], snrs, rngs, geom_rx, geom_tx)
 
         pilot = channel().receive(sounding)
-        means, variances = measurement_update(
-            prior, pilot, sounding, args["gains"], geom_rx, geom_tx, args["aods"]
+        factors = measurement._measurement_factors(
+            args["gains"], prior[0], args["aods"], sounding, geom_rx, geom_tx,
+            with_derivatives=True,
         )
+        means, variances = measurement_update(prior, pilot, *measurement._pilot_map(*factors))
         record = tracker.step(channel())
         np.testing.assert_array_equal(record.sounding.tx_angles, sounding.tx_angles)
         np.testing.assert_array_equal(record.sounding.rx_angles, sounding.rx_angles)
@@ -441,6 +445,71 @@ def test_kalman_cycles_evaluate_the_receive_factors_once(count_calls, variant):
         tracker.step(PilotChannel(args["gains"], truth, args["aods"], np.full(3, 9.0), rngs,
                                   geom_rx, geom_tx))
         assert [(c[0], c[2].shape) for c in calls] == [(16, (3, 2, len(cb)))]
+
+
+def _lms_batch(seed, episodes, num_paths, on_codebook, cb):
+    """LmsTracker arguments with the estimates, departures and centres of
+    `_kalman_batch`, one step size per episode, and the true angles."""
+    args, truth = _kalman_batch(seed, episodes, num_paths, on_codebook, cb)
+    step_size = 10.0 ** np.random.default_rng(seed).uniform(-4.0, -2.0, episodes)
+    lms = dict(estimates=args["means"], codebook=cb, gains=args["gains"], aods=args["aods"],
+               known_aod=args["known_aod"], step_size=step_size)
+    return lms, truth
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), episodes=st.integers(1, 4), num_paths=st.integers(1, 3),
+    num_tx=st.integers(1, 3), num_rx=st.integers(1, 3), on_codebook=st.booleans(),
+)
+def test_lms_steps_equal_the_from_angles_formula(
+    seed, episodes, num_paths, num_tx, num_rx, on_codebook
+):
+    # The tracker computes its transmit factors once per episode; each step
+    # must still equal the gradient step on the pilot map and Jacobian
+    # evaluated from the angles, bit for bit.
+    geom_rx, geom_tx, cb = ArrayGeometry(16), ArrayGeometry(32), make_codebook(32)
+    args, truth = _lms_batch(seed, episodes, num_paths, on_codebook, cb)
+    tracker = LmsTracker(**args, geom_rx=geom_rx, geom_tx=geom_tx, num_tx=num_tx, num_rx=num_rx)
+    est = args["estimates"].copy()
+    strongest = np.argmax(np.abs(args["gains"]), axis=-1)
+    tx_angles = cb.angles[nearest_beams(args["known_aod"], cb, num_tx)]
+    for cycle in range(3):
+        rx_angles = cb.angles[nearest_beams(est[np.arange(episodes), strongest], cb, num_rx)]
+        sounding = SoundingConfig(tx_angles=tx_angles, rx_angles=rx_angles)
+
+        def channel():
+            rngs = [np.random.default_rng([seed, cycle, k]) for k in range(episodes)]
+            snrs = np.full(episodes, 12.0)
+            return PilotChannel(args["gains"], truth, args["aods"], snrs, rngs, geom_rx, geom_tx)
+
+        pilot = channel().receive(sounding)
+        predicted, jac = measurement._pilot_map(*measurement._measurement_factors(
+            args["gains"], est, args["aods"], sounding, geom_rx, geom_tx, with_derivatives=True
+        ))
+        slope = (jac.conj().swapaxes(-1, -2) @ (pilot.values - predicted)[..., None])[..., 0]
+        est = est + args["step_size"][:, None] * slope.real
+        record = tracker.step(channel())
+        np.testing.assert_array_equal(record.sounding.tx_angles, tx_angles)
+        np.testing.assert_array_equal(record.sounding.rx_angles, rx_angles)
+        np.testing.assert_array_equal(record.estimates, est)
+
+
+def test_lms_steps_evaluate_the_receive_factors_once(count_calls):
+    # The transmit sum (N_b = 32 terms) runs when the tracker is built, never
+    # in a step; each step runs one receive evaluation (N_m = 16 terms) at
+    # its receive beams.
+    calls = count_calls(measurement, "_geometric_sum")
+    geom_rx, geom_tx, cb = ArrayGeometry(16), ArrayGeometry(32), make_codebook(32)
+    args, truth = _lms_batch(4, 3, 2, False, cb)
+    tracker = LmsTracker(**args, geom_rx=geom_rx, geom_tx=geom_tx)
+    assert [(c[0], c[2].shape) for c in calls] == [(32, (3, 2, 2))]
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    for _ in range(4):
+        del calls[:]
+        tracker.step(PilotChannel(args["gains"], truth, args["aods"], np.full(3, 9.0), rngs,
+                                  geom_rx, geom_tx))
+        assert [(c[0], c[2].shape) for c in calls] == [(16, (3, 2, 2))]
 
 
 def test_genie_reads_truth_without_aliasing(geom32):
