@@ -113,6 +113,15 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.t_csi % self.k_samples != 0:
             raise ValueError("t_csi must be divisible by k_samples")
+        # A NaN or -inf SNR or a NaN step would die in the first measurement
+        # update, a negative spread in the episode draw; +inf SNR is noiseless.
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
+            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
+        if not np.isfinite(self.lms_step):
+            raise ValueError(f"lms_step must be finite, got {self.lms_step}")
+        for name in ("init_error_std", "init_velocity_std"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         self.mobility_params()  # checks dt and drive_var
         if self.ber_mode not in ("analytic", "montecarlo"):
             raise ValueError(f"unknown ber_mode {self.ber_mode!r}")
@@ -417,8 +426,9 @@ def _track(configs, model, process_noise, episodes=None):
     pilot_rngs = [_stream(cfg.seed, _PILOT) for cfg in configs]
     no_block = np.zeros(gains.shape + blocks.shape[-1:])
     estimates = np.empty(truth.shape)
+    channel = PilotChannel(gains, truth[..., 0], aods, snr_db, pilot_rngs, geom_rx, geom_tx)
     for t in range(base.num_cycles):
-        channel = PilotChannel(gains, truth[..., t], aods, snr_db, pilot_rngs, geom_rx, geom_tx)
+        channel.aoas = truth[..., t]
         estimates[..., t] = tracker.step(channel, blocks[:, :, t - 1] if t else no_block).estimates
     return episodes, estimates, truth
 

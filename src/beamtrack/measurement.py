@@ -306,8 +306,17 @@ def receive(
     A batch of B channels (B, N_rx, N_tx) is sounded with B soundings, a (B,)
     array of SNRs and a sequence of B generators, each episode drawing its
     noise from its own generator.
+
+    This dense W^H H F is the oracle of the factored pilot map that the
+    trackers and `trackers.PilotChannel` use; no tracking cycle calls it.
     """
-    clean = _vec_received(channel, sounding, geom_rx, geom_tx)
+    return _noisy_pilots(_vec_received(channel, sounding, geom_rx, geom_tx), snr_db, rng)
+
+
+def _noisy_pilots(clean: np.ndarray, snr_db, rng) -> PilotVector:
+    """The noiseless pilots `clean` plus the noise `receive` documents, with
+    its arguments `snr_db` and `rng`: one draw per episode from its own
+    generator, of shape (pilots, 2) for the real and imaginary parts."""
     batched = clean.ndim > 1
     snrs, rngs = (snr_db, rng) if batched else ([snr_db], [rng])
     noise_var = np.array([10.0 ** (-float(snr) / 10.0) for snr in snrs])

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import filtering
-from .arrays import assemble_channel
+from .arrays import assemble_channel  # noqa: F401 - perfbench/tracer.py wraps it here
 from .beamctl import _transmit_side, nearest_beams, select_sounding
 from .filtering import joint_belief, split_joint  # noqa: F401 - perfbench/tracer.py wraps them here
 from .filtering import prediction_update
@@ -34,10 +34,10 @@ from .measurement import (  # noqa: F401 - perfbench/tracer.py wraps the two fro
     SoundingConfig,
     _jacobian_from_angles,
     _measurement_from_angles,
+    _noisy_pilots,
     _pilot_map,
     _receive_factors,
     _transmit_factors,
-    receive,
 )
 from .mobility import (  # noqa: F401 - perfbench/tracer.py wraps generate_trajectory here
     MobilityParams,
@@ -64,6 +64,12 @@ class PilotChannel:
     the one consumer allowed to read the underlying angles directly. For a
     batch of B episodes the path arrays are (B, L), `snr_db` holds one SNR
     and `rng` one generator per episode.
+
+    One channel serves an episode batch; its caller sets `aoas` to each
+    cycle's true angles. Reception goes through the pilot model's factors:
+    the transmit half is evaluated at the first sounding and again only for
+    other transmit beams, the receive half at every reception. The dense
+    `measurement.receive` of `arrays.assemble_channel` is its oracle.
     """
 
     def __init__(self, gains, aoas, aods, snr_db, rng, geom_rx, geom_tx):
@@ -74,10 +80,18 @@ class PilotChannel:
         self.rng = rng
         self.geom_rx = geom_rx
         self.geom_tx = geom_tx
+        self._tx_angles = None  # the transmit beams of `_truth_tx`
+        self._truth_tx = None
 
     def receive(self, sounding: SoundingConfig) -> PilotVector:
-        h = assemble_channel((self.gains, self.aoas, self.aods), self.geom_rx, self.geom_tx)
-        return receive(h, sounding, self.snr_db, self.rng, self.geom_rx, self.geom_tx)
+        tx_angles = sounding.tx_angles
+        if not np.array_equal(tx_angles, self._tx_angles):
+            self._truth_tx = _transmit_factors(
+                self.gains, self.aods, tx_angles, self.geom_rx, self.geom_tx
+            )
+            self._tx_angles = tx_angles.copy()
+        gr = _receive_factors(self.aoas, sounding.rx_angles, self.geom_rx)
+        return _noisy_pilots(_pilot_map(*self._truth_tx, gr), self.snr_db, self.rng)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Episode simulation, metrics, sweeps, and calibration glue."""
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -383,6 +384,45 @@ def test_run_sweep_records_a_nonpositive_size_or_step_as_error_rows(axis, bad, g
     ]
     with pytest.raises(ValueError):
         _tiny_config(**{axis: bad})
+
+
+_CRASHING_VALUES = [
+    ("snr_db", np.nan, "snr_db must be a number or +inf, got nan"),
+    ("snr_db", -np.inf, "snr_db must be a number or +inf, got -inf"),
+    ("lms_step", np.nan, "lms_step must be finite, got nan"),
+    ("init_error_std", -0.01, "init_error_std must be >= 0, got -0.01"),
+    ("init_velocity_std", -0.5, "init_velocity_std must be >= 0, got -0.5"),
+]
+
+
+@pytest.mark.parametrize("field, bad, message", _CRASHING_VALUES,
+                         ids=[f"{f}={v}" for f, v, _ in _CRASHING_VALUES])
+def test_sim_config_refuses_values_that_crash_in_the_cycle(field, bad, message):
+    # A NaN or -inf SNR, or a NaN LMS step, used to die in the first
+    # measurement update ("SVD did not converge"), and a negative spread in
+    # the episode draw ("scale < 0"). +inf SNR means noiseless pilots.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimConfig(**{field: bad})
+    assert SimConfig(snr_db=np.inf).snr_db == np.inf
+
+
+@pytest.mark.parametrize("field, bad, message", _CRASHING_VALUES,
+                         ids=[f"{f}={v}" for f, v, _ in _CRASHING_VALUES])
+def test_run_sweep_gives_a_crashing_value_error_rows_and_keeps_the_batch(
+    count_calls, field, bad, message
+):
+    # The refused point gives error rows; the other two points still run as
+    # one batch of two episodes, with no fallback to one at a time.
+    cfg = _tiny_config(num_cycles=3)
+    good = {"snr_db": [6.0, 9.0], "lms_step": [0.01, 0.02],
+            "init_error_std": [0.01, 0.02], "init_velocity_std": [0.4, 0.5]}[field]
+    batches = count_calls(harness, "run_episodes")
+    rows = run_sweep(cfg, field, [bad] + good, ("ekf",), trials=1,
+                     process_noises=_sweep_noises(cfg, field, good))
+    assert [r["status"] for r in rows] == [
+        f"error:ValueError: {message}", "aggregate", "ok", "aggregate", "ok", "aggregate",
+    ]
+    assert [len(configs) for configs, *_ in batches] == [2]
 
 
 def test_run_sweep_rejects_unknown_axis():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack.arrays import ArrayGeometry, PathState, _path_arrays, assemble_channel, make_codebook
 from beamtrack import measurement
@@ -166,6 +168,46 @@ def test_jacobian_near_beam_alignment(geom32):
         - predicted_measurement(minus, snd, geom32, geom32)
     ) / (2 * h)
     np.testing.assert_allclose(jac[:, 1], fd, rtol=1e-5, atol=1e-8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), num_paths=st.integers(1, 4),
+    batch=st.sampled_from([(), (3,), (2, 2)]), on_codebook=st.booleans(),
+    num_rx=st.integers(1, 3), num_tx=st.integers(1, 3),
+)
+def test_factored_pilots_equal_the_dense_oracle(seed, batch, num_paths, on_codebook, num_rx,
+                                                num_tx):
+    # The true channel is sounded through the factors that the trackers
+    # predict it with, `_transmit_factors` and `_receive_factors`, so a
+    # defect there no longer shows as a mismatch between truth and model.
+    # The dense W^H H F of `predicted_measurement` is the independent oracle:
+    # the factored pilots must equal it to 1e-13 of the pilots' scale, the
+    # summed path-gain magnitude, for any leading batch axes, with angles on
+    # codebook beam angles (the singular-alignment branch) and at +-1.
+    geom_rx, geom_tx, cb = ArrayGeometry(16), ArrayGeometry(32), make_codebook(32)
+    rng = np.random.default_rng(seed)
+    shape = batch + (num_paths,)
+    gains = np.exp(2j * np.pi * rng.random(shape)) * rng.uniform(0.1, 1.0, shape)
+    aoas, aods = rng.uniform(-1.0, 1.0, (2,) + shape)
+    if on_codebook:
+        for angles in (aoas, aods):
+            picks = rng.random(shape)
+            angles[picks < 0.4] = cb.angles[rng.integers(len(cb), size=shape)][picks < 0.4]
+            angles[picks > 0.8] = rng.choice([-1.0, 1.0], size=shape)[picks > 0.8]
+    tx_angles = cb.angles[rng.integers(len(cb), size=batch + (num_tx,))]
+    rx_angles = cb.angles[rng.integers(len(cb), size=batch + (num_rx,))]
+    factored = measurement._pilot_map(
+        *measurement._transmit_factors(gains, aods, tx_angles, geom_rx, geom_tx),
+        measurement._receive_factors(aoas, rx_angles, geom_rx),
+    )
+    assert factored.shape == batch + (num_tx * num_rx,)
+    for b in np.ndindex(batch):
+        paths = [PathState(g, a, d) for g, a, d in zip(gains[b], aoas[b], aods[b])]
+        sounding = SoundingConfig(tx_angles=tx_angles[b], rx_angles=rx_angles[b])
+        dense = predicted_measurement(paths, sounding, geom_rx, geom_tx)
+        scale = np.abs(gains[b]).sum()
+        np.testing.assert_allclose(factored[b], dense, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_receive_noiseless_matches_prediction(geom32, codebook64, rng):

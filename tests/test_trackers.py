@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrack import filtering, measurement, mobility, neural
-from beamtrack.arrays import ArrayGeometry, make_codebook
+from beamtrack import filtering, measurement, mobility, neural, trackers
+from beamtrack.arrays import ArrayGeometry, assemble_channel, make_codebook
 from beamtrack.beamctl import nearest_beams, select_sounding
 from beamtrack.filtering import measurement_update
-from beamtrack.harness import SimConfig, run_episode
-from beamtrack.measurement import SoundingConfig
+from beamtrack.harness import SimConfig, run_episode, run_episodes
+from beamtrack.measurement import SoundingConfig, receive
 from beamtrack.mobility import MobilityParams, generate_trajectory
 from beamtrack.predictor import InputWindow, NormStats, build_model
 from beamtrack.trackers import (
@@ -430,7 +430,9 @@ def test_the_per_episode_transmit_side_changes_no_cycle(
 def test_kalman_cycles_evaluate_the_receive_factors_once(count_calls, variant):
     # Transmit sums (N_b = 32 terms) run when the tracker is built, never in
     # a cycle; each cycle runs one receive evaluation (N_m = 16 terms), over
-    # the codebook in selection, and the measurement update runs none.
+    # the codebook in selection, and the measurement update runs none. The
+    # episode's one channel sounds the truth: its transmit sum in the first
+    # cycle only, and one receive evaluation at the chosen beams per cycle.
     calls = count_calls(measurement, "_geometric_sum")
     geom_rx, geom_tx, cb = ArrayGeometry(16), ArrayGeometry(32), make_codebook(32)
     args, truth = _kalman_batch(4, 3, 2, False, cb)
@@ -440,11 +442,15 @@ def test_kalman_cycles_evaluate_the_receive_factors_once(count_calls, variant):
     )
     assert [c[0] for c in calls] == [32, 32]
     rngs = [np.random.default_rng(k) for k in range(3)]
-    for _ in range(4):
+    channel = PilotChannel(args["gains"], truth, args["aods"], np.full(3, 9.0), rngs,
+                           geom_rx, geom_tx)
+    for cycle in range(4):
         del calls[:]
-        tracker.step(PilotChannel(args["gains"], truth, args["aods"], np.full(3, 9.0), rngs,
-                                  geom_rx, geom_tx))
-        assert [(c[0], c[2].shape) for c in calls] == [(16, (3, 2, len(cb)))]
+        tracker.step(channel)
+        truth_tx = [(32, (3, 2, 2))] if cycle == 0 else []
+        assert [(c[0], c[2].shape) for c in calls] == (
+            [(16, (3, 2, len(cb)))] + truth_tx + [(16, (3, 2, 2))]
+        )
 
 
 def _lms_batch(seed, episodes, num_paths, on_codebook, cb):
@@ -498,18 +504,122 @@ def test_lms_steps_equal_the_from_angles_formula(
 def test_lms_steps_evaluate_the_receive_factors_once(count_calls):
     # The transmit sum (N_b = 32 terms) runs when the tracker is built, never
     # in a step; each step runs one receive evaluation (N_m = 16 terms) at
-    # its receive beams.
+    # its receive beams, after the episode's one channel has sounded the
+    # truth (its transmit sum in the first step only).
     calls = count_calls(measurement, "_geometric_sum")
     geom_rx, geom_tx, cb = ArrayGeometry(16), ArrayGeometry(32), make_codebook(32)
     args, truth = _lms_batch(4, 3, 2, False, cb)
     tracker = LmsTracker(**args, geom_rx=geom_rx, geom_tx=geom_tx)
     assert [(c[0], c[2].shape) for c in calls] == [(32, (3, 2, 2))]
     rngs = [np.random.default_rng(k) for k in range(3)]
-    for _ in range(4):
+    channel = PilotChannel(args["gains"], truth, args["aods"], np.full(3, 9.0), rngs,
+                           geom_rx, geom_tx)
+    for cycle in range(4):
         del calls[:]
-        tracker.step(PilotChannel(args["gains"], truth, args["aods"], np.full(3, 9.0), rngs,
-                                  geom_rx, geom_tx))
-        assert [(c[0], c[2].shape) for c in calls] == [(16, (3, 2, 2))]
+        tracker.step(channel)
+        truth_tx = [(32, (3, 2, 2))] if cycle == 0 else []
+        assert [(c[0], c[2].shape) for c in calls] == truth_tx + [(16, (3, 2, 2))] * 2
+
+
+def _reception_batch(seed):
+    """Geometries, codebook, three episodes' gains, departures and true
+    arrival angles (two paths each), and a sounding per episode."""
+    geom_rx, geom_tx, cb = ArrayGeometry(16), ArrayGeometry(32), make_codebook(32)
+    args, truth = _kalman_batch(seed, 3, 2, False, cb)
+    sounding = SoundingConfig(tx_angles=cb.angles[[[3, 4], [10, 11], [20, 21]]],
+                              rx_angles=cb.angles[[[5, 6], [12, 13], [30, 31]]])
+    return geom_rx, geom_tx, cb, args["gains"], args["aods"], truth, sounding
+
+
+def test_a_channel_evaluates_the_truth_transmit_half_once(count_calls):
+    # The transmit half of the true pilots (N_b = 32 terms) is evaluated at
+    # the channel's first reception only; each reception evaluates the
+    # receive half (N_m = 16 terms) once, at that cycle's true angles.
+    geom_rx, geom_tx, cb, gains, aods, truth, sounding = _reception_batch(11)
+    calls = count_calls(measurement, "_geometric_sum")
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    channel = PilotChannel(gains, truth, aods, np.full(3, 9.0), rngs, geom_rx, geom_tx)
+    assert calls == []
+    rng = np.random.default_rng(11)
+    for cycle in range(4):
+        channel.aoas = np.clip(truth + 0.01 * cycle, -1.0, 1.0)
+        rx_angles = cb.angles[rng.integers(len(cb), size=(3, 2))]
+        del calls[:]
+        channel.receive(SoundingConfig(tx_angles=sounding.tx_angles, rx_angles=rx_angles))
+        assert [c[0] for c in calls] == ([32] if cycle == 0 else []) + [16]
+        np.testing.assert_array_equal(
+            calls[-1][2], channel.aoas[..., :, None] - rx_angles[..., None, :]
+        )
+
+
+@pytest.mark.parametrize("variant, evaluations", [("ekf", 2), ("lms", 2), ("genie", 0)])
+def test_an_episode_batch_evaluates_the_truth_transmit_half_once(
+    count_calls, variant, evaluations
+):
+    # `run_episodes` gives a batch one channel: besides the sounding
+    # tracker's own per-episode transmit factors, the truth's are evaluated
+    # once. The genie sounds nothing.
+    calls = count_calls(trackers, "_transmit_factors")
+    configs = [SimConfig(t_csi=40, num_cycles=5, variant=variant, seed=s) for s in (3, 4)]
+    run_episodes(configs, process_noise=2e-4)
+    assert len(calls) == evaluations
+
+
+def test_a_sounding_with_other_transmit_beams_gets_its_own_pilots():
+    # The channel keeps the truth's transmit half for the transmit beams it
+    # was evaluated at; a sounding with other beams, even in one episode or
+    # in their number, is sounded at its own beams.
+    geom_rx, geom_tx, cb, gains, aods, truth, first = _reception_batch(12)
+    other_episode = first.tx_angles.copy()
+    other_episode[1] = cb.angles[[0, 1]]
+    others = [
+        SoundingConfig(tx_angles=other_episode, rx_angles=first.rx_angles),
+        SoundingConfig(tx_angles=cb.angles[[[7], [8], [9]]], rx_angles=first.rx_angles),
+    ]
+    noiseless = np.full(3, np.inf), [None] * 3
+
+    def channel():
+        return PilotChannel(gains, truth, aods, *noiseless, geom_rx, geom_tx)
+
+    shared = channel()
+    h = assemble_channel((gains, truth, aods), geom_rx, geom_tx)
+    scale = np.abs(gains).sum(axis=-1, keepdims=True)
+    for sounding in (first, others[0], first, others[1], others[1], first):
+        got = shared.receive(sounding).values
+        np.testing.assert_array_equal(got, channel().receive(sounding).values)
+        dense = receive(h, sounding, *noiseless, geom_rx, geom_tx).values
+        assert np.all(np.abs(got - dense) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "one_episode"])
+def test_reception_draws_the_dense_noise(batched):
+    # From equal generator states the channel adds to its clean pilots the
+    # noise that the dense `measurement.receive` draws, bit for bit: the
+    # dense receive of a zero-gain channel returns exactly its noise. An
+    # episode at +inf SNR draws nothing.
+    geom_rx, geom_tx, _, gains, aods, truth, sounding = _reception_batch(13)
+    snr_db = np.array([6.0, np.inf, 12.0])
+    if not batched:
+        gains, aods, truth, snr_db = gains[0], aods[0], truth[0], snr_db[0]
+        sounding = SoundingConfig(tx_angles=sounding.tx_angles[0],
+                                  rx_angles=sounding.rx_angles[0])
+
+    def rngs():
+        gens = [np.random.default_rng([13, k]) for k in range(3)]
+        return gens if batched else gens[0]
+
+    ours, theirs = rngs(), rngs()
+    pilot = PilotChannel(gains, truth, aods, snr_db, ours, geom_rx, geom_tx).receive(sounding)
+    zero = assemble_channel((np.zeros_like(gains), truth, aods), geom_rx, geom_tx)
+    noise = receive(zero, sounding, snr_db, theirs, geom_rx, geom_tx)
+    clean = measurement._pilot_map(
+        *measurement._transmit_factors(gains, aods, sounding.tx_angles, geom_rx, geom_tx),
+        measurement._receive_factors(truth, sounding.rx_angles, geom_rx),
+    )
+    np.testing.assert_array_equal(pilot.values, clean + noise.values)
+    np.testing.assert_array_equal(pilot.noise_var, noise.noise_var)
+    for a, b in zip(np.atleast_1d(ours), np.atleast_1d(theirs)):
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_genie_reads_truth_without_aliasing(geom32):
