@@ -122,7 +122,7 @@ class SimConfig:
         for name in ("init_error_std", "init_velocity_std"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        self.mobility_params()  # checks dt and drive_var
+        self.mobility_params()  # checks a_avg, dt and drive_var
         if self.ber_mode not in ("analytic", "montecarlo"):
             raise ValueError(f"unknown ber_mode {self.ber_mode!r}")
         _check_beam_count(self.codebook_size, self.m_b, "m_b", receive=False)

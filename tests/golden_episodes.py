@@ -13,14 +13,16 @@ the reference checkpoint in perfbench/.
 rewrites both, tests/data/golden_episodes.npz and tests/data/plot_data_golden/,
 from the package on the path. tests/test_golden.py asserts that the current
 package still produces them (NMSE and angle errors bit for bit, BER to
-1e-12, CSVs byte for byte). Both were last written when the true channel
-came to be sounded through the pilot model's factors instead of a dense
-W^H H F. The clean pilots moved in their last bits, and the trackers'
-trajectories carry that further: the Kalman variants by at most 1.1e-6 dB
-of NMSE, and the LMS baseline, whose estimates leave [-1, 1], by up to
-2.9 dB; the genie did not move. Bit-identity holds on the NumPy/OpenBLAS
-build the files were written with; a different BLAS build may legitimately
-round differently.
+1e-12, CSVs byte for byte). Both were last written when the mobility
+model's angle stream came to size each chunk from the last gap between
+reflections and to run the AR(1) velocity as a scaled running sum per
+block. The true angles moved in their last bits (they stay within 1e-10 of
+the per-slot recursion), and the trackers' trajectories carry that further:
+the proposed variants by at most 3.1e-7 dB of NMSE, the EKF by 7.7e-9 dB,
+and the LMS baseline, whose estimates leave [-1, 1], by up to 3.4 dB; the
+genie's NMSE did not move. Bit-identity holds on the NumPy/OpenBLAS build
+the files were written with; a different BLAS build may legitimately round
+differently.
 """
 
 from __future__ import annotations

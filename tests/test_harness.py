@@ -392,15 +392,21 @@ _CRASHING_VALUES = [
     ("lms_step", np.nan, "lms_step must be finite, got nan"),
     ("init_error_std", -0.01, "init_error_std must be >= 0, got -0.01"),
     ("init_velocity_std", -0.5, "init_velocity_std must be >= 0, got -0.5"),
+    # Refused by MobilityParams through SimConfig.mobility_params().
+    ("a_avg", np.nan, "a_avg must be finite, got nan"),
+    ("a_avg", np.inf, "a_avg must be finite, got inf"),
+    ("drive_var", np.nan, "drive_var must be finite and >= 0, got nan"),
+    ("dt", np.inf, "dt must be finite and > 0, got inf"),
 ]
 
 
 @pytest.mark.parametrize("field, bad, message", _CRASHING_VALUES,
                          ids=[f"{f}={v}" for f, v, _ in _CRASHING_VALUES])
 def test_sim_config_refuses_values_that_crash_in_the_cycle(field, bad, message):
-    # A NaN or -inf SNR, or a NaN LMS step, used to die in the first
-    # measurement update ("SVD did not converge"), and a negative spread in
-    # the episode draw ("scale < 0"). +inf SNR means noiseless pilots.
+    # A NaN or -inf SNR, a NaN LMS step or a NaN a_avg used to die in the
+    # first measurement update ("SVD did not converge"), a negative spread
+    # in the episode draw ("scale < 0"), and an infinite a_avg hung the
+    # angle stream's reflection loop. +inf SNR means noiseless pilots.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SimConfig(**{field: bad})
     assert SimConfig(snr_db=np.inf).snr_db == np.inf
@@ -415,7 +421,8 @@ def test_run_sweep_gives_a_crashing_value_error_rows_and_keeps_the_batch(
     # one batch of two episodes, with no fallback to one at a time.
     cfg = _tiny_config(num_cycles=3)
     good = {"snr_db": [6.0, 9.0], "lms_step": [0.01, 0.02],
-            "init_error_std": [0.01, 0.02], "init_velocity_std": [0.4, 0.5]}[field]
+            "init_error_std": [0.01, 0.02], "init_velocity_std": [0.4, 0.5],
+            "a_avg": [0.1, 0.2], "drive_var": [1e-5, 2e-5], "dt": [125e-6, 100e-6]}[field]
     batches = count_calls(harness, "run_episodes")
     rows = run_sweep(cfg, field, [bad] + good, ("ekf",), trials=1,
                      process_noises=_sweep_noises(cfg, field, good))

@@ -1,5 +1,7 @@
 """Angle dynamics and inertial sample synthesis."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +14,15 @@ from beamtrack.mobility import (
     generate_trajectory,
     synthesize_imu,
 )
+from beamtrack.trackers import calibrate_process_noise
 
 
-# generate_trajectory's velocities come from a doubling scan, so they round
-# differently from the per-slot recursion. At walking rates the two angle
-# tracks stayed within 6e-13 of each other over 30,000 slots; over ballistic
-# draws that reflect every few slots for 8,000 slots, within 5e-11.
+# generate_trajectory's velocities come from a scaled running sum per block
+# and a doubling scan across blocks, so they round differently from the
+# per-slot recursion. At walking rates the two angle tracks stayed within
+# 5.3e-13 of each other over 30,000 slots (the walking-rate test's draws);
+# over ballistic draws that reflect every few slots for 8,175 slots, within
+# 7.6e-12 on the property test's examples and 1.9e-11 on 40 random draws.
 PER_SLOT_ATOL = 1e-10
 
 
@@ -74,6 +79,26 @@ def test_params_validation():
         MobilityParams(a_avg=0.0, drive_var=-1e-3)
     with pytest.raises(ValueError):
         MobilityParams(a_avg=0.0, dt=0.0)
+
+
+_NON_FINITE = [
+    ("a_avg", np.nan, "a_avg must be finite, got nan"),
+    ("a_avg", np.inf, "a_avg must be finite, got inf"),
+    ("a_avg", -np.inf, "a_avg must be finite, got -inf"),
+    ("drive_var", np.nan, "drive_var must be finite and >= 0, got nan"),
+    ("drive_var", np.inf, "drive_var must be finite and >= 0, got inf"),
+    ("dt", np.inf, "dt must be finite and > 0, got inf"),
+    ("dt", np.nan, "dt must be finite and > 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("field, bad, message", _NON_FINITE,
+                         ids=[f"{f}={v}" for f, v, _ in _NON_FINITE])
+def test_params_refuse_non_finite_values(field, bad, message):
+    # A NaN or infinite a_avg, drive_var or dt turns every angle into NaN or
+    # inf; a NaN drive_var passed the old "drive_var < 0" test.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MobilityParams(**{"a_avg": 0.0, field: bad})
 
 
 def test_recursion_replayed_by_hand():
@@ -262,14 +287,36 @@ def _ar1_loop(x, rho, v):
 
 
 def test_scan_one_and_two_slots_by_hand():
-    # The first slot follows the per-slot order. With rho = 3/4 the second
-    # slot's y0 + (rho - 1) * y0 rounds once, exactly as rho * y0 does.
+    # The first slot follows the per-slot order. With rho = 3/4 a block holds
+    # two slots (rho^2 >= 1/2 > rho^4), so the second slot is the running sum
+    # y0 + rho^-1 * x1 scaled back by rho, each scaling y + (rho^k - 1) * y
+    # with its offset from expm1.
     w = np.array([0.3, -1.7])
     pull, rho, v = 0.1, 0.75, 2.5
     y0 = pull + rho * v + 0.3
     assert mobility._ar1_scan(w[:1], pull, rho, v).tolist() == [y0]
-    assert mobility._ar1_scan(w, pull, rho, v).tolist() == [y0, (-1.7 + pull) + rho * y0]
+    up, down = np.expm1(-np.log1p(rho - 1.0)), np.expm1(np.log1p(rho - 1.0))
+    x1 = -1.7 + pull
+    total = y0 + (x1 + up * x1)
+    got = mobility._ar1_scan(w, pull, rho, v)
+    assert got.tolist() == [y0, total + down * total]
+    assert got[1] == pytest.approx(x1 + rho * y0, rel=0.0, abs=8 * np.finfo(float).eps)
     assert w.tolist() == [0.3, -1.7]  # the chunk's drive is left as it was
+
+
+@pytest.mark.parametrize("rho, block", [
+    (0.0, 1), (0.7, 1), (0.75, 2), (0.9, 4), (mobility.DEFAULT_RHO, 4096), (1.0 - 1e-12, 4096),
+])
+def test_scan_blocks_are_the_largest_power_of_two_with_rho_to_it_at_least_half(rho, block):
+    # Capped at _MAX_CHUNK, the longest chunk; with rho^2 < 1/2 every block is
+    # one slot and the doubling scan at rho does all the work.
+    b, up, down = mobility._scan_blocks(rho)
+    assert b == block
+    if b > 1:
+        k = np.arange(b + 1)
+        np.testing.assert_allclose(up + 1.0, rho ** -k.astype(float), rtol=1e-13)
+        np.testing.assert_allclose(down + 1.0, rho ** k.astype(float), rtol=1e-13)
+        assert up[0] == down[0] == 0.0
 
 
 def test_scan_without_memory_returns_the_drive():
@@ -285,6 +332,71 @@ def test_trajectory_without_memory_equals_the_per_slot_recursion(seed):
     fast = generate_trajectory(params, 2, 9000, np.random.default_rng(seed))
     slow = per_slot_trajectory(params, 2, 9000, np.random.default_rng(seed))
     np.testing.assert_array_equal(fast.aoa, slow.aoa)
+
+
+def _scanned_chunks(monkeypatch):
+    """The slot count of every chunk `_ar1_scan` runs from here on."""
+    sizes = []
+    real = mobility._ar1_scan
+
+    def recording(w, *args):
+        sizes.append(w.size)
+        return real(w, *args)
+
+    monkeypatch.setattr(mobility, "_ar1_scan", recording)
+    return sizes
+
+
+def test_a_chunk_after_a_reflection_spans_the_last_gap(monkeypatch):
+    # Constant 0.0099 per slot from 0: the angle leaves [-1, 1] at slots 101,
+    # 303 and 505, so the reflections lie 102, 202 and 202 slots apart. The
+    # chunks double from 16 while nothing reflects; after a reflection the
+    # next one spans that gap rounded up to a power of two (128, then 256),
+    # where it used to restart at 16.
+    sizes = _scanned_chunks(monkeypatch)
+    params = MobilityParams(a_avg=0.0, rho=1 - 1e-12, drive_var=0.0, dt=125e-6)
+    traj = generate_trajectory(
+        params, 1, 700, np.random.default_rng(0), init_aoa=0.0, init_velocity=0.0099 / 125e-6
+    )
+    turns = np.flatnonzero(np.diff(np.sign(np.diff(traj.aoa[0])))) + 2
+    assert turns.tolist() == [101, 303, 505]  # the reflecting slots
+    assert sizes == [16, 32, 64, 128, 256, 256, 700 - 506]
+
+
+def test_the_slow_calibration_probe_takes_few_chunks(monkeypatch):
+    # 0.2 pi at t_csi 320 is the longest probe of a sweep: 1,334 chunks when
+    # every reflection restarted the chunks at 16 slots.
+    sizes = _scanned_chunks(monkeypatch)
+    calibrate_process_noise(MobilityParams(a_avg=0.2 * np.pi), 320)
+    assert len(sizes) <= 600
+    assert sum(sizes) >= 3 * 2000 * 320
+
+
+def _scanned_per_kept(monkeypatch, params, num_paths, num_slots, seed):
+    sizes = _scanned_chunks(monkeypatch)
+    generate_trajectory(params, num_paths, num_slots, np.random.default_rng(seed))
+    ratio = sum(sizes) / (num_paths * num_slots)
+    monkeypatch.undo()
+    return ratio
+
+
+@pytest.mark.parametrize("a_avg", [0.2 * np.pi, 0.4 * np.pi, 40.0])
+def test_chunks_scan_few_slots_that_a_reflection_discards(monkeypatch, a_avg):
+    # Slots scanned over slots kept: at most 1.6 at walking rates and at
+    # 40 per second, where reflections come hundreds of slots apart.
+    for seed in range(3):
+        assert _scanned_per_kept(monkeypatch, MobilityParams(a_avg=a_avg), 3, 30_000, seed) <= 1.6
+
+
+@pytest.mark.parametrize("params, seed", [
+    (MobilityParams(a_avg=846.9044610470237, rho=1.0 - 1e-12, drive_var=5.097965350715966), 13584592),
+    (MobilityParams(a_avg=-3000.0, rho=0.9999999926560614, drive_var=2.3630718081431423), 3395993787),
+])
+def test_ballistic_chunks_scan_no_more_than_when_they_restarted_small(monkeypatch, params, seed):
+    # The two ballistic draws of the property test, their initial state drawn
+    # from the seed: 2.48 and 3.03 slots scanned per slot kept when every
+    # reflection restarted the chunks at 16 slots.
+    assert _scanned_per_kept(monkeypatch, params, 1, 8175, seed) <= 3.1
 
 
 _EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e5, -1e5, 1e300, -1e300])
